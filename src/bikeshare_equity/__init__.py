@@ -34,7 +34,14 @@ from .gbfs_client import (
     parse_free_bike_status,
     parse_station_information,
 )
-from .geo import TractIndex, TractPolygon, assign_tract, load_boundaries, point_in_polygon
+from .geo import (
+    TractIndex,
+    TractPolygon,
+    assign_tract,
+    assign_tracts,
+    load_boundaries,
+    point_in_polygon,
+)
 from .join_aggregate import (
     DemographicsRow,
     ModelFrame,

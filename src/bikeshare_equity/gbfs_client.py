@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -285,12 +286,20 @@ def discover_feeds(entry: SystemEntry, timeout: float | None = None) -> FeedMani
                 f"{entry.system_id}: feed entry without both name and url"
             )
         feeds[str(item["name"])] = str(item["url"])
+    try:
+        last_updated = int(doc.get("last_updated", 0))
+        ttl = max(0, int(doc.get("ttl", 0)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(
+            f"{entry.system_id}: discovery document has a non-integer "
+            f"last_updated or ttl: {exc}"
+        ) from exc
     return FeedManifest(
         system_id=entry.system_id,
         feeds=feeds,
         language=language,
-        last_updated=int(doc.get("last_updated", 0)),
-        ttl=max(0, int(doc.get("ttl", 0))),
+        last_updated=last_updated,
+        ttl=ttl,
     )
 
 
@@ -622,8 +631,8 @@ def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) 
             [
                 obs.system_id,
                 obs.entity_id,
-                repr(obs.lat),
-                repr(obs.lon),
+                repr(float(obs.lat)),
+                repr(float(obs.lon)),
                 obs.docking_type.value,
                 obs.observed_at,
             ]
@@ -639,7 +648,14 @@ def observations_to_csv_bytes(observations: Iterable[BikeObservation]) -> bytes:
 
 
 def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
-    """Read observations from the canonical CSV layout."""
+    """Read observations from the canonical CSV layout.
+
+    Raises:
+        SchemaError: a required column is missing or a docking_type is unknown.
+        ParseError: a lat or lon that is not a finite number, or an
+            observed_at that is not an integer; the message names the data
+            row, counted from 1 after the header.
+    """
     reader = csv.DictReader(fh)
     header = reader.fieldnames or []
     missing = [column for column in OBSERVATION_COLUMNS if column not in header]
@@ -648,18 +664,35 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
             f"observation CSV missing column(s): {', '.join(missing)}"
         )
     observations = []
-    for row in reader:
+    for row_number, row in enumerate(reader, start=1):
         kind = row["docking_type"]
         if kind not in (DockingType.DOCKED.value, DockingType.FREE.value):
             raise SchemaError(f"unknown docking_type: {kind!r}")
+        try:
+            lat = float(row["lat"])
+            lon = float(row["lon"])
+        except (TypeError, ValueError):
+            lat = lon = math.nan
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ParseError(
+                f"observation CSV row {row_number}: lat, lon "
+                f"({row['lat']!r}, {row['lon']!r}) are not both finite numbers"
+            )
+        try:
+            observed_at = int(row["observed_at"])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"observation CSV row {row_number}: observed_at "
+                f"{row['observed_at']!r} is not an integer"
+            ) from None
         observations.append(
             BikeObservation(
                 system_id=row["system_id"],
                 entity_id=row["entity_id"],
-                lat=float(row["lat"]),
-                lon=float(row["lon"]),
+                lat=lat,
+                lon=lon,
                 docking_type=DockingType(kind),
-                observed_at=int(row["observed_at"]),
+                observed_at=observed_at,
             )
         )
     return observations

@@ -10,14 +10,25 @@ Lookups go through a uniform lat/lon grid: each cell lists every polygon whose
 bounding box intersects it, so a cell lookup yields a superset of the true
 containers and grid-accelerated assignment agrees exactly with an exhaustive
 scan.
+
+Batch assignment (``assign_tracts``) runs the same tests with numpy: the index
+compiles every ring into flat float64 vertex arrays once, points are grouped by
+grid cell, and each polygon tests only the points of the cells that list it,
+one (points x ring edges) block at a time. It evaluates the scalar test's
+float64 expressions in the same order, so it agrees with ``point_in_polygon``
+bit for bit; the scalar functions stay as the reference oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
@@ -29,6 +40,10 @@ COUNTY_PREFIX_LENGTH = 5
 
 # A ring is a closed sequence of (lon, lat) pairs: first point equals last.
 Ring = tuple[tuple[float, float], ...]
+
+# Most elements in one (points x ring edges) block of the batch test; a ring
+# meeting more points is tested a slice of points at a time.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,40 @@ class TractIndex:
         for index, poly in enumerate(self.polygons):
             for cell in self._cells_for_bbox(poly.bbox):
                 self._grid.setdefault(cell, []).append(index)
+        if self._grid:
+            self._grid_lo = tuple(map(min, zip(*self._grid)))
+            self._grid_hi = tuple(map(max, zip(*self._grid)))
+
+        # Every ring's vertices in flat float64 arrays, polygon by polygon. A
+        # ring spanning [start, stop) owns the edges k -> k + 1 for k in
+        # [start, stop - 1).
+        n_points = sum(len(ring) for poly in self.polygons for ring in poly.rings)
+        coords = np.fromiter(
+            itertools.chain.from_iterable(
+                point for poly in self.polygons for ring in poly.rings for point in ring
+            ),
+            dtype=np.float64,
+            count=2 * n_points,
+        )
+        self._x = coords[0::2].copy()
+        self._y = coords[1::2].copy()
+        self._ring_spans: list[list[tuple[int, int]]] = []
+        start = 0
+        for poly in self.polygons:
+            spans = []
+            for ring in poly.rings:
+                spans.append((start, start + len(ring)))
+                start += len(ring)
+            self._ring_spans.append(spans)
+
+        # Polygons in GEOID order, so the first container found for a point
+        # carries the smallest GEOID. The table maps a rank back to its
+        # GEOID; its extra last entry stands for "no tract".
+        geoids = self.geoids()
+        rank = {geoid: r for r, geoid in enumerate(geoids)}
+        self._rank = [rank[poly.tract_geoid] for poly in self.polygons]
+        self._by_rank = sorted(range(len(self.polygons)), key=self._rank.__getitem__)
+        self._geoid_table: list[str | None] = [*geoids, None]
 
     def _cell_of(self, lon: float, lat: float) -> tuple[int, int]:
         return (
@@ -215,17 +264,126 @@ def point_in_polygon(lat: float, lon: float, poly: TractPolygon) -> bool:
     return True
 
 
+def _ring_tests(
+    lons: np.ndarray, lats: np.ndarray, x: np.ndarray, y: np.ndarray, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point: on an edge of the ring (as _on_ring_edge), and an odd number
+    of ray crossings (as _in_ring), for the ring owning vertices [start, stop).
+
+    Each edge k -> k + 1 is _in_ring's edge from j = k to i = k + 1, and the
+    float64 expressions are the scalar ones in the same order, so both answers
+    are bit-identical to the scalar functions'.
+    """
+    x1, x2 = x[start : stop - 1], x[start + 1 : stop]
+    y1, y2 = y[start : stop - 1], y[start + 1 : stop]
+    lo_x, hi_x = np.minimum(x1, x2), np.maximum(x1, x2)
+    lo_y, hi_y = np.minimum(y1, y2), np.maximum(y1, y2)
+    on_edge = np.empty(len(lons), dtype=bool)
+    crossed = np.empty(len(lons), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // len(x1))
+    for s in range(0, len(lons), step):
+        lon = lons[s : s + step, None]
+        lat = lats[s : s + step, None]
+        in_box = (lo_x <= lon) & (lon <= hi_x) & (lo_y <= lat) & (lat <= hi_y)
+        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        on_edge[s : s + step] = (in_box & (cross == 0.0)).any(axis=1)
+        straddles = (y2 > lat) != (y1 > lat)
+        # Edges that do not straddle the ray may divide by zero (horizontal
+        # edges); their quotient is masked out by the straddle test.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ray_x = (x1 - x2) * (lat - y2) / (y1 - y2) + x2
+        crossed[s : s + step] = np.logical_xor.reduce(straddles & (lon < ray_x), axis=1)
+    return on_edge, crossed
+
+
+def _polygon_contains(
+    lons: np.ndarray, lats: np.ndarray, index: TractIndex, poly_index: int
+) -> np.ndarray:
+    """point_in_polygon for many points inside the polygon's bounding box."""
+    (start, stop), *holes = index._ring_spans[poly_index]
+    on_edge, crossed = _ring_tests(lons, lats, index._x, index._y, start, stop)
+    inside = on_edge | crossed
+    # Points strictly inside the outer ring; the first hole whose edge or
+    # interior holds one decides it.
+    undecided = crossed & ~on_edge
+    for start, stop in holes:
+        which = np.flatnonzero(undecided)
+        if not len(which):
+            break
+        on_hole, in_hole = _ring_tests(lons[which], lats[which], index._x, index._y, start, stop)
+        inside[which[in_hole & ~on_hole]] = False
+        undecided[which[on_hole | in_hole]] = False
+    return inside
+
+
+def _points_by_polygon(
+    lats: np.ndarray, lons: np.ndarray, index: TractIndex
+) -> dict[int, list[np.ndarray]]:
+    """Polygon position -> index arrays of the points in grid cells listing it."""
+    if not index._grid:
+        return {}
+    (x0, y0), (x1, y1) = index._grid_lo, index._grid_hi
+    cell_x = np.floor(lons / index.cell_size)
+    cell_y = np.floor(lats / index.cell_size)
+    # NaN compares false, so non-finite points fall outside the grid.
+    points = np.flatnonzero((x0 <= cell_x) & (cell_x <= x1) & (y0 <= cell_y) & (cell_y <= y1))
+    height = y1 - y0 + 1
+    keys = (cell_x[points] - x0).astype(np.int64) * height + (
+        cell_y[points] - y0
+    ).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys, points = keys[order], points[order]
+    cells, starts = np.unique(keys, return_index=True)
+    stops = np.append(starts[1:], len(keys))
+    groups: dict[int, list[np.ndarray]] = {}
+    for key, start, stop in zip(cells.tolist(), starts.tolist(), stops.tolist()):
+        listed = index._grid.get((x0 + key // height, y0 + key % height), ())
+        for poly_index in listed:
+            groups.setdefault(poly_index, []).append(points[start:stop])
+    return groups
+
+
+def assign_tracts(
+    lats: Sequence[float] | np.ndarray, lons: Sequence[float] | np.ndarray, index: TractIndex
+) -> list[str | None]:
+    """GEOID of the tract containing each point, or None where no tract does.
+
+    The batch form of assign_tract with the same answers: points on an edge
+    count inside, the lexicographically smallest GEOID wins on a boundary
+    shared by several tracts, and a point with a non-finite coordinate lies in
+    no tract. Each polygon is tested only against the points of the grid
+    cells that list it and lie in its bounding box.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    if lats.ndim != 1 or lats.shape != lons.shape:
+        raise ValueError("lats and lons must be 1-D sequences of equal length")
+    unassigned = len(index._geoid_table) - 1
+    best = np.full(len(lats), unassigned, dtype=np.intp)
+    groups = _points_by_polygon(lats, lons, index)
+    for poly_index in index._by_rank:
+        blocks = groups.get(poly_index)
+        if blocks is None:
+            continue
+        points = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        # A point keeps the first container found: its GEOID is the smallest.
+        points = points[best[points] == unassigned]
+        px, py = lons[points], lats[points]
+        bbox = index.polygons[poly_index].bbox
+        in_bbox = (
+            (bbox.min_lon <= px) & (px <= bbox.max_lon)
+            & (bbox.min_lat <= py) & (py <= bbox.max_lat)
+        )
+        points = points[in_bbox]
+        inside = _polygon_contains(px[in_bbox], py[in_bbox], index, poly_index)
+        best[points[inside]] = index._rank[poly_index]
+    return [index._geoid_table[rank] for rank in best.tolist()]
+
+
 def assign_tract(obs: BikeObservation, index: TractIndex) -> str | None:
     """GEOID of the tract containing the observation, or None if no tract does.
 
     When a point sits on a boundary shared by several tracts, the
     lexicographically smallest GEOID wins.
     """
-    matches = [
-        poly.tract_geoid
-        for poly in index.candidates(obs.lat, obs.lon)
-        if point_in_polygon(obs.lat, obs.lon, poly)
-    ]
-    if not matches:
-        return None
-    return min(matches)
+    return assign_tracts([obs.lat], [obs.lon], index)[0]

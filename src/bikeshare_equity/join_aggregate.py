@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyFrameError, ScalingError, SchemaError
 from .gbfs_client import BikeObservation, DockingType
-from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_tract
+from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_tracts
 from .poisson_glm import DesignMatrix
 
 PREDICTOR_NAMES = (
@@ -124,11 +124,14 @@ def count_by_tract(
     Tracts receiving no observations appear zero-filled; observations falling
     in no tract are dropped and tallied in the diagnostics.
     """
+    observations = list(observations)
+    geoids = assign_tracts(
+        [obs.lat for obs in observations], [obs.lon for obs in observations], index
+    )
     docked: Counter[str] = Counter()
     free: Counter[str] = Counter()
     diagnostics = CountDiagnostics()
-    for obs in observations:
-        geoid = assign_tract(obs, index)
+    for obs, geoid in zip(observations, geoids):
         if geoid is None:
             diagnostics.unassigned += 1
         elif obs.docking_type is DockingType.DOCKED:

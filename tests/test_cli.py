@@ -8,7 +8,7 @@ from bikeshare_equity.cli import (
     render_map_svg,
 )
 from bikeshare_equity.gbfs_client import DockingType
-from bikeshare_equity.snapshot_store import append_snapshot
+from bikeshare_equity.snapshot_store import append_snapshot, load_snapshot
 from helpers import build_synthetic_city, make_system, observation, write_catalog
 
 
@@ -101,6 +101,24 @@ def test_harvest_command_partial_failure(tmp_path, capsys):
     assert "1 observations" in captured.out
     assert "warning" in captured.err
     assert "broken_city" in captured.err
+
+
+def test_harvest_command_survives_bad_last_updated(tmp_path, capsys):
+    good = make_system(
+        tmp_path, "good_city", stations=[{"station_id": "s1", "lat": 45.0, "lon": -122.0}]
+    )
+    bad = make_system(
+        tmp_path, "bad_city", bikes=[{"bike_id": "b1", "lat": 40.0, "lon": -100.0}]
+    )
+    discovery = tmp_path / "bad_city_gbfs.json"
+    discovery.write_text(discovery.read_text().replace("1700000000", '"yesterday"', 1))
+    catalog = write_catalog(tmp_path / "catalog.csv", [good, bad])
+    store = tmp_path / "store"
+    rc = main(["harvest", "--catalog", str(catalog), "--store", str(store)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "warning: bad_city gbfs" in captured.err
+    assert [(o.system_id, o.entity_id) for o in load_snapshot(store)] == [("good_city", "s1")]
 
 
 def test_harvest_command_empty_catalog(tmp_path, capsys):
@@ -252,6 +270,26 @@ def test_analyze_stage_error_names_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "stage join_demographics" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "map"])
+def test_bad_snapshot_field_fails_stage_load_snapshot(tmp_path, capsys, command):
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    snapshot = city["store"] / "snapshot_000001.csv"
+    lines = snapshot.read_text().splitlines(keepends=True)
+    fields = lines[3].split(",")
+    fields[2] = "notanumber"
+    lines[3] = ",".join(fields)
+    snapshot.write_text("".join(lines))
+    argv = [command, "--store", str(city["store"]), "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        argv += ["--boundaries", str(city["boundaries"])]
+        argv += ["--demographics", str(city["demographics"])]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: stage load_snapshot: " in err
+    assert "row 3" in err and "notanumber" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -122,6 +122,21 @@ def test_discover_feeds_language_layer(tmp_path):
     assert manifest.ttl == 30
 
 
+@pytest.mark.parametrize(
+    "fields", [{"last_updated": "yesterday"}, {"last_updated": None}, {"ttl": "soon"}]
+)
+def test_discover_feeds_non_integer_timestamps_are_schema_errors(tmp_path, fields):
+    doc = {
+        "last_updated": 1700000000,
+        "ttl": 30,
+        "data": {"feeds": [{"name": "station_information", "url": "https://x/si.json"}]},
+    }
+    doc.update(fields)
+    url = write_json(tmp_path / "gbfs.json", doc)
+    with pytest.raises(SchemaError, match="sys"):
+        discover_feeds(entry_for(url))
+
+
 def test_discover_feeds_without_language_layer(tmp_path):
     url = write_json(
         tmp_path / "gbfs.json",
@@ -430,6 +445,29 @@ def test_observation_csv_round_trip(tmp_path):
     header = raw.decode().splitlines()[0]
     assert header == "system_id,entity_id,lat,lon,docking_type,observed_at"
     assert read_observations_csv(io.StringIO(raw.decode())) == observations
+
+
+OBSERVATION_HEADER = "system_id,entity_id,lat,lon,docking_type,observed_at\n"
+GOOD_ROW = "sys,e1,45.5,-122.6,free,1700000000\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row, field",
+    [
+        ("sys,e2,notanumber,-122.6,free,1700000000\n", "lat"),
+        ("sys,e2,45.5,,free,1700000000\n", "lat, lon"),
+        ("sys,e2,nan,-122.6,free,1700000000\n", "lat"),
+        ("sys,e2,45.5,-inf,free,1700000000\n", "lat, lon"),
+        ("sys,e2,45.5,-122.6,free,1700000000.5\n", "observed_at"),
+        ("sys,e2,45.5,-122.6,free,soon\n", "observed_at"),
+        ("sys,e2,45.5,-122.6,free\n", "observed_at"),
+    ],
+    ids=["lat-word", "lon-empty", "lat-nan", "lon-inf", "time-fraction", "time-word", "time-missing"],
+)
+def test_read_observations_rejects_bad_fields_naming_the_row(bad_row, field):
+    text = OBSERVATION_HEADER + GOOD_ROW + bad_row
+    with pytest.raises(ParseError, match=f"row 2: {field}"):
+        read_observations_csv(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from bikeshare_equity.errors import SnapshotNotFoundError, StorageError
@@ -102,6 +103,24 @@ def test_round_trip(tmp_path):
     assert sorted(load_snapshot(tmp_path, receipt.snapshot_id), key=str) == sorted(
         rows, key=str
     )
+
+
+def test_numpy_float_coordinates_round_trip(tmp_path):
+    as_numpy = [
+        observation("sys", f"e{i}", np.float64(45.01 + i), np.float64(-122.6 - i))
+        for i in range(3)
+    ]
+    as_python = [
+        observation(obs.system_id, obs.entity_id, float(obs.lat), float(obs.lon))
+        for obs in as_numpy
+    ]
+    receipt = append_snapshot(as_numpy, tmp_path / "numpy")
+    append_snapshot(as_python, tmp_path / "python")
+    loaded = load_snapshot(tmp_path / "numpy", receipt.snapshot_id)
+    assert loaded == as_python
+    assert all(type(obs.lat) is float and type(obs.lon) is float for obs in loaded)
+    name = "snapshot_000001.csv"
+    assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
 
 
 def test_append_never_mutates_existing_files(tmp_path):
