@@ -93,17 +93,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         for field_name, value in _load_config_file(args.config).items():
             setattr(config, field_name, value)
-    for flag, field_name in (
-        ("catalog", "catalog_source"),
-        ("country", "country_filter"),
-        ("store", "store_path"),
-        ("boundaries", "boundaries_path"),
-        ("demographics", "demographics_path"),
-        ("snapshot", "snapshot_selector"),
-        ("docked_mode", "docked_count_mode"),
-        ("out", "output_dir"),
-    ):
-        value = getattr(args, flag, None)
+    for key, field_name in CONFIG_KEYS.items():
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             setattr(config, field_name, value)
     if config.docked_count_mode not in DOCKED_MODES:
@@ -215,6 +206,8 @@ def cmd_analyze(config: PipelineConfig) -> int:
     records, scaling = _stage("scale_predictors", lambda: scale_predictors(records))
     frame = _stage("build_model_frame", lambda: build_model_frame(records))
     fit = _stage("fit_poisson", lambda: fit_poisson(frame.design, frame.response))
+    if not fit.converged:
+        raise StageError("fit_poisson", f"did not converge after {fit.iterations} iterations")
     report = _stage("render_report", lambda: render_report(fit))
 
     with open(out_dir / "table1.csv", "w", encoding="utf-8", newline="") as fh:

@@ -471,6 +471,22 @@ def _harvest_system(
     docked_mode: str,
     timeout: float | None,
 ) -> tuple[list[BikeObservation], list[FeedFailure], int]:
+    """One system's harvest, which never raises: an unexpected exception (a
+    defect, or a feed shape no check foresaw) becomes a FeedFailure naming its
+    type, so one broken system cannot abort the others."""
+    try:
+        return _harvest_feeds(entry, observed_at, docked_mode, timeout)
+    except Exception as exc:
+        logger.debug("harvest of %s failed", entry.system_id, exc_info=True)
+        return [], [FeedFailure(entry.system_id, "harvest", f"{type(exc).__name__}: {exc}")], 0
+
+
+def _harvest_feeds(
+    entry: SystemEntry,
+    observed_at: int,
+    docked_mode: str,
+    timeout: float | None,
+) -> tuple[list[BikeObservation], list[FeedFailure], int]:
     failures: list[FeedFailure] = []
     observations: list[BikeObservation] = []
     dropped = 0

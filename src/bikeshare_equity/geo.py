@@ -11,8 +11,11 @@ bounding box intersects it, so a cell lookup yields a superset of the true
 containers and grid-accelerated assignment agrees exactly with an exhaustive
 scan.
 
+Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
+arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
+
 Batch assignment (``assign_tracts``) runs the same tests with numpy: the index
-compiles every ring into flat float64 vertex arrays once, points are grouped by
+joins every ring into flat float64 vertex arrays once, points are grouped by
 grid cell, and each polygon tests only the points of the cells that list it,
 one (points x ring edges) block at a time. It evaluates the scalar test's
 float64 expressions in the same order, so it agrees with ``point_in_polygon``
@@ -21,7 +24,6 @@ bit for bit; the scalar functions stay as the reference oracle.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -38,8 +40,9 @@ DEFAULT_CELL_SIZE = 0.05
 GEOID_LENGTH = 11
 COUNTY_PREFIX_LENGTH = 5
 
-# A ring is a closed sequence of (lon, lat) pairs: first point equals last.
-Ring = tuple[tuple[float, float], ...]
+# A ring is a read-only (n, 2) float64 array of (lon, lat) rows, closed: the
+# first row equals the last.
+Ring = np.ndarray
 
 # Most elements in one (points x ring edges) block of the batch test; a ring
 # meeting more points is tested a slice of points at a time.
@@ -60,7 +63,9 @@ class BoundingBox:
         )
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: field-wise equality is ambiguous for
+# array rings.
+@dataclass(frozen=True, eq=False)
 class TractPolygon:
     tract_geoid: str
     county_geoid: str
@@ -87,16 +92,9 @@ class TractIndex:
         # Every ring's vertices in flat float64 arrays, polygon by polygon. A
         # ring spanning [start, stop) owns the edges k -> k + 1 for k in
         # [start, stop - 1).
-        n_points = sum(len(ring) for poly in self.polygons for ring in poly.rings)
-        coords = np.fromiter(
-            itertools.chain.from_iterable(
-                point for poly in self.polygons for ring in poly.rings for point in ring
-            ),
-            dtype=np.float64,
-            count=2 * n_points,
-        )
-        self._x = coords[0::2].copy()
-        self._y = coords[1::2].copy()
+        rings = [ring for poly in self.polygons for ring in poly.rings]
+        coords = np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2))
+        self._x, self._y = coords.T.copy()
         self._ring_spans: list[list[tuple[int, int]]] = []
         start = 0
         for poly in self.polygons:
@@ -144,28 +142,64 @@ def _build_ring(raw, feature_index: int) -> Ring:
             f"feature {feature_index}: ring with {len(raw) if isinstance(raw, list) else 0} "
             "points (closed rings need at least 4)"
         )
-    points = []
-    for pair in raw:
-        if not isinstance(pair, (list, tuple)) or len(pair) < 2:
-            raise GeometryError(f"feature {feature_index}: malformed coordinate pair")
-        points.append((float(pair[0]), float(pair[1])))
-    if points[0] != points[-1]:
-        raise GeometryError(f"feature {feature_index}: ring is not closed")
-    return tuple(points)
+    try:
+        coords = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        coords = _lon_lat_rows(raw, feature_index)
+    if coords.ndim != 2 or coords.shape[1] < 2:
+        raise GeometryError(f"feature {feature_index}: malformed coordinate pair")
+    ring = coords[:, :2]
+    ring.flags.writeable = False
+    return ring
+
+
+def _lon_lat_rows(raw: list, feature_index: int) -> np.ndarray:
+    """The ring's (lon, lat) rows when numpy cannot convert the positions
+    whole: positions of mixed length (some carry an altitude), or a third
+    element that is not a number. Only the first two elements are read."""
+    if not all(isinstance(pair, list) and len(pair) >= 2 for pair in raw):
+        raise GeometryError(f"feature {feature_index}: malformed coordinate pair")
+    try:
+        return np.array([pair[:2] for pair in raw], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GeometryError(f"feature {feature_index}: bad coordinate: {exc}") from None
 
 
 def _build_polygon(geoid: str, raw_rings, feature_index: int) -> TractPolygon:
     if not isinstance(raw_rings, list) or not raw_rings:
         raise GeometryError(f"feature {feature_index}: polygon without rings")
     rings = tuple(_build_ring(raw, feature_index) for raw in raw_rings)
-    lons = [point[0] for ring in rings for point in ring]
-    lats = [point[1] for ring in rings for point in ring]
+    # One contiguous row of lons and one of lats: reductions along a row are
+    # several times faster than down the columns of an (n, 2) array.
+    lon_lat = (rings[0] if len(rings) == 1 else np.concatenate(rings)).T.copy()
+    min_lon, min_lat = lon_lat.min(axis=1).tolist()
+    max_lon, max_lat = lon_lat.max(axis=1).tolist()
+    # A coordinate beyond these is not lon/lat in degrees (projected metres,
+    # say), and would make the grid span astronomically many cells. NaN (a
+    # null coordinate converts to NaN) fails every comparison.
+    if not (-180.0 <= min_lon and max_lon <= 180.0 and -90.0 <= min_lat and max_lat <= 90.0):
+        raise GeometryError(
+            f"feature {feature_index}: a coordinate is null, non-finite or outside "
+            "lon [-180, 180] / lat [-90, 90]"
+        )
+    if any(ring[0].tolist() != ring[-1].tolist() for ring in rings):
+        raise GeometryError(f"feature {feature_index}: ring is not closed")
     return TractPolygon(
         tract_geoid=geoid,
         county_geoid=geoid[:COUNTY_PREFIX_LENGTH],
         rings=rings,
-        bbox=BoundingBox(min(lons), min(lats), max(lons), max(lats)),
+        bbox=BoundingBox(min_lon, min_lat, max_lon, max_lat),
     )
+
+
+def _object_member(feature: dict, key: str, feature_index: int) -> dict:
+    """feature[key] as a dict; a missing or null member reads as empty."""
+    value = feature.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"feature {feature_index}: {key} is not an object")
+    return value
 
 
 def load_boundaries(
@@ -176,7 +210,9 @@ def load_boundaries(
     Each feature must carry a GEOID property (fallback: geoid) with the
     11-character state+county+tract id. MultiPolygon features are split into
     one TractPolygon per part, all sharing the GEOID. Coordinates are read in
-    GeoJSON lon,lat order.
+    GeoJSON lon,lat order; a third position element (altitude) is ignored.
+    Coordinates must be finite lon/lat degrees. A malformed feature raises
+    SchemaError or GeometryError naming its index in ``features``.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -195,7 +231,9 @@ def load_boundaries(
         raise SchemaError("boundary file has no features array")
     polygons: list[TractPolygon] = []
     for feature_index, feature in enumerate(features):
-        properties = feature.get("properties") or {}
+        if not isinstance(feature, dict):
+            raise SchemaError(f"feature {feature_index} is not an object")
+        properties = _object_member(feature, "properties", feature_index)
         geoid = properties.get("GEOID", properties.get("geoid"))
         if geoid is None:
             raise SchemaError(f"feature {feature_index} has no GEOID property")
@@ -205,7 +243,7 @@ def load_boundaries(
                 f"feature {feature_index}: GEOID {geoid!r} is not an "
                 f"{GEOID_LENGTH}-character tract id"
             )
-        geometry = feature.get("geometry") or {}
+        geometry = _object_member(feature, "geometry", feature_index)
         geom_type = geometry.get("type")
         coordinates = geometry.get("coordinates")
         if geom_type == "Polygon":
@@ -221,7 +259,12 @@ def load_boundaries(
     return TractIndex(polygons, cell_size=cell_size)
 
 
+def _vertices(ring: Ring) -> list[list[float]]:
+    return np.asarray(ring, dtype=np.float64).tolist()
+
+
 def _on_ring_edge(lon: float, lat: float, ring: Ring) -> bool:
+    ring = _vertices(ring)
     for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
         if min(x1, x2) <= lon <= max(x1, x2) and min(y1, y2) <= lat <= max(y1, y2):
             cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
@@ -232,6 +275,7 @@ def _on_ring_edge(lon: float, lat: float, ring: Ring) -> bool:
 
 def _in_ring(lon: float, lat: float, ring: Ring) -> bool:
     """Even-odd ray cast; the closing point is skipped so each edge counts once."""
+    ring = _vertices(ring)
     inside = False
     j = len(ring) - 2
     for i in range(len(ring) - 1):

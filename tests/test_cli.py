@@ -1,5 +1,9 @@
+import dataclasses
+import json
+
 import pytest
 
+from bikeshare_equity import cli, gbfs_client
 from bikeshare_equity.cli import (
     PipelineConfig,
     UsageError,
@@ -270,6 +274,75 @@ def test_analyze_stage_error_names_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "stage join_demographics" in err
+
+
+def test_harvest_command_survives_unexpected_parser_exception(tmp_path, capsys, monkeypatch):
+    good = make_system(
+        tmp_path, "good_city", stations=[{"station_id": "s1", "lat": 45.0, "lon": -122.0}]
+    )
+    broken = make_system(
+        tmp_path, "broken_city", bikes=[{"bike_id": "b1", "lat": 40.0, "lon": -100.0}]
+    )
+    parse = gbfs_client.parse_free_bike_status
+
+    def parse_or_fail(raw, system_id):
+        if system_id == "broken_city":
+            raise RuntimeError("parser defect")
+        return parse(raw, system_id)
+
+    monkeypatch.setattr(gbfs_client, "parse_free_bike_status", parse_or_fail)
+    catalog = write_catalog(tmp_path / "catalog.csv", [good, broken])
+    store = tmp_path / "store"
+    rc = main(["harvest", "--catalog", str(catalog), "--store", str(store)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "warning: broken_city harvest: RuntimeError: parser defect" in captured.err
+    assert [(o.system_id, o.entity_id) for o in load_snapshot(store)] == [("good_city", "s1")]
+
+
+def analyze_argv(city, out_dir, boundaries=None):
+    return [
+        "analyze",
+        "--store",
+        str(city["store"]),
+        "--boundaries",
+        str(boundaries or city["boundaries"]),
+        "--demographics",
+        str(city["demographics"]),
+        "--out",
+        str(out_dir),
+    ]
+
+
+def test_analyze_malformed_boundary_feature_fails_stage(tmp_path, capsys):
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    doc = json.loads(city["boundaries"].read_text())
+    doc["features"][3]["geometry"]["coordinates"][0][2][1] = None
+    boundaries = tmp_path / "bad.geojson"
+    boundaries.write_text(json.dumps(doc))
+    rc = main(analyze_argv(city, tmp_path / "out", boundaries))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: stage load_boundaries: feature 3: ")
+    assert "null" in err
+
+
+def test_analyze_non_converged_fit_fails_stage(tmp_path, capsys, monkeypatch):
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    fit = cli.fit_poisson
+    monkeypatch.setattr(
+        cli,
+        "fit_poisson",
+        lambda design, response: dataclasses.replace(
+            fit(design, response), converged=False, iterations=25
+        ),
+    )
+    out_dir = tmp_path / "out"
+    rc = main(analyze_argv(city, out_dir))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: stage fit_poisson: did not converge after 25 iterations" in err
+    assert not (out_dir / "table2.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "map"])

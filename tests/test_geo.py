@@ -1,13 +1,18 @@
+import copy
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bikeshare_equity import geo
-from bikeshare_equity.errors import GeometryError, SchemaError
+from bikeshare_equity.errors import BikeshareEquityError, GeometryError, SchemaError
 from bikeshare_equity.geo import (
+    BoundingBox,
     TractIndex,
+    TractPolygon,
     assign_tract,
     assign_tracts,
     load_boundaries,
@@ -15,6 +20,7 @@ from bikeshare_equity.geo import (
 )
 from bikeshare_equity.join_aggregate import count_by_tract
 from helpers import (
+    build_synthetic_city,
     five_tract_features,
     observation,
     square_feature,
@@ -476,3 +482,284 @@ def test_count_by_tract_accepts_generator(tmp_path):
     counts, diagnostics = from_generator
     assert diagnostics.unassigned == 1
     assert {c.tract_geoid: c.count_free for c in counts}["53033000101"] == 2
+
+
+# ---------------------------------------------------------------------------
+# load_boundaries: float64 array rings and the malformed-feature contract
+# ---------------------------------------------------------------------------
+
+def reference_arrays(path):
+    """What the index must hold, read with per-pair float() like the former
+    tuple-per-vertex loader: flat x and y, ring spans, bboxes, GEOID ranks."""
+    doc = json.loads(path.read_text())
+    polygons = []
+    for feature in doc["features"]:
+        properties = feature["properties"]
+        geoid = str(properties.get("GEOID", properties.get("geoid")))
+        geometry = feature["geometry"]
+        parts = geometry["coordinates"]
+        for part in [parts] if geometry["type"] == "Polygon" else parts:
+            polygons.append(
+                (geoid, [[(float(p[0]), float(p[1])) for p in ring] for ring in part])
+            )
+    xs, ys, spans, bboxes = [], [], [], []
+    for _, rings in polygons:
+        poly_spans = []
+        for ring in rings:
+            poly_spans.append((len(xs), len(xs) + len(ring)))
+            xs += [x for x, _ in ring]
+            ys += [y for _, y in ring]
+        spans.append(poly_spans)
+        points = [point for ring in rings for point in ring]
+        bboxes.append(
+            (
+                min(x for x, _ in points),
+                min(y for _, y in points),
+                max(x for x, _ in points),
+                max(y for _, y in points),
+            )
+        )
+    geoids = sorted({geoid for geoid, _ in polygons})
+    ranks = [geoids.index(geoid) for geoid, _ in polygons]
+    return xs, ys, spans, bboxes, ranks
+
+
+def assert_matches_reference(path, index):
+    xs, ys, spans, bboxes, ranks = reference_arrays(path)
+    # Bit for bit, so a -0.0 or a differently rounded float would show.
+    assert index._x.view(np.int64).tolist() == np.array(xs).view(np.int64).tolist()
+    assert index._y.view(np.int64).tolist() == np.array(ys).view(np.int64).tolist()
+    assert index._ring_spans == spans
+    bbox_of = [
+        (p.bbox.min_lon, p.bbox.min_lat, p.bbox.max_lon, p.bbox.max_lat) for p in index.polygons
+    ]
+    assert bbox_of == bboxes
+    assert all(type(value) is float for box in bbox_of for value in box)
+    assert index._rank == ranks
+
+
+def densify(feature, per_side):
+    """The feature with per_side - 1 extra vertices on every ring edge."""
+    feature = copy.deepcopy(feature)
+    rings = feature["geometry"]["coordinates"]
+    for r, ring in enumerate(rings):
+        dense = []
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+            dense += [
+                [x1 + (x2 - x1) * k / per_side, y1 + (y2 - y1) * k / per_side]
+                for k in range(per_side)
+            ]
+        rings[r] = dense + [ring[-1]]
+    return feature
+
+
+@pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
+def test_loader_matches_per_pair_reference_on_fixture_shapes(tmp_path, shapes):
+    path = write_feature_collection(tmp_path / "tracts.geojson", SHAPE_SETS[shapes]())
+    assert_matches_reference(path, load_boundaries(path))
+
+
+def test_loader_matches_per_pair_reference_on_dense_city(tmp_path):
+    city = build_synthetic_city(tmp_path / "city", n_cols=6, n_rows=5)
+    features = json.loads(city["boundaries"].read_text())["features"]
+    path = write_feature_collection(
+        tmp_path / "dense.geojson", [densify(feature, 50) for feature in features]
+    )
+    index = load_boundaries(path)
+    assert len(index._x) == 30 * 201
+    assert_matches_reference(path, index)
+    # The dense rings cover the same squares, so the city's observations
+    # still land in their own tracts.
+    observations = city["observations"]
+    assert assign_tracts(
+        [o.lat for o in observations], [o.lon for o in observations], index
+    ) == [o.entity_id.split("_")[1] for o in observations]
+
+
+def test_rings_are_read_only_float64_rows(tmp_path):
+    index = load_fixture(tmp_path, [holed_square_feature()])
+    for ring in index.polygons[0].rings:
+        assert isinstance(ring, np.ndarray)
+        assert ring.dtype == np.float64 and ring.ndim == 2 and ring.shape[1] == 2
+        assert not ring.flags.writeable
+        with pytest.raises(ValueError):
+            ring[0, 0] = 9.0
+
+
+def ring_feature(ring, geoid="53033000101"):
+    return {
+        "type": "Feature",
+        "properties": {"GEOID": geoid},
+        "geometry": {"type": "Polygon", "coordinates": [ring]},
+    }
+
+
+DEVIANT_RINGS = {
+    "string numbers": [["0", "0.1"], ["1.5", "0.1"], ["1.5", " 2e0"], ["0", "0.1"]],
+    "booleans": [[False, False], [True, False], [True, True], [False, False]],
+    "altitude": [[0.0, 0.0, 9.0], [1.0, 0.0, 9.0], [1.0, 1.0, 8.0], [0.0, 0.0, 9.0]],
+    "mixed 2 and 3 elements": [[0.0, 0.0], [1.0, 0.0, 3.5], [1.0, 1.0], [0.0, 0.0, 1.0]],
+    "non-numeric altitude": [[0.0, 0.0, "high"], [1.0, 0.0, None], [1.0, 1.0, {}], [0.0, 0.0]],
+    "integers": [[0, 0], [1, 0], [1, 1], [0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEVIANT_RINGS))
+def test_loader_accepts_deviant_positions_as_before(tmp_path, name):
+    path = write_feature_collection(
+        tmp_path / "tracts.geojson", [ring_feature(DEVIANT_RINGS[name])]
+    )
+    index = load_boundaries(path)
+    assert_matches_reference(path, index)
+    assert index.polygons[0].rings[0].shape == (4, 2)
+
+
+def bad_ring(pair):
+    """A closed square whose third position is replaced."""
+    return [[0.0, 0.0], [1.0, 0.0], pair, [0.0, 1.0], [0.0, 0.0]]
+
+
+def bad_feature(**replace):
+    feature = square_feature("53033000102", 2.0, 2.0)
+    feature.update(replace)
+    return feature
+
+
+MALFORMED_FEATURES = {
+    "feature is a string": (SchemaError, "Feature"),
+    "feature is a list": (SchemaError, [1, 2]),
+    "feature is null": (SchemaError, None),
+    "properties is a string": (SchemaError, bad_feature(properties="GEOID")),
+    "properties is a list": (SchemaError, bad_feature(properties=[{"GEOID": "53033000102"}])),
+    "geometry is a string": (SchemaError, bad_feature(geometry="Polygon")),
+    "geometry is a list": (SchemaError, bad_feature(geometry=[[0.0, 0.0]])),
+    "non-numeric string": (GeometryError, ring_feature(bad_ring(["abc", 1.0]))),
+    "object coordinate": (GeometryError, ring_feature(bad_ring([{}, 1.0]))),
+    "null coordinate": (GeometryError, ring_feature(bad_ring([1.0, None]))),
+    "null position": (GeometryError, ring_feature(bad_ring(None))),
+    "overflowing integer": (GeometryError, ring_feature(bad_ring([10**400, 1.0]))),
+    "overflowing integer beside an altitude": (
+        GeometryError,
+        ring_feature(bad_ring([10**400, 1.0, 0.0]) + [[0.0, 0.0]]),
+    ),
+    "NaN": (GeometryError, ring_feature(bad_ring([float("nan"), 1.0]))),
+    "Infinity": (GeometryError, ring_feature(bad_ring([1.0, float("inf")]))),
+    "string infinity": (GeometryError, ring_feature(bad_ring(["-Infinity", 1.0]))),
+    "longitude beyond 180": (GeometryError, ring_feature(bad_ring([500.0, 1.0]))),
+    "latitude beyond 90": (GeometryError, ring_feature(bad_ring([1.0, -90.5]))),
+    "position nested too deep": (GeometryError, ring_feature(bad_ring([[1.0, 1.0], [1.0, 1.0]]))),
+    "every position nested too deep": (
+        GeometryError,
+        ring_feature([[[0.0, 0.0], [0.0, 0.0]]] * 4),
+    ),
+    "coordinate is a list": (GeometryError, ring_feature(bad_ring([[1.0], 1.0]))),
+    "one-element position": (GeometryError, ring_feature(bad_ring([1.0]))),
+    "string position": (GeometryError, ring_feature(bad_ring("1.0,1.0"))),
+    "ring of numbers": (GeometryError, ring_feature([0.0, 1.0, 2.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FEATURES))
+def test_malformed_feature_fails_cleanly_naming_it(tmp_path, name):
+    error, feature = MALFORMED_FEATURES[name]
+    features = [square_feature("53033000101", 0.0, 0.0), feature]
+    with pytest.raises(error, match=r"^feature 1\b"):
+        load_fixture(tmp_path, features)
+
+
+def test_null_properties_and_geometry_read_as_empty(tmp_path):
+    with pytest.raises(SchemaError, match="feature 0 has no GEOID"):
+        load_fixture(tmp_path, [bad_feature(properties=None)])
+    with pytest.raises(SchemaError, match="feature 0: unsupported geometry type None"):
+        load_fixture(tmp_path, [bad_feature(geometry=None)])
+
+
+def test_index_accepts_polygons_built_by_hand(tmp_path):
+    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
+    by_hand = [
+        TractPolygon("53033000101", "53033", (square,), BoundingBox(0.0, 0.0, 1.0, 1.0)),
+        TractPolygon(
+            "53033000102",
+            "53033",
+            (np.array(square) + [1.0, 0.0],),
+            BoundingBox(1.0, 0.0, 2.0, 1.0),
+        ),
+    ]
+    index = TractIndex(by_hand)
+    loaded = load_fixture(
+        tmp_path,
+        [square_feature("53033000101", 0.0, 0.0), square_feature("53033000102", 1.0, 0.0)],
+    )
+    assert index._x.tolist() == loaded._x.tolist()
+    assert index._y.tolist() == loaded._y.tolist()
+    assert index._ring_spans == loaded._ring_spans
+    probes = [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.5, 0.5)]
+    assert assert_batch_matches_scan(index, probes) == [
+        "53033000101", "53033000101", "53033000102", None
+    ]
+
+
+def node_paths(doc):
+    """Key paths of every feature, properties, geometry, ring, position and
+    coordinate in a FeatureCollection."""
+    paths = []
+    for i, feature in enumerate(doc["features"]):
+        base = ("features", i)
+        paths += [base, (*base, "properties"), (*base, "geometry")]
+        geometry = feature["geometry"]
+        if geometry["type"] == "Polygon":
+            polygons = [(*base, "geometry", "coordinates")]
+        else:
+            polygons = [
+                (*base, "geometry", "coordinates", k) for k in range(len(geometry["coordinates"]))
+            ]
+        for polygon in polygons:
+            rings = doc
+            for key in polygon:
+                rings = rings[key]
+            for r, ring in enumerate(rings):
+                paths.append((*polygon, r))
+                for q in range(len(ring)):
+                    paths += [(*polygon, r, q), (*polygon, r, q, 0), (*polygon, r, q, 1)]
+    return paths
+
+
+FUZZ_DOC = {
+    "type": "FeatureCollection",
+    "features": multipolygon_city_features() + holed_with_island_features(),
+}
+FUZZ_SCALARS = st.one_of(
+    st.none(),
+    st.text(max_size=6),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.just(float("nan")),
+)
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS,
+    st.dictionaries(st.text(max_size=4), FUZZ_SCALARS, max_size=3),
+    st.lists(FUZZ_SCALARS, max_size=5),
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(path=st.sampled_from(node_paths(FUZZ_DOC)), value=FUZZ_VALUES)
+def test_load_boundaries_fuzz_one_mutated_node(tmp_path, path, value):
+    doc = copy.deepcopy(FUZZ_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    target = write_feature_collection(tmp_path / "fuzz.geojson", doc["features"])
+    # A coarse grid: a mutated position may stretch a bbox across the globe,
+    # and index set-up registers every cell the bbox covers.
+    try:
+        index = load_boundaries(target, cell_size=5.0)
+    except BikeshareEquityError:
+        return
+    assign_tracts([22.0, 2.0, 50.0], [22.0, 2.0, 50.0], index)
