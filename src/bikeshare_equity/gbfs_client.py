@@ -15,16 +15,15 @@ import io
 import json
 import logging
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 from urllib.parse import urlsplit
-
-import requests
 
 from .errors import ParseError, SchemaError, TransportError
 
@@ -147,6 +146,9 @@ def fetch_document(source: str, timeout: float | None = None) -> bytes:
     """
     source = str(source)
     if source.startswith(("http://", "https://")):
+        # Imported here so that commands working on local files never load it.
+        import requests
+
         if timeout is None:
             timeout = http_timeout()
         delay = RETRY_BACKOFF_SECONDS
@@ -317,48 +319,110 @@ def _coerce_coordinate(value) -> float | None:
     return None
 
 
-def canonicalize_station_payload(payload: dict) -> dict:
-    """Rewrite known deviations in a station_information payload to spec form.
+@dataclass(frozen=True)
+class _EntityFeed:
+    """How one entity feed is laid out: where its entries are, which member
+    is their id, and the extra fields its records carry."""
 
-    Idempotent: canonicalizing an already-canonical payload returns an equal
-    document.
+    name: str
+    list_key: str
+    id_key: str
+    # (member, converter of the raw member value, or None when absent).
+    extras: tuple[tuple[str, Callable], ...]
+    # Members that spec form fills in when absent.
+    defaults: tuple[tuple[str, object], ...] = ()
+
+
+def _station_name(value) -> str | None:
+    return str(value) if value is not None else None
+
+
+def _station_capacity(value) -> int | None:
+    return value if type(value) is int and value >= 0 else None  # bool is not a capacity
+
+
+_STATIONS = _EntityFeed(
+    STATION_FEED,
+    "stations",
+    "station_id",
+    (("name", _station_name), ("capacity", _station_capacity)),
+)
+_BIKES = _EntityFeed(
+    FREE_BIKE_FEED,
+    "bikes",
+    "bike_id",
+    (("is_reserved", bool), ("is_disabled", bool)),
+    (("is_reserved", False), ("is_disabled", False)),
+)
+
+
+def _normalize_entries(entries: list, feed: _EntityFeed) -> list[tuple]:
+    """Rewrite a decoded feed's entries to spec form in place and return
+    ``(id, lat, lon, *extras)`` for every usable one.
+
+    Spec form: coordinates that _coerce_coordinate accepts become floats and
+    absent defaults are filled in. An entry is usable when it is an object
+    with a truthy id and lat/lon within range; the rest are left as they are
+    (the caller counts them as dropped).
     """
+    id_key, extras, defaults = feed.id_key, feed.extras, feed.defaults
+    rows = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            continue
+        lat = _coerce_coordinate(entry.get("lat"))
+        if lat is not None:
+            entry["lat"] = lat
+        lon = _coerce_coordinate(entry.get("lon"))
+        if lon is not None:
+            entry["lon"] = lon
+        for key, value in defaults:
+            entry.setdefault(key, value)
+        entity_id = entry.get(id_key)
+        if entity_id and lat is not None and lon is not None:
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                extra = [convert(entry.get(key)) for key, convert in extras]
+                rows.append((str(entity_id), lat, lon, *extra))
+    return rows
+
+
+def _entity_rows(
+    document: bytes, system_id: str, feed: _EntityFeed
+) -> tuple[list[tuple], int]:
+    """Decode an entity feed; return its usable rows and the dropped tally.
+
+    Raises:
+        ParseError: undecodable document (carries the byte offset).
+        SchemaError: the entity list is missing.
+    """
+    payload = _load_json(document)
+    data = payload.get("data")
+    entries = data.get(feed.list_key) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise SchemaError(f"{system_id}: {feed.name} missing data.{feed.list_key}")
+    rows = _normalize_entries(entries, feed)
+    return rows, len(entries) - len(rows)
+
+
+def _canonicalize(payload: dict, feed: _EntityFeed) -> dict:
     out = copy.deepcopy(payload)
     data = out.get("data")
-    stations = data.get("stations") if isinstance(data, dict) else None
-    for station in stations or []:
-        if not isinstance(station, dict):
-            continue
-        for key in ("lat", "lon"):
-            coerced = _coerce_coordinate(station.get(key))
-            if coerced is not None:
-                station[key] = coerced
+    entries = data.get(feed.list_key) if isinstance(data, dict) else None
+    if isinstance(entries, list):
+        _normalize_entries(entries, feed)
     return out
+
+
+def canonicalize_station_payload(payload: dict) -> dict:
+    """A copy of a station_information payload with known deviations rewritten
+    to spec form. Idempotent; the parsers normalize without copying."""
+    return _canonicalize(payload, _STATIONS)
 
 
 def canonicalize_bike_payload(payload: dict) -> dict:
-    """Rewrite known deviations in a free_bike_status payload to spec form."""
-    out = copy.deepcopy(payload)
-    data = out.get("data")
-    bikes = data.get("bikes") if isinstance(data, dict) else None
-    for bike in bikes or []:
-        if not isinstance(bike, dict):
-            continue
-        for key in ("lat", "lon"):
-            coerced = _coerce_coordinate(bike.get(key))
-            if coerced is not None:
-                bike[key] = coerced
-        bike.setdefault("is_reserved", False)
-        bike.setdefault("is_disabled", False)
-    return out
-
-
-def _valid_lat(value) -> bool:
-    return isinstance(value, float) and -90.0 <= value <= 90.0
-
-
-def _valid_lon(value) -> bool:
-    return isinstance(value, float) and -180.0 <= value <= 180.0
+    """A copy of a free_bike_status payload with known deviations rewritten
+    to spec form."""
+    return _canonicalize(payload, _BIKES)
 
 
 def parse_station_information(
@@ -373,38 +437,8 @@ def parse_station_information(
         ParseError: undecodable document (carries the byte offset).
         SchemaError: data.stations missing.
     """
-    payload = _load_json(document)
-    data = payload.get("data")
-    if not isinstance(data, dict) or not isinstance(data.get("stations"), list):
-        raise SchemaError(f"{system_id}: station_information missing data.stations")
-    payload = canonicalize_station_payload(payload)
-    stations: list[Station] = []
-    diagnostics = ParseDiagnostics()
-    for entry in payload["data"]["stations"]:
-        if not isinstance(entry, dict):
-            diagnostics.dropped += 1
-            continue
-        station_id = entry.get("station_id")
-        lat = entry.get("lat")
-        lon = entry.get("lon")
-        if not station_id or not _valid_lat(lat) or not _valid_lon(lon):
-            diagnostics.dropped += 1
-            continue
-        capacity = entry.get("capacity")
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
-            capacity = None
-        name = entry.get("name")
-        stations.append(
-            Station(
-                system_id=system_id,
-                station_id=str(station_id),
-                lat=lat,
-                lon=lon,
-                name=str(name) if name is not None else None,
-                capacity=capacity,
-            )
-        )
-    return stations, diagnostics
+    rows, dropped = _entity_rows(document, system_id, _STATIONS)
+    return [Station(system_id, *row) for row in rows], ParseDiagnostics(dropped)
 
 
 def parse_free_bike_status(
@@ -415,34 +449,8 @@ def parse_free_bike_status(
     Mirrors parse_station_information over data.bikes; absent is_reserved and
     is_disabled flags default to false.
     """
-    payload = _load_json(document)
-    data = payload.get("data")
-    if not isinstance(data, dict) or not isinstance(data.get("bikes"), list):
-        raise SchemaError(f"{system_id}: free_bike_status missing data.bikes")
-    payload = canonicalize_bike_payload(payload)
-    bikes: list[FreeBike] = []
-    diagnostics = ParseDiagnostics()
-    for entry in payload["data"]["bikes"]:
-        if not isinstance(entry, dict):
-            diagnostics.dropped += 1
-            continue
-        bike_id = entry.get("bike_id")
-        lat = entry.get("lat")
-        lon = entry.get("lon")
-        if not bike_id or not _valid_lat(lat) or not _valid_lon(lon):
-            diagnostics.dropped += 1
-            continue
-        bikes.append(
-            FreeBike(
-                system_id=system_id,
-                bike_id=str(bike_id),
-                lat=lat,
-                lon=lon,
-                is_reserved=bool(entry.get("is_reserved", False)),
-                is_disabled=bool(entry.get("is_disabled", False)),
-            )
-        )
-    return bikes, diagnostics
+    rows, dropped = _entity_rows(document, system_id, _BIKES)
+    return [FreeBike(system_id, *row) for row in rows], ParseDiagnostics(dropped)
 
 
 def parse_station_status(document: bytes, system_id: str) -> dict[str, int]:
@@ -487,105 +495,70 @@ def _harvest_feeds(
     docked_mode: str,
     timeout: float | None,
 ) -> tuple[list[BikeObservation], list[FeedFailure], int]:
+    system_id = entry.system_id
     failures: list[FeedFailure] = []
     observations: list[BikeObservation] = []
     dropped = 0
     try:
         manifest = discover_feeds(entry, timeout=timeout)
     except (TransportError, SchemaError, ParseError) as exc:
-        return [], [FeedFailure(entry.system_id, "gbfs", str(exc))], 0
+        return [], [FeedFailure(system_id, "gbfs", str(exc))], 0
 
     station_url = manifest.feeds.get(STATION_FEED)
     bike_url = manifest.feeds.get(FREE_BIKE_FEED)
     if station_url is None and bike_url is None:
-        return (
-            [],
-            [
-                FeedFailure(
-                    entry.system_id,
-                    "gbfs",
-                    "neither station_information nor free_bike_status advertised",
-                )
-            ],
-            0,
-        )
+        message = "neither station_information nor free_bike_status advertised"
+        return [], [FeedFailure(system_id, "gbfs", message)], 0
 
     available: dict[str, int] | None = None
     if docked_mode == "available_bikes" and station_url is not None:
         status_url = manifest.feeds.get(STATION_STATUS_FEED)
         if status_url is None:
-            failures.append(
-                FeedFailure(
-                    entry.system_id,
-                    STATION_STATUS_FEED,
-                    "feed not advertised; counting one observation per station",
-                )
-            )
+            message = "feed not advertised; counting one observation per station"
+            failures.append(FeedFailure(system_id, STATION_STATUS_FEED, message))
         else:
             try:
                 available = parse_station_status(
-                    fetch_document(status_url, timeout=timeout), entry.system_id
+                    fetch_document(status_url, timeout=timeout), system_id
                 )
             except (TransportError, SchemaError, ParseError) as exc:
-                failures.append(
-                    FeedFailure(entry.system_id, STATION_STATUS_FEED, str(exc))
-                )
+                failures.append(FeedFailure(system_id, STATION_STATUS_FEED, str(exc)))
 
+    docked, free = DockingType.DOCKED, DockingType.FREE
     if station_url is not None:
         try:
-            stations, diag = parse_station_information(
-                fetch_document(station_url, timeout=timeout), entry.system_id
+            rows, feed_dropped = _entity_rows(
+                fetch_document(station_url, timeout=timeout), system_id, _STATIONS
             )
-            dropped += diag.dropped
-            for station in stations:
-                if available is None:
-                    observations.append(
-                        BikeObservation(
-                            system_id=entry.system_id,
-                            entity_id=station.station_id,
-                            lat=station.lat,
-                            lon=station.lon,
-                            docking_type=DockingType.DOCKED,
-                            observed_at=observed_at,
-                        )
-                    )
-                else:
-                    for i in range(available.get(station.station_id, 0)):
-                        observations.append(
-                            BikeObservation(
-                                system_id=entry.system_id,
-                                entity_id=f"{station.station_id}#{i}",
-                                lat=station.lat,
-                                lon=station.lon,
-                                docking_type=DockingType.DOCKED,
-                                observed_at=observed_at,
-                            )
-                        )
+            dropped += feed_dropped
+            if available is None:
+                observations.extend(
+                    BikeObservation(system_id, station_id, lat, lon, docked, observed_at)
+                    for station_id, lat, lon, *_ in rows
+                )
+            else:
+                observations.extend(
+                    BikeObservation(system_id, f"{station_id}#{i}", lat, lon, docked, observed_at)
+                    for station_id, lat, lon, *_ in rows
+                    for i in range(available.get(station_id, 0))
+                )
         except (TransportError, SchemaError, ParseError) as exc:
-            failures.append(FeedFailure(entry.system_id, STATION_FEED, str(exc)))
+            failures.append(FeedFailure(system_id, STATION_FEED, str(exc)))
 
     if bike_url is not None:
         try:
-            bikes, diag = parse_free_bike_status(
-                fetch_document(bike_url, timeout=timeout), entry.system_id
+            rows, feed_dropped = _entity_rows(
+                fetch_document(bike_url, timeout=timeout), system_id, _BIKES
             )
-            dropped += diag.dropped
-            for bike in bikes:
-                # Reserved or disabled bikes are not spatially accessible supply.
-                if bike.is_reserved or bike.is_disabled:
-                    continue
-                observations.append(
-                    BikeObservation(
-                        system_id=entry.system_id,
-                        entity_id=bike.bike_id,
-                        lat=bike.lat,
-                        lon=bike.lon,
-                        docking_type=DockingType.FREE,
-                        observed_at=observed_at,
-                    )
-                )
+            dropped += feed_dropped
+            # Reserved or disabled bikes are not spatially accessible supply.
+            observations.extend(
+                BikeObservation(system_id, bike_id, lat, lon, free, observed_at)
+                for bike_id, lat, lon, reserved, disabled in rows
+                if not (reserved or disabled)
+            )
         except (TransportError, SchemaError, ParseError) as exc:
-            failures.append(FeedFailure(entry.system_id, FREE_BIKE_FEED, str(exc)))
+            failures.append(FeedFailure(system_id, FREE_BIKE_FEED, str(exc)))
 
     return observations, failures, dropped
 
@@ -637,24 +610,27 @@ def harvest(
     return observations, diagnostics
 
 
+_KIND_TEXT = {kind: kind.value for kind in DockingType}
+_TEXT_KIND = {kind.value: kind for kind in DockingType}
+
+
 def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
     """Write observations in the canonical CSV layout; returns the row count."""
+    rows = [
+        (
+            obs.system_id,
+            obs.entity_id,
+            repr(float(obs.lat)),
+            repr(float(obs.lon)),
+            _KIND_TEXT[obs.docking_type],
+            obs.observed_at,
+        )
+        for obs in observations
+    ]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(OBSERVATION_COLUMNS)
-    count = 0
-    for obs in observations:
-        writer.writerow(
-            [
-                obs.system_id,
-                obs.entity_id,
-                repr(float(obs.lat)),
-                repr(float(obs.lon)),
-                obs.docking_type.value,
-                obs.observed_at,
-            ]
-        )
-        count += 1
-    return count
+    writer.writerows(rows)
+    return len(rows)
 
 
 def observations_to_csv_bytes(observations: Iterable[BikeObservation]) -> bytes:
@@ -663,52 +639,71 @@ def observations_to_csv_bytes(observations: Iterable[BikeObservation]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
+    """csv.reader over fh, raising unreadable input as ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"observation CSV line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"observation CSV is not UTF-8 text: {exc}") from None
+
+
 def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
     """Read observations from the canonical CSV layout.
 
+    Columns are found by header name, so their order is free and extra
+    columns are ignored; when a name repeats, its last column is read. Blank
+    lines are skipped, and a field missing from a short row reads as absent.
+
     Raises:
         SchemaError: a required column is missing or a docking_type is unknown.
-        ParseError: a lat or lon that is not a finite number, or an
-            observed_at that is not an integer; the message names the data
-            row, counted from 1 after the header.
+        ParseError: a lat or lon that is not a finite number of degrees in
+            range, or an observed_at that is not an integer (the message names
+            the data row, counted from 1 after the header, blank lines not
+            counted); text that is not UTF-8 or not CSV.
     """
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames or []
-    missing = [column for column in OBSERVATION_COLUMNS if column not in header]
+    reader = _csv_rows(fh)
+    header = next(reader, [])
+    position = {name: index for index, name in enumerate(header)}
+    missing = [column for column in OBSERVATION_COLUMNS if column not in position]
     if missing:
-        raise SchemaError(
-            f"observation CSV missing column(s): {', '.join(missing)}"
-        )
+        raise SchemaError(f"observation CSV missing column(s): {', '.join(missing)}")
+    fields = operator.itemgetter(*(position[column] for column in OBSERVATION_COLUMNS))
+    width = len(header)
     observations = []
-    for row_number, row in enumerate(reader, start=1):
-        kind = row["docking_type"]
-        if kind not in (DockingType.DOCKED.value, DockingType.FREE.value):
-            raise SchemaError(f"unknown docking_type: {kind!r}")
+    row_number = 0
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        system_id, entity_id, lat_text, lon_text, kind_text, observed_text = fields(row)
+        kind = _TEXT_KIND.get(kind_text)
+        if kind is None:
+            raise SchemaError(f"unknown docking_type: {kind_text!r}")
         try:
-            lat = float(row["lat"])
-            lon = float(row["lon"])
+            lat = float(lat_text)
+            lon = float(lon_text)
         except (TypeError, ValueError):
             lat = lon = math.nan
-        if not (math.isfinite(lat) and math.isfinite(lon)):
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails too
+            if math.isfinite(lat) and math.isfinite(lon):
+                problem = "are outside [-90, 90] x [-180, 180] degrees"
+            else:
+                problem = "are not both finite numbers"
             raise ParseError(
                 f"observation CSV row {row_number}: lat, lon "
-                f"({row['lat']!r}, {row['lon']!r}) are not both finite numbers"
+                f"({lat_text!r}, {lon_text!r}) {problem}"
             )
         try:
-            observed_at = int(row["observed_at"])
+            observed_at = int(observed_text)
         except (TypeError, ValueError):
             raise ParseError(
                 f"observation CSV row {row_number}: observed_at "
-                f"{row['observed_at']!r} is not an integer"
+                f"{observed_text!r} is not an integer"
             ) from None
-        observations.append(
-            BikeObservation(
-                system_id=row["system_id"],
-                entity_id=row["entity_id"],
-                lat=lat,
-                lon=lon,
-                docking_type=DockingType(kind),
-                observed_at=observed_at,
-            )
-        )
+        observations.append(BikeObservation(system_id, entity_id, lat, lon, kind, observed_at))
     return observations

@@ -249,7 +249,13 @@ def load_boundaries(
         if geom_type == "Polygon":
             parts = [coordinates]
         elif geom_type == "MultiPolygon":
-            parts = coordinates if isinstance(coordinates, list) else []
+            # A tract with no polygon would vanish, its bikes unassigned.
+            if not isinstance(coordinates, list) or not coordinates:
+                raise GeometryError(
+                    f"feature {feature_index}: MultiPolygon coordinates are "
+                    "not a non-empty list of polygons"
+                )
+            parts = coordinates
         else:
             raise SchemaError(
                 f"feature {feature_index}: unsupported geometry type {geom_type!r}"

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateInferenceError, NumericOverflowError, SingularDesignError
 
@@ -100,6 +99,9 @@ def _mean_response(beta: np.ndarray, X: DesignMatrix) -> tuple[np.ndarray, np.nd
 
 def log_likelihood(beta, X: DesignMatrix, y) -> float:
     """Poisson log likelihood: sum of y*eta - exp(eta) - log(y!)."""
+    # SciPy is imported here, not at module level, so the CLI never loads it.
+    from scipy.special import gammaln
+
     beta = np.asarray(beta, dtype=float)
     y = _validate_counts(y, X.n_rows)
     eta, mu = _mean_response(beta, X)

@@ -1,14 +1,17 @@
 """Append-only snapshot store for harvested observations.
 
-Each append writes one immutable CSV file (write-then-rename, so readers never
-see a partial snapshot) and records it in a manifest file with one line per
-snapshot: ``snapshot_id,observed_at,row_count,filename``.
+Each append writes one immutable CSV file (written under a temporary name,
+then hard-linked to its final name, so readers never see a partial snapshot
+and concurrent writers never share an id) and records it in a manifest file
+with one line per snapshot: ``snapshot_id,observed_at,row_count,filename``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -64,9 +67,11 @@ def append_snapshot(
 ) -> SnapshotReceipt:
     """Write observations as a new immutable snapshot and return its receipt.
 
-    Snapshot ids increase by one per append. The snapshot's observed_at is the
-    newest observation timestamp, or the clock when the list is empty. A failed
-    write leaves no partial file behind.
+    Snapshot ids increase with each append; an id whose file already exists
+    (taken by a concurrent append, or left by a crash before its manifest
+    line) is skipped. The snapshot's observed_at is the newest observation
+    timestamp, or the clock when the list is empty. A failed write leaves no
+    partial file behind.
     """
     store = Path(store_path)
     try:
@@ -79,17 +84,27 @@ def append_snapshot(
         observed_at = max(obs.observed_at for obs in observations)
     else:
         observed_at = int(clock())
-    filename = f"snapshot_{snapshot_id:06d}.csv"
-    final_path = store / filename
-    tmp_path = store / (filename + ".tmp")
+    # A name no other writer uses.
+    tmp_path = store / f"snapshot_{uuid.uuid4().hex}.csv.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp_path, "x", encoding="utf-8", newline="") as fh:
             row_count = write_observations_csv(observations, fh)
-        tmp_path.replace(final_path)
+        # Claim the id by linking the finished file under its final name: the
+        # link fails if the name exists, whether another writer took the id
+        # first or a crash left a file the manifest never recorded, and the
+        # next id is tried instead. Nothing is ever overwritten.
+        while True:
+            filename = f"snapshot_{snapshot_id:06d}.csv"
+            try:
+                os.link(tmp_path, store / filename)
+                break
+            except FileExistsError:
+                snapshot_id += 1
     except OSError as exc:
+        raise StorageError(f"cannot write snapshot to {store}: {exc}") from exc
+    finally:
         with contextlib.suppress(OSError):
             tmp_path.unlink()
-        raise StorageError(f"cannot write snapshot to {store}: {exc}") from exc
     try:
         with open(store / MANIFEST_NAME, "a", encoding="utf-8") as fh:
             fh.write(f"{snapshot_id},{observed_at},{row_count},{filename}\n")

@@ -283,14 +283,15 @@ def test_harvest_command_survives_unexpected_parser_exception(tmp_path, capsys, 
     broken = make_system(
         tmp_path, "broken_city", bikes=[{"bike_id": "b1", "lat": 40.0, "lon": -100.0}]
     )
-    parse = gbfs_client.parse_free_bike_status
+    # The harvest decodes every entity feed through gbfs_client._entity_rows.
+    parse = gbfs_client._entity_rows
 
-    def parse_or_fail(raw, system_id):
+    def parse_or_fail(raw, system_id, feed):
         if system_id == "broken_city":
             raise RuntimeError("parser defect")
-        return parse(raw, system_id)
+        return parse(raw, system_id, feed)
 
-    monkeypatch.setattr(gbfs_client, "parse_free_bike_status", parse_or_fail)
+    monkeypatch.setattr(gbfs_client, "_entity_rows", parse_or_fail)
     catalog = write_catalog(tmp_path / "catalog.csv", [good, broken])
     store = tmp_path / "store"
     rc = main(["harvest", "--catalog", str(catalog), "--store", str(store)])
@@ -325,6 +326,20 @@ def test_analyze_malformed_boundary_feature_fails_stage(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: stage load_boundaries: feature 3: ")
     assert "null" in err
+
+
+def test_analyze_multipolygon_without_polygons_fails_stage(tmp_path, capsys):
+    """A MultiPolygon with null coordinates used to load as no polygons, so its
+    tract and its bikes vanished without a word."""
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    doc = json.loads(city["boundaries"].read_text())
+    doc["features"][3]["geometry"] = {"type": "MultiPolygon", "coordinates": None}
+    boundaries = tmp_path / "bad.geojson"
+    boundaries.write_text(json.dumps(doc))
+    rc = main(analyze_argv(city, tmp_path / "out", boundaries))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: stage load_boundaries: feature 3: MultiPolygon")
 
 
 def test_analyze_non_converged_fit_fails_stage(tmp_path, capsys, monkeypatch):
@@ -439,3 +454,45 @@ def test_pipeline_config_defaults():
     config = PipelineConfig()
     assert config.docked_count_mode == "stations"
     assert config.snapshot_selector == "latest"
+
+
+IMPORT_PROBE = """
+import sys
+import bikeshare_equity.cli as cli
+loaded = [name for name in ("scipy", "requests") if name in sys.modules]
+print("after import:", loaded)
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split("|")) == 0, argv
+loaded = [name for name in ("scipy", "requests") if name in sys.modules]
+print("after commands:", loaded)
+"""
+
+
+def test_cli_import_harvest_and_map_load_neither_scipy_nor_requests(tmp_path):
+    """SciPy (only log_likelihood needs it) and requests (only http fetches)
+    are imported where they are used, so the CLI's start-up, a file:// harvest
+    and a map never pay for them. A module-level import of either fails this."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bikeshare_equity
+
+    system = make_system(
+        tmp_path, "city", stations=[{"station_id": "s1", "lat": 45.0, "lon": -122.0}]
+    )
+    catalog = write_catalog(tmp_path / "catalog.csv", [system])
+    store = tmp_path / "store"
+    commands = [
+        f"harvest|--catalog|{catalog}|--store|{store}",
+        f"map|--store|{store}|--out|{tmp_path / 'out'}",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(bikeshare_equity.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *commands],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "after import: []"
+    assert result.stdout.splitlines()[-1] == "after commands: []"

@@ -625,6 +625,10 @@ def bad_feature(**replace):
     return feature
 
 
+def multipolygon_feature(coordinates):
+    return bad_feature(geometry={"type": "MultiPolygon", "coordinates": coordinates})
+
+
 MALFORMED_FEATURES = {
     "feature is a string": (SchemaError, "Feature"),
     "feature is a list": (SchemaError, [1, 2]),
@@ -656,7 +660,17 @@ MALFORMED_FEATURES = {
     "one-element position": (GeometryError, ring_feature(bad_ring([1.0]))),
     "string position": (GeometryError, ring_feature(bad_ring("1.0,1.0"))),
     "ring of numbers": (GeometryError, ring_feature([0.0, 1.0, 2.0, 0.0])),
+    "MultiPolygon with null coordinates": (GeometryError, multipolygon_feature(None)),
+    "MultiPolygon with string coordinates": (GeometryError, multipolygon_feature("[[[]]]")),
+    "MultiPolygon with object coordinates": (GeometryError, multipolygon_feature({})),
+    "MultiPolygon without polygons": (GeometryError, multipolygon_feature([])),
 }
+
+
+def test_multipolygon_without_polygons_names_the_problem(tmp_path):
+    for coordinates in (None, []):
+        with pytest.raises(GeometryError, match="^feature 0: MultiPolygon coordinates are not"):
+            load_fixture(tmp_path, [multipolygon_feature(coordinates)])
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FEATURES))

@@ -1,0 +1,193 @@
+"""read_observations_csv against the DictReader reader it replaced (kept below
+as a reference) on CSV layout edge cases, and a fuzz of snapshot files
+through the map command."""
+
+import contextlib
+import csv
+import io
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bikeshare_equity.cli import main
+from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
+from bikeshare_equity.gbfs_client import (
+    OBSERVATION_COLUMNS,
+    BikeObservation,
+    DockingType,
+    read_observations_csv,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: the reader as it was before positional column access.
+# ---------------------------------------------------------------------------
+
+
+def ref_read_observations_csv(fh):
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames or []
+    missing = [column for column in OBSERVATION_COLUMNS if column not in header]
+    if missing:
+        raise SchemaError(f"observation CSV missing column(s): {', '.join(missing)}")
+    observations = []
+    for row_number, row in enumerate(reader, start=1):
+        kind = row["docking_type"]
+        if kind not in (DockingType.DOCKED.value, DockingType.FREE.value):
+            raise SchemaError(f"unknown docking_type: {kind!r}")
+        try:
+            lat = float(row["lat"])
+            lon = float(row["lon"])
+        except (TypeError, ValueError):
+            lat = lon = math.nan
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ParseError(
+                f"observation CSV row {row_number}: lat, lon "
+                f"({row['lat']!r}, {row['lon']!r}) are not both finite numbers"
+            )
+        try:
+            observed_at = int(row["observed_at"])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"observation CSV row {row_number}: observed_at "
+                f"{row['observed_at']!r} is not an integer"
+            ) from None
+        observations.append(
+            BikeObservation(row["system_id"], row["entity_id"], lat, lon,
+                            DockingType(kind), observed_at)
+        )
+    return observations
+
+
+def outcome(read, text):
+    try:
+        return read(io.StringIO(text, newline=""))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+HEADER = "system_id,entity_id,lat,lon,docking_type,observed_at\n"
+ROW1 = "sys,e1,45.5,-122.6,free,1700000000\n"
+ROW2 = "sys,e2,40.123456789,-100.5,docked,1700000001\n"
+
+EDGE_CASES = {
+    "plain": HEADER + ROW1 + ROW2,
+    "header only": HEADER,
+    "empty file": "",
+    "blank first line": "\n" + HEADER + ROW1,
+    "blank lines between and after": HEADER + "\n" + ROW1 + "\n\n" + ROW2 + "\n",
+    "blank lines skipped in row numbers": HEADER + ROW1 + "\n\n" + "sys,e2,x,-1.0,free,1\n",
+    "blank line before bad time": HEADER + "\n" + ROW1 + "\n" + "sys,e2,1.0,2.0,free,soon\n",
+    "whitespace line is a short row": HEADER + ROW1 + "   \n",
+    "crlf line ends": (HEADER + ROW1 + ROW2).replace("\n", "\r\n"),
+    "short row missing time": HEADER + "sys,e1,45.5,-122.6,free\n",
+    "short row missing lon": HEADER + "sys,e1,45.5\n",
+    "short row missing kind": HEADER + ROW1 + "sys,e2,45.5,-122.6\n",
+    "short row of one field": HEADER + "sys\n",
+    "extra fields": HEADER + "sys,e1,45.5,-122.6,free,1700000000,x,y\n" + ROW2,
+    "extra header columns": "note,system_id,entity_id,lat,extra,lon,docking_type,observed_at\n"
+                            "n,sys,e1,45.5,q,-122.6,free,1700000000\n",
+    "reordered columns": "observed_at,lon,docking_type,lat,entity_id,system_id\n"
+                         "1700000000,-122.6,free,45.5,e1,sys\n"
+                         "1700000001,-100.5,docked,40.25,e2,sys\n",
+    "reordered short row": "observed_at,lon,docking_type,lat,entity_id,system_id\n"
+                           "1700000000,-122.6,free,45.5,e1\n",
+    "duplicated header, last wins": HEADER.rstrip("\n") + ",lat\n"
+                                    "sys,e1,45.5,-122.6,free,1700000000,12.5\n",
+    "duplicated header, last missing": HEADER.rstrip("\n") + ",lat\n" + ROW1,
+    "duplicated header, bad last": HEADER.rstrip("\n") + ",lat\n"
+                                   "sys,e1,45.5,-122.6,free,1700000000,north\n",
+    "missing column": "system_id,entity_id,lat,lon,observed_at\n" "sys,e1,1,2,3\n",
+    "unknown docking type": HEADER + "sys,e1,45.5,-122.6,Free,1700000000\n",
+    "quoted fields": HEADER + '"sys","e,1\nx",45.5,-122.6,free,1700000000\n',
+    "padded numbers": HEADER + "sys,e1, 45.5 ,-122.6,free, 17 \n",
+    "non-finite lat": HEADER + ROW1 + "sys,e2,nan,0.0,free,1\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_read_matches_dictreader_reference(text):
+    assert outcome(read_observations_csv, text) == outcome(ref_read_observations_csv, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HEADER + ROW1 + "sys,e2,90.5,0.0,free,1\n", r"row 2: lat, lon \('90.5', '0.0'\) are outside"),
+        (HEADER + "sys,e2,0.0,-180.25,free,1\n", "row 1: lat, lon .* are outside"),
+        (HEADER + "sys,e2,1e300,0.0,free,1\n", "row 1: lat, lon .* are outside"),
+        (HEADER + "sys," + "x" * 200_000 + ",1.0,2.0,free,1\n", "line 2: field larger than field limit"),
+    ],
+    ids=["lat-range", "lon-range", "huge", "field-limit"],
+)
+def test_read_rejects_out_of_range_and_malformed_csv(text, message):
+    with pytest.raises(ParseError, match=message):
+        read_observations_csv(io.StringIO(text, newline=""))
+
+
+# ---------------------------------------------------------------------------
+# Snapshot fuzz through the map command
+# ---------------------------------------------------------------------------
+
+VALID = (HEADER + ROW1 + ROW2 + "sys2,e3,-33.9,151.2,free,1700000002\n").encode("utf-8")
+FIELD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "nan", "inf", "-0.0", "1e400", "1e300", "91", "-181", "free",
+                     "docked", "1.5", "1_0", '"', "\r", "\n", "\x00", ",", "x" * 140_000]),
+)
+
+
+@st.composite
+def snapshot_bytes(draw):
+    """VALID with one edit: a field replaced (written unquoted, so it may
+    break the CSV), bytes inserted, a span cut out, or a line dropped or
+    doubled."""
+    action = draw(st.sampled_from(["field", "insert", "cut", "line"]))
+    if action == "field":
+        rows = [line.split(",") for line in VALID.decode().splitlines()]
+        row = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][column] = draw(FIELD_TEXT)
+        return ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8", "surrogatepass")
+    if action == "insert":
+        at = draw(st.integers(0, len(VALID)))
+        return VALID[:at] + draw(st.binary(min_size=1, max_size=6)) + VALID[at:]
+    if action == "cut":
+        start = draw(st.integers(0, len(VALID) - 1))
+        return VALID[:start] + VALID[start + draw(st.integers(1, 30)):]
+    lines = VALID.splitlines(keepends=True)
+    index = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        return b"".join(lines[:index] + lines[index + 1:])
+    return b"".join(lines[: index + 1] + lines[index:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=snapshot_bytes())
+def test_map_on_fuzzed_snapshot_exits_cleanly(tmp_path_factory, content):
+    store = tmp_path_factory.mktemp("store")
+    (store / "manifest.csv").write_text("1,1700000000,3,snapshot_000001.csv\n")
+    (store / "snapshot_000001.csv").write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["map", "--store", str(store), "--out", str(store / "out")])
+    err = err.getvalue()
+    assert rc == 0 or (rc == 1 and err.startswith("error: stage load_snapshot: ")), err
+
+    # Where the reference reader read the file, the new one agrees.
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError:
+        assert rc == 1
+        return
+    ours = outcome(read_observations_csv, text)
+    ref = outcome(ref_read_observations_csv, text)
+    if isinstance(ref, list):
+        in_range = all(-90 <= o.lat <= 90 and -180 <= o.lon <= 180 for o in ref)
+        assert ours == ref if in_range else ours[0] is ParseError
+    elif issubclass(ref[0], BikeshareEquityError):
+        if not (ours[0] is ParseError and "are outside" in ours[1]):
+            assert ours == ref
+    else:  # csv.Error escaped the reference reader
+        assert ours[0] is ParseError

@@ -180,3 +180,99 @@ def test_random_round_trip_and_dedup_property():
             for obs in loaded:
                 key = (obs.system_id, obs.entity_id, obs.docking_type)
                 assert expected[key].observed_at == obs.observed_at
+
+
+def test_append_skips_an_orphan_snapshot_file(tmp_path):
+    """A crash between writing a snapshot file and its manifest line leaves a
+    file the manifest does not name; the next append takes the next id and
+    leaves the orphan's bytes alone."""
+    append_snapshot(sample_observations(2), tmp_path)
+    orphan = tmp_path / "snapshot_000002.csv"
+    orphan.write_text("orphaned bytes\n")
+    receipt = append_snapshot(sample_observations(3), tmp_path)
+    assert receipt.snapshot_id == 3
+    assert orphan.read_text() == "orphaned bytes\n"
+    assert load_snapshot(tmp_path, 3) == sample_observations(3)
+    with pytest.raises(SnapshotNotFoundError):
+        load_snapshot(tmp_path, 2)
+
+
+def test_append_with_a_stale_manifest_view_takes_the_next_free_id(tmp_path, monkeypatch):
+    """Two writers that read the manifest before either appended pick the same
+    candidate id; the second to link its file moves on to the next id."""
+    from bikeshare_equity import snapshot_store
+
+    first = append_snapshot(sample_observations(2), tmp_path)
+    monkeypatch.setattr(snapshot_store, "_read_manifest", lambda store: [])
+    second = append_snapshot(sample_observations(4), tmp_path)
+    monkeypatch.undo()
+    assert (first.snapshot_id, second.snapshot_id) == (1, 2)
+    assert load_snapshot(tmp_path, 1) == sample_observations(2)
+    assert load_snapshot(tmp_path, 2) == sample_observations(4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.csv", "snapshot_000001.csv", "snapshot_000002.csv"
+    ]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    bad = sample_observations(2) + [object()]
+    with pytest.raises(AttributeError):
+        append_snapshot(bad, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+CONCURRENT_WRITER = """
+import sys, time
+from pathlib import Path
+from bikeshare_equity.gbfs_client import BikeObservation, DockingType
+from bikeshare_equity.snapshot_store import append_snapshot
+
+store, writer = Path(sys.argv[1]), sys.argv[2]
+while not (store / "go").exists():
+    time.sleep(0.001)
+for n in range(15):
+    rows = [
+        BikeObservation(writer, f"e{n}_{i}", 45.0 + i / 1000, -122.0, DockingType.FREE, 1000 + n)
+        for i in range(40)
+    ]
+    print(append_snapshot(rows, store).snapshot_id, n)
+"""
+
+
+def test_concurrent_appends_get_unique_ids_and_every_row_loads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bikeshare_equity
+
+    store = tmp_path / "store"
+    store.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(bikeshare_equity.__file__).parents[1]))
+    writers = [f"w{k}" for k in range(4)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", CONCURRENT_WRITER, str(store), writer],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for writer in writers
+    ]
+    (store / "go").touch()
+    claimed = {}
+    for writer, proc in zip(writers, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        for line in out.split("\n"):
+            if line:
+                snapshot_id, n = map(int, line.split())
+                claimed[snapshot_id] = (writer, n)
+    assert sorted(claimed) == list(range(1, 61))
+    manifest = (store / "manifest.csv").read_text().splitlines()
+    assert sorted(int(line.split(",")[0]) for line in manifest) == list(range(1, 61))
+    for snapshot_id, (writer, n) in claimed.items():
+        loaded = load_snapshot(store, snapshot_id)
+        assert [(o.system_id, o.entity_id) for o in loaded] == [
+            (writer, f"e{n}_{i}") for i in range(40)
+        ]
+    assert not [p for p in store.iterdir() if p.suffix == ".tmp"]
