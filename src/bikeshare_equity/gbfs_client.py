@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
 
 from .errors import ParseError, SchemaError, TransportError
@@ -36,6 +36,8 @@ MAX_RETRIES = 2
 RETRY_BACKOFF_SECONDS = 1.0
 
 DEFAULT_MAX_IN_FLIGHT = 8
+# Sources fetched over the network; anything else is read from local files.
+REMOTE_SCHEMES = ("http://", "https://")
 
 STATION_FEED = "station_information"
 FREE_BIKE_FEED = "free_bike_status"
@@ -94,8 +96,10 @@ class FreeBike:
     is_disabled: bool = False
 
 
-@dataclass(frozen=True)
-class BikeObservation:
+class BikeObservation(NamedTuple):
+    """One harvested entity at one time point; a tuple, so building one is a
+    single C-level call (the harvest and every snapshot read build thousands)."""
+
     system_id: str
     entity_id: str
     lat: float
@@ -145,7 +149,7 @@ def fetch_document(source: str, timeout: float | None = None) -> bytes:
         TransportError: if the source cannot be read.
     """
     source = str(source)
-    if source.startswith(("http://", "https://")):
+    if source.startswith(REMOTE_SCHEMES):
         # Imported here so that commands working on local files never load it.
         import requests
 
@@ -194,6 +198,10 @@ def _load_json(raw: bytes) -> dict:
         raise ParseError(
             f"invalid JSON at offset {exc.pos}: {exc.msg}", offset=exc.pos
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer literal over the int-conversion digit limit, or nesting
+        # deeper than the decoder's recursion limit.
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value is not an object")
     return doc
@@ -310,7 +318,10 @@ def _coerce_coordinate(value) -> float | None:
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            return None
     if isinstance(value, str):
         try:
             return float(value.strip())
@@ -363,19 +374,24 @@ def _normalize_entries(entries: list, feed: _EntityFeed) -> list[tuple]:
     Spec form: coordinates that _coerce_coordinate accepts become floats and
     absent defaults are filled in. An entry is usable when it is an object
     with a truthy id and lat/lon within range; the rest are left as they are
-    (the caller counts them as dropped).
+    (the caller counts them as dropped). A coordinate that is already a float,
+    the common case, is kept as it is.
     """
     id_key, extras, defaults = feed.id_key, feed.extras, feed.defaults
     rows = []
     for entry in entries:
         if not isinstance(entry, dict):
             continue
-        lat = _coerce_coordinate(entry.get("lat"))
-        if lat is not None:
-            entry["lat"] = lat
-        lon = _coerce_coordinate(entry.get("lon"))
-        if lon is not None:
-            entry["lon"] = lon
+        lat = entry.get("lat")
+        if type(lat) is not float:
+            lat = _coerce_coordinate(lat)
+            if lat is not None:
+                entry["lat"] = lat
+        lon = entry.get("lon")
+        if type(lon) is not float:
+            lon = _coerce_coordinate(lon)
+            if lon is not None:
+                entry["lon"] = lon
         for key, value in defaults:
             entry.setdefault(key, value)
         entity_id = entry.get(id_key)
@@ -579,9 +595,12 @@ def harvest(
     free_bike_status. A failing system never aborts the harvest: its failures
     are recorded in the returned diagnostics.
 
-    Systems are fetched concurrently with at most max_in_flight requests in
-    flight, and results are merged in system_id order so output is
-    deterministic regardless of completion order.
+    Systems with an http(s) discovery URL are fetched concurrently, at most
+    max_in_flight at a time, to overlap network waits. The others are read
+    one after another on the calling thread while those run: a local read has
+    no wait to hide, and threads would only contend for the interpreter lock.
+    Results are merged in system_id order, so output is deterministic
+    regardless of completion order.
     """
     ordered = sorted(entries, key=lambda entry: entry.system_id)
     if not ordered:
@@ -589,14 +608,19 @@ def harvest(
     if docked_mode not in ("stations", "available_bikes"):
         raise ValueError(f"unknown docked_mode: {docked_mode!r}")
     observed_at = int(clock())
-    results: dict[str, tuple[list[BikeObservation], list[FeedFailure], int]] = {}
-    workers = max(1, min(max_in_flight, len(ordered)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    remote = [entry for entry in ordered if entry.discovery_url.startswith(REMOTE_SCHEMES)]
+    # The pool starts its threads on submit, so a local-only catalog starts none.
+    with ThreadPoolExecutor(max_workers=max(1, min(max_in_flight, len(remote)))) as pool:
         futures = {
             entry.system_id: pool.submit(
                 _harvest_system, entry, observed_at, docked_mode, timeout
             )
+            for entry in remote
+        }
+        results = {
+            entry.system_id: _harvest_system(entry, observed_at, docked_mode, timeout)
             for entry in ordered
+            if entry.system_id not in futures
         }
         for system_id, future in futures.items():
             results[system_id] = future.result()
@@ -615,22 +639,26 @@ _TEXT_KIND = {kind.value: kind for kind in DockingType}
 
 
 def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
-    """Write observations in the canonical CSV layout; returns the row count."""
-    rows = [
-        (
-            obs.system_id,
-            obs.entity_id,
-            repr(float(obs.lat)),
-            repr(float(obs.lon)),
-            _KIND_TEXT[obs.docking_type],
-            obs.observed_at,
-        )
-        for obs in observations
-    ]
+    """Write observations in the canonical CSV layout; returns the row count.
+
+    The records are split into columns and each column is converted with one
+    map() call, so no Python code runs per row.
+    """
+    columns = tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
+    system_ids, entity_ids, lats, lons, kinds, observed_ats = columns
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(OBSERVATION_COLUMNS)
-    writer.writerows(rows)
-    return len(rows)
+    writer.writerows(
+        zip(
+            system_ids,
+            entity_ids,
+            map(repr, map(float, lats)),
+            map(repr, map(float, lons)),
+            map(_KIND_TEXT.__getitem__, kinds),
+            observed_ats,
+        )
+    )
+    return len(system_ids)
 
 
 def observations_to_csv_bytes(observations: Iterable[BikeObservation]) -> bytes:

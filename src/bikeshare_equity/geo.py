@@ -218,12 +218,20 @@ def load_boundaries(
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"boundary file is not UTF-8 text at byte {exc.start}", offset=exc.start
+        ) from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"boundary file is not valid JSON at offset {exc.pos}", offset=exc.pos
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer literal over the int-conversion digit limit, or nesting
+        # deeper than the decoder's recursion limit.
+        raise ParseError(f"boundary file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise SchemaError("boundary file is not a GeoJSON FeatureCollection")
     features = doc.get("features")

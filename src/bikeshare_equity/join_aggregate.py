@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import EmptyFrameError, ScalingError, SchemaError
+from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
 from .gbfs_client import BikeObservation, DockingType
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_tracts
 from .poisson_glm import DesignMatrix
@@ -314,30 +314,55 @@ def read_demographics_csv(source: str | Path | TextIO) -> list[DemographicsRow]:
     """Load the demographics table from CSV.
 
     Raises:
-        SchemaError: missing header columns or unparseable values.
+        SchemaError: missing header columns, or a row with a missing or
+            unparseable value (the message names its line).
+        ParseError: the file cannot be read, is not UTF-8 text, or is not CSV.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
-    missing = [column for column in DEMOGRAPHICS_COLUMNS if column not in header]
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read demographics file {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"demographics file is not UTF-8 text at byte {exc.start}", offset=exc.start
+        ) from None
+    lines = csv.reader(io.StringIO(text))
+    try:
+        return _demographics_rows(lines)
+    except csv.Error as exc:
+        raise ParseError(f"demographics line {lines.line_num}: {exc}") from None
+
+
+def _demographics_rows(lines) -> list[DemographicsRow]:
+    """Rows of a csv.reader over the table: columns are found by header name
+    (the last of a repeated name), blank lines are skipped."""
+    header = next(lines, [])
+    position = {name: index for index, name in enumerate(header)}
+    missing = [column for column in DEMOGRAPHICS_COLUMNS if column not in position]
     if missing:
         raise SchemaError(
             f"demographics header missing column(s): {', '.join(missing)}"
         )
+    indices = [position[column] for column in DEMOGRAPHICS_COLUMNS]
+    width = max(indices) + 1
     rows: list[DemographicsRow] = []
-    for line_number, row in enumerate(reader, start=2):
-        try:
-            rows.append(
-                DemographicsRow(
-                    tract_geoid=row["tract_geoid"].strip(),
-                    **{name: float(row[name]) for name in PREDICTOR_NAMES},
-                )
+    for fields in lines:
+        if not fields:
+            continue
+        if len(fields) < width:
+            absent = [column for column, index in zip(DEMOGRAPHICS_COLUMNS, indices)
+                      if index >= len(fields)]
+            raise SchemaError(
+                f"demographics line {lines.line_num}: no {', '.join(absent)} field"
             )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"demographics line {line_number}: {exc}") from exc
+        geoid, *predictors = (fields[index] for index in indices)
+        try:
+            rows.append(DemographicsRow(geoid.strip(), *map(float, predictors)))
+        except ValueError as exc:
+            raise SchemaError(f"demographics line {lines.line_num}: {exc}") from exc
     return rows
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -313,6 +314,55 @@ def analyze_argv(city, out_dir, boundaries=None):
         "--out",
         str(out_dir),
     ]
+
+
+def test_harvest_of_local_catalog_starts_no_thread(tmp_path, monkeypatch, capsys):
+    """A file:// harvest reads its systems on the calling thread: a pool
+    would add nothing but contention for the interpreter lock."""
+    entries = [
+        make_system(
+            tmp_path / f"s{i}",
+            f"city{i}",
+            stations=[{"station_id": "s1", "lat": 45.0, "lon": -122.0}],
+            bikes=[{"bike_id": "b1", "lat": 45.1, "lon": -122.1}],
+        )
+        for i in range(4)
+    ]
+    catalog = write_catalog(tmp_path / "catalog.csv", entries)
+    started = []
+    start = threading.Thread.start
+
+    def record_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    threads_before = threading.active_count()
+    rc = main(["harvest", "--catalog", str(catalog), "--store", str(tmp_path / "store")])
+    assert rc == 0, capsys.readouterr().err
+    assert started == []
+    assert threading.active_count() == threads_before
+    assert len(load_snapshot(tmp_path / "store")) == 8
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"type": "FeatureCollection", "features": [\xff]}',
+         "boundary file is not UTF-8 text at byte 43"),
+        (b'{"type": "FeatureCollection", "features": [' + b"1" * 5000 + b"]}",
+         "boundary file is not valid JSON: Exceeds the limit"),
+    ],
+    ids=["not UTF-8", "integer over the digit limit"],
+)
+def test_undecodable_boundary_file_fails_stage(tmp_path, capsys, content, message):
+    city = build_synthetic_city(tmp_path / "city", n_cols=4, n_rows=3)
+    boundaries = tmp_path / "bad.geojson"
+    boundaries.write_bytes(content)
+    rc = main(analyze_argv(city, tmp_path / "out", boundaries))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: stage load_boundaries: {message}"), err
 
 
 def test_analyze_malformed_boundary_feature_fails_stage(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from bikeshare_equity import gbfs_client
 from bikeshare_equity.errors import ParseError, SchemaError, TransportError
 from bikeshare_equity.gbfs_client import (
+    OBSERVATION_COLUMNS,
+    BikeObservation,
     DockingType,
     SystemEntry,
     canonicalize_bike_payload,
@@ -434,6 +438,128 @@ def test_harvest_available_bikes_mode_without_status_feed(tmp_path):
     assert [o.entity_id for o in observations] == ["a"]
     assert len(diag.failures) == 1
     assert diag.failures[0].feed == "station_status"
+
+
+# ---------------------------------------------------------------------------
+# harvest scheduling: http(s) systems on a bounded pool, local ones inline
+# ---------------------------------------------------------------------------
+
+REMOTE = "http://remote.test"
+
+
+def remote_system(root, system_id, **feeds):
+    """A fixture system whose discovery and feed URLs are
+    http://remote.test/<path of the fixture file>, for FakeNetwork to serve."""
+    entry = make_system(root, system_id, **feeds)
+    discovery = root / f"{system_id}_gbfs.json"
+    discovery.write_text(discovery.read_text().replace("file://", REMOTE))
+    return dataclasses.replace(entry, discovery_url=entry.discovery_url.replace("file://", REMOTE))
+
+
+class FakeNetwork:
+    """Stands in for gbfs_client.fetch_document: serves http://remote.test
+    URLs from the fixture files, records the thread of every fetch and the
+    peak number of remote fetches in flight. Remote discovery fetches meet at
+    a barrier of `parties`, so a harvest that does not overlap that many
+    remote systems times out there (and reports a failure)."""
+
+    def __init__(self, monkeypatch, parties=1):
+        self.fetch = gbfs_client.fetch_document
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.threads = {}  # source -> ident of the thread that fetched it
+        self.barrier = threading.Barrier(parties, timeout=5)
+        monkeypatch.setattr(gbfs_client, "fetch_document", self)
+
+    def __call__(self, source, timeout=None):
+        with self.lock:
+            self.threads[source] = threading.get_ident()
+        if not source.startswith(REMOTE):
+            return self.fetch(source, timeout)
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if source.endswith("_gbfs.json"):
+                self.barrier.wait()
+            else:
+                time.sleep(0.001)  # a little latency, so fetches of other systems overlap
+            return self.fetch("file://" + source[len(REMOTE):], timeout)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def station(i):
+    return {"station_id": f"st{i}", "lat": 45.0 + i / 100, "lon": -122.0}
+
+
+def test_harvest_overlaps_remote_systems_up_to_max_in_flight(tmp_path, monkeypatch):
+    network = FakeNetwork(monkeypatch, parties=3)
+    entries = [remote_system(tmp_path, f"r{i}", stations=[station(i)]) for i in range(6)]
+    observations, diag = harvest(entries, clock=lambda: 1, max_in_flight=3)
+    assert diag.failures == []
+    assert [o.entity_id for o in observations] == [f"st{i}" for i in range(6)]
+    assert network.peak == 3
+    assert threading.get_ident() not in network.threads.values()
+
+
+def test_harvest_reads_local_systems_on_the_calling_thread(tmp_path, monkeypatch):
+    network = FakeNetwork(monkeypatch)
+    entries = [make_system(tmp_path, f"l{i}", stations=[station(i)], bikes=[]) for i in range(4)]
+    observations, diag = harvest(entries, clock=lambda: 1, max_in_flight=3)
+    assert diag.failures == []
+    assert len(observations) == 4
+    assert len(network.threads) == 12  # discovery and two feeds per system
+    assert set(network.threads.values()) == {threading.get_ident()}
+
+
+def test_harvest_of_mixed_catalog_matches_a_serial_run(tmp_path, monkeypatch):
+    deviant = [station(1), {"station_id": "bad", "lat": 95.0, "lon": 0.0}, "not an object"]
+    bikes = [{"bike_id": "b1", "lat": 40.0, "lon": -100.0},
+             {"bike_id": "b2", "lat": 40.1, "lon": -100.1, "is_reserved": True}]
+    missing = (tmp_path / "missing.json").as_uri()
+    entries = [
+        remote_system(tmp_path, "d_remote", stations=deviant, bikes=bikes),
+        make_system(tmp_path, "a_local", stations=[station(2)], bikes=bikes),
+        remote_system(tmp_path, "b_remote", stations=[station(3)], bike_feed_url=missing),
+        make_system(tmp_path, "c_local", stations=deviant, bike_feed_url=missing),
+        remote_system(tmp_path, "e_remote", bikes=bikes + ["no"]),
+        make_system(tmp_path, "f_local"),
+        remote_system(tmp_path, "g_remote", stations=[station(4)], bikes=[]),
+    ]
+    network = FakeNetwork(monkeypatch)
+    expected_obs, expected_failures, expected_dropped = [], [], 0
+    for entry in sorted(entries, key=lambda e: e.system_id):
+        obs, failures, dropped = gbfs_client._harvest_system(entry, 9, "stations", None)
+        expected_obs += obs
+        expected_failures += failures
+        expected_dropped += dropped
+
+    network.threads.clear()
+    network.barrier = threading.Barrier(2, timeout=5)
+    observations, diag = harvest(entries, clock=lambda: 9, max_in_flight=2)
+    assert observations == expected_obs
+    assert diag.failures == expected_failures
+    assert diag.dropped_entities == expected_dropped == 5
+    assert [f.system_id for f in diag.failures] == ["b_remote", "c_local", "f_local"]
+    assert network.peak == 2
+    main = threading.get_ident()
+    for source, thread in network.threads.items():
+        assert (thread != main) == source.startswith(REMOTE), source
+
+
+def test_bike_observation_is_an_immutable_named_tuple():
+    obs = BikeObservation("sys", "e1", 45.5, -122.6, DockingType.DOCKED, 1700000000)
+    assert BikeObservation._fields == OBSERVATION_COLUMNS
+    assert repr(obs) == (
+        "BikeObservation(system_id='sys', entity_id='e1', lat=45.5, lon=-122.6, "
+        "docking_type=<DockingType.DOCKED: 'docked'>, observed_at=1700000000)"
+    )
+    with pytest.raises(AttributeError):
+        obs.lat = 0.0
+    assert not hasattr(obs, "__dict__")
+    assert hash(obs) == hash(BikeObservation(*obs))
 
 
 def test_observation_csv_round_trip(tmp_path):

@@ -1,7 +1,11 @@
 """The table-driven GBFS normalizer against the deepcopy-and-loop parser it
 replaced, kept below as a reference: equal records, equal dropped tallies and
 equal exceptions on a battery of conforming and deviant feeds and under a
-one-node mutation fuzz, for the public parsers and for a whole harvest."""
+one-node mutation fuzz, for the public parsers and for a whole harvest.
+
+The reference carries one intended change: an integer coordinate beyond the
+float range is unusable, so its entry is dropped and tallied (the old parser
+raised OverflowError, which failed the whole system)."""
 
 import copy
 import csv
@@ -43,7 +47,10 @@ def ref_coerce_coordinate(value):
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # the intended change, see the module docstring
+            return None
     if isinstance(value, str):
         try:
             return float(value.strip())
@@ -320,6 +327,40 @@ def test_harvest_matches_reference_on_battery(tmp_path, station_raw, bike_raw):
     assert_harvest_agrees(tmp_path, station_raw, bike_raw)
 
 
+def test_huge_integer_coordinate_drops_only_its_entry(tmp_path):
+    stations = [{"station_id": "s", "lat": 10**400, "lon": 0.0},
+                {"station_id": "t", "lat": 1.0, "lon": 2.0}]
+    bikes = [{"bike_id": "b", "lat": 1.0, "lon": -(10**400)},
+             {"bike_id": "c", "lat": 3.0, "lon": 4.0}]
+    entry = make_system(tmp_path, "sys", stations=stations, bikes=bikes)
+    observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT)
+    assert [(obs.entity_id, obs.lat, obs.lon) for obs in observations] == [
+        ("t", 1.0, 2.0), ("c", 3.0, 4.0)]
+    assert diagnostics.failures == []
+    assert diagnostics.dropped_entities == 2
+    canonical = canonicalize_station_payload(station_doc(stations))
+    assert canonical["data"]["stations"][0]["lat"] == 10**400  # left as it was
+
+
+def test_integer_over_the_digit_limit_fails_only_its_feed(tmp_path):
+    bikes = [{"bike_id": "b", "lat": 3.0, "lon": 4.0}]
+    entry = make_system(tmp_path, "sys", stations=[], bikes=bikes)
+    digits = "7" * 5000  # json.loads refuses integers of more than 4,300 digits
+    (tmp_path / "sys_station_information.json").write_text(
+        '{"data": {"stations": [{"station_id": "s", "lat": ' + digits + ', "lon": 0.0}]}}')
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        _load_json((tmp_path / "sys_station_information.json").read_bytes())
+    observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT)
+    assert [obs.entity_id for obs in observations] == ["b"]
+    assert [(f.system_id, f.feed) for f in diagnostics.failures] == [("sys", STATION_FEED)]
+    assert diagnostics.failures[0].message.startswith("invalid JSON: ")
+
+
+def test_nesting_beyond_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        _load_json(b'{"data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}")
+
+
 def test_canonicalize_matches_reference_and_leaves_input_alone():
     for doc, ours, ref in (
         (station_doc(DEVIANT_STATIONS), canonicalize_station_payload,
@@ -426,9 +467,5 @@ def test_parsers_and_harvest_match_reference_under_mutation(data, bikes):
         expected = ref(doc)
     except TypeError:
         expected = doc
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            ours(doc)
-        return
     assert json.dumps(ours(doc)) == json.dumps(expected)
 
