@@ -187,7 +187,13 @@ def cmd_analyze(config: PipelineConfig) -> int:
     observations = _stage(
         "load_snapshot", lambda: load_snapshot(config.store_path, selector)
     )
-    index = _stage("load_boundaries", lambda: load_boundaries(config.boundaries_path))
+    # Compiled boundaries are cached in the store, keyed by the file's content.
+    index = _stage(
+        "load_boundaries",
+        lambda: load_boundaries(
+            config.boundaries_path, cache_dir=Path(config.store_path) / "cache"
+        ),
+    )
     if not observations:
         raise StageError("summarize_systems", "snapshot contains no observations")
     summaries = _stage("summarize_systems", lambda: summarize_systems(observations))

@@ -208,7 +208,10 @@ def _load_json(raw: bytes) -> dict:
 
 
 def _valid_url(url: str) -> bool:
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # an unbalanced "[" in the host, say
+        return False
     if parts.scheme in ("http", "https"):
         return bool(parts.netloc)
     if parts.scheme == "file":
@@ -231,9 +234,32 @@ def fetch_system_catalog(
         TransportError: catalog unreachable.
         SchemaError: missing header columns, duplicate or empty system_id,
             or an invalid discovery URL.
+        ParseError: the catalog is not UTF-8 text or not CSV (a field over
+            the csv module's size limit, say); the message names the line.
     """
     raw = fetch_document(str(catalog_source))
-    reader = csv.DictReader(io.StringIO(raw.decode("utf-8-sig")))
+    try:
+        # A leading byte-order mark is dropped, as the utf-8-sig codec would.
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"catalog line {line}: not UTF-8 text at byte {exc.start}", offset=exc.start
+        ) from None
+    reader = csv.DictReader(io.StringIO(text))
+    try:
+        entries = _catalog_entries(reader)
+    except csv.Error as exc:
+        # The underlying csv.reader's count: DictReader's own lags on an error.
+        raise ParseError(f"catalog line {reader.reader.line_num}: {exc}") from None
+    if country_filter:
+        wanted = country_filter.strip().upper()
+        entries = [entry for entry in entries if entry.country_code == wanted]
+    entries.sort(key=lambda entry: entry.system_id)
+    return entries
+
+
+def _catalog_entries(reader: csv.DictReader) -> list[SystemEntry]:
     header = reader.fieldnames or []
     missing = [column for column in CATALOG_COLUMNS if column not in header]
     if missing:
@@ -258,10 +284,6 @@ def fetch_system_catalog(
                 discovery_url=url,
             )
         )
-    if country_filter:
-        wanted = country_filter.strip().upper()
-        entries = [entry for entry in entries if entry.country_code == wanted]
-    entries.sort(key=lambda entry: entry.system_id)
     return entries
 
 

@@ -6,26 +6,38 @@ degree space, which is accurate at tract scale. Points exactly on a ring edge
 count as inside, and ties across shared boundaries resolve to the
 lexicographically smallest GEOID so assignments are reproducible.
 
-Lookups go through a uniform lat/lon grid: each cell lists every polygon whose
-bounding box intersects it, so a cell lookup yields a superset of the true
-containers and grid-accelerated assignment agrees exactly with an exhaustive
-scan.
+Lookups go through a uniform lat/lon grid held as CSR arrays: the sorted
+int64 keys of the cells that polygon bounding boxes touch, and per cell a
+run of polygon positions. A cell lookup (``np.searchsorted`` on the keys)
+yields a superset of the true containers, so grid-accelerated assignment
+agrees exactly with an exhaustive scan. A polygon may register at most
+``_CELL_BUDGET`` cells: one whose bounding box covers more goes on the
+oversize list instead, and every point is tested against the oversize
+polygons by bounding box. The grid therefore never holds more than the
+budget times the number of polygons, however large a tract is.
 
 Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
 arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
+The compiled index is a handful of flat arrays (vertices, ring and polygon
+offsets, bounding boxes, GEOID ranks, the grid). ``load_boundaries`` can keep
+them in a cache directory, one ``.npz`` file per boundary-file content and
+cell size, so a later load of the same file decodes no JSON.
 
-Batch assignment (``assign_tracts``) runs the same tests with numpy: the index
-joins every ring into flat float64 vertex arrays once, points are grouped by
-grid cell, and each polygon tests only the points of the cells that list it,
-one (points x ring edges) block at a time. It evaluates the scalar test's
-float64 expressions in the same order, so it agrees with ``point_in_polygon``
-bit for bit; the scalar functions stay as the reference oracle.
+Batch assignment (``assign_tracts``) runs the same tests with numpy: points
+are grouped by grid cell, and each polygon tests only the points of the
+cells that list it, one (points x ring edges) block at a time. It evaluates
+the scalar test's float64 expressions in the same order, so it agrees with
+``point_in_polygon`` bit for bit; the scalar functions stay as the reference
+oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
+import logging
+import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +46,8 @@ import numpy as np
 
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_CELL_SIZE = 0.05
 
@@ -47,6 +61,21 @@ Ring = np.ndarray
 # Most elements in one (points x ring edges) block of the batch test; a ring
 # meeting more points is tested a slice of points at a time.
 _BLOCK_ELEMENTS = 1 << 17
+
+# Most grid cells one polygon registers; a polygon whose bounding box covers
+# more goes on the oversize list.
+_CELL_BUDGET = 4096
+
+# The arrays of a compiled index (TractIndex attributes with a leading
+# underscore), as a cache file stores them.
+_ARRAY_NAMES = (
+    "xy", "ring_offsets", "poly_rings", "bbox", "rank", "geoids",
+    "cell_keys", "cell_offsets", "cell_polys", "oversize", "grid",
+)
+
+# Part of every cache key: a change to the cached arrays' layout or meaning
+# must bump it, so files written before the change are never read.
+_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -74,66 +103,148 @@ class TractPolygon:
 
 
 class TractIndex:
-    """Immutable uniform-grid spatial index over tract polygons."""
+    """Immutable uniform-grid spatial index over tract polygons.
+
+    The index is a handful of flat arrays:
+
+    - ``_xy``: every ring's (lon, lat) vertices, polygon by polygon (and the
+      same columns as contiguous ``_x``/``_y``). Ring r spans
+      [_ring_offsets[r], _ring_offsets[r + 1]) and owns the edges k -> k + 1
+      inside that span.
+    - ``_poly_rings``: polygon p owns rings [_poly_rings[p], _poly_rings[p + 1]),
+      the outer ring first.
+    - ``_bbox``: per polygon, (min_lon, min_lat, max_lon, max_lat).
+    - ``_rank``: per polygon, the position of its GEOID in ``_geoids``, the
+      sorted GEOIDs.
+    - The grid: cell i, whose key is ``_cell_keys[i]`` (sorted), lists the
+      polygons ``_cell_polys[_cell_offsets[i]:_cell_offsets[i + 1]]``. The
+      cell (x, y) covers lon [x, x + 1) and lat [y, y + 1) times the cell
+      size, and its key is (x - x0) * (y1 - y0 + 1) + (y - y0) for
+      ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
+      over the cell budget are in ``_oversize`` instead.
+    """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
-        if cell_size <= 0:
+        if not cell_size > 0:
             raise ValueError("cell_size must be positive")
-        self.polygons = list(polygons)
-        self.cell_size = float(cell_size)
-        self._grid: dict[tuple[int, int], list[int]] = {}
-        for index, poly in enumerate(self.polygons):
-            for cell in self._cells_for_bbox(poly.bbox):
-                self._grid.setdefault(cell, []).append(index)
-        if self._grid:
-            self._grid_lo = tuple(map(min, zip(*self._grid)))
-            self._grid_hi = tuple(map(max, zip(*self._grid)))
+        cell_size = float(cell_size)
+        polygons = list(polygons)
+        rings = [ring for poly in polygons for ring in poly.rings]
+        geoids = sorted({poly.tract_geoid for poly in polygons})
+        rank = {geoid: r for r, geoid in enumerate(geoids)}
+        bbox = np.array(
+            [(p.bbox.min_lon, p.bbox.min_lat, p.bbox.max_lon, p.bbox.max_lat) for p in polygons],
+            dtype=np.float64,
+        ).reshape(-1, 4)
+        arrays = {
+            "xy": np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2)),
+            "ring_offsets": _offsets([len(ring) for ring in rings]),
+            "poly_rings": _offsets([len(poly.rings) for poly in polygons]),
+            "bbox": bbox,
+            "rank": np.array([rank[poly.tract_geoid] for poly in polygons], dtype=np.int64),
+            "geoids": np.array(geoids, dtype=str),
+            **_grid_arrays(bbox, cell_size),
+        }
+        self._set_arrays(arrays, cell_size, geoids)
+        self.polygons = polygons
 
-        # Every ring's vertices in flat float64 arrays, polygon by polygon. A
-        # ring spanning [start, stop) owns the edges k -> k + 1 for k in
-        # [start, stop - 1).
-        rings = [ring for poly in self.polygons for ring in poly.rings]
-        coords = np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2))
-        self._x, self._y = coords.T.copy()
-        self._ring_spans: list[list[tuple[int, int]]] = []
-        start = 0
-        for poly in self.polygons:
-            spans = []
-            for ring in poly.rings:
-                spans.append((start, start + len(ring)))
-                start += len(ring)
-            self._ring_spans.append(spans)
+    @classmethod
+    def _from_arrays(cls, arrays: dict[str, np.ndarray], cell_size: float) -> TractIndex:
+        """The index a cache file holds; its polygons' rings are views of _xy."""
+        index = cls.__new__(cls)
+        index._set_arrays(arrays, cell_size, arrays["geoids"].tolist())
+        offsets = index._ring_offsets.tolist()
+        poly_rings = index._poly_rings.tolist()
+        index.polygons = []
+        for p, (box, rank) in enumerate(zip(index._bbox.tolist(), index._rank.tolist())):
+            geoid = index._geoid_table[rank]
+            rings = tuple(
+                index._xy[offsets[r] : offsets[r + 1]]
+                for r in range(poly_rings[p], poly_rings[p + 1])
+            )
+            index.polygons.append(
+                TractPolygon(geoid, geoid[:COUNTY_PREFIX_LENGTH], rings, BoundingBox(*box))
+            )
+        return index
 
+    def _set_arrays(self, arrays: dict[str, np.ndarray], cell_size: float, geoids: list[str]):
+        self.cell_size = cell_size
+        for name in _ARRAY_NAMES:
+            setattr(self, "_" + name, arrays[name])
+        self._xy.flags.writeable = False
+        self._x, self._y = self._xy.T.copy()
         # Polygons in GEOID order, so the first container found for a point
         # carries the smallest GEOID. The table maps a rank back to its
         # GEOID; its extra last entry stands for "no tract".
-        geoids = self.geoids()
-        rank = {geoid: r for r, geoid in enumerate(geoids)}
-        self._rank = [rank[poly.tract_geoid] for poly in self.polygons]
-        self._by_rank = sorted(range(len(self.polygons)), key=self._rank.__getitem__)
+        self._by_rank = np.argsort(self._rank, kind="stable").tolist()
         self._geoid_table: list[str | None] = [*geoids, None]
-
-    def _cell_of(self, lon: float, lat: float) -> tuple[int, int]:
-        return (
-            math.floor(lon / self.cell_size),
-            math.floor(lat / self.cell_size),
-        )
-
-    def _cells_for_bbox(self, bbox: BoundingBox):
-        x0, y0 = self._cell_of(bbox.min_lon, bbox.min_lat)
-        x1, y1 = self._cell_of(bbox.max_lon, bbox.max_lat)
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                yield (x, y)
+        self._is_oversize = np.zeros(len(self._rank), dtype=bool)
+        self._is_oversize[self._oversize] = True
 
     def candidates(self, lat: float, lon: float) -> list[TractPolygon]:
-        """Polygons whose grid cell matches the point; a superset of containers."""
-        indices = self._grid.get(self._cell_of(lon, lat), [])
-        return [self.polygons[i] for i in indices]
+        """Polygons listed by the point's grid cell, and the oversize polygons
+        whose bounding box holds it; a superset of containers."""
+        _, bounds = _points_by_polygon(np.array([lat], dtype=np.float64),
+                                       np.array([lon], dtype=np.float64), self)
+        min_lon, min_lat, max_lon, max_lat = self._bbox.T
+        listed = (np.diff(bounds) > 0) | (
+            self._is_oversize
+            & (min_lon <= lon) & (lon <= max_lon) & (min_lat <= lat) & (lat <= max_lat)
+        )
+        return [self.polygons[i] for i in np.flatnonzero(listed).tolist()]
 
     def geoids(self) -> list[str]:
         """Sorted unique tract GEOIDs covered by the index."""
-        return sorted({poly.tract_geoid for poly in self.polygons})
+        return self._geoid_table[:-1]
+
+
+def _offsets(sizes: list[int]) -> np.ndarray:
+    """Run boundaries [0, s0, s0 + s1, ...] of consecutive runs of these sizes."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
+    """The grid of TractIndex over these bounding boxes: every polygon within
+    the cell budget registers each cell its box touches."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor(bbox / cell_size)  # x0, y0, x1, y1 per polygon
+    # Cell numbers stay exact integers in float64 (NaN fails the test too).
+    if not (np.abs(cells) < 2.0**52).all():
+        raise ValueError("bounding boxes must be finite, in cells numbered below 2**52")
+    # Each box's size in cells; an inverted box (min above max) has none.
+    widths = np.maximum(cells[:, 2] - cells[:, 0] + 1, 0)
+    heights = np.maximum(cells[:, 3] - cells[:, 1] + 1, 0)
+    n_cells = widths * heights
+    polys = np.flatnonzero(n_cells <= _CELL_BUDGET)
+    oversize = np.flatnonzero(n_cells > _CELL_BUDGET)
+    if not len(polys):
+        empty = np.empty(0, dtype=np.int64)
+        # An empty cell range: no point falls in the grid.
+        return {"cell_keys": empty, "cell_offsets": np.zeros(1, dtype=np.int64),
+                "cell_polys": empty, "oversize": oversize,
+                "grid": np.array([0, 0, -1, -1], dtype=np.int64)}
+    x0, y0, x1, y1 = cells[polys].astype(np.int64).T
+    gx0, gy0, gx1, gy1 = x0.min(), y0.min(), x1.max(), y1.max()
+    span = gy1 - gy0 + 1
+    if (int(gx1) - int(gx0) + 1) * int(span) >= 2**63:
+        raise ValueError("cell_size is too small for the extent of the boundaries")
+    # One entry per (polygon, cell): entry j of a polygon whose box is h
+    # cells high is the cell (x0 + j // h, y0 + j % h).
+    counts = n_cells[polys].astype(np.int64)
+    h = np.repeat(heights[polys].astype(np.int64), counts)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    keys = (np.repeat(x0, counts) + j // h - gx0) * span + (np.repeat(y0, counts) + j % h - gy0)
+    # Stable, so each cell lists its polygons in index order.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return {
+        "cell_keys": keys[starts],
+        "cell_offsets": np.append(starts, len(keys)),
+        "cell_polys": np.repeat(polys, counts)[order],
+        "oversize": oversize,
+        "grid": np.array([gx0, gy0, gx1, gy1], dtype=np.int64),
+    }
 
 
 def _build_ring(raw, feature_index: int) -> Ring:
@@ -175,8 +286,7 @@ def _build_polygon(geoid: str, raw_rings, feature_index: int) -> TractPolygon:
     min_lon, min_lat = lon_lat.min(axis=1).tolist()
     max_lon, max_lat = lon_lat.max(axis=1).tolist()
     # A coordinate beyond these is not lon/lat in degrees (projected metres,
-    # say), and would make the grid span astronomically many cells. NaN (a
-    # null coordinate converts to NaN) fails every comparison.
+    # say). NaN (a null coordinate converts to NaN) fails every comparison.
     if not (-180.0 <= min_lon and max_lon <= 180.0 and -90.0 <= min_lat and max_lat <= 90.0):
         raise GeometryError(
             f"feature {feature_index}: a coordinate is null, non-finite or outside "
@@ -203,7 +313,10 @@ def _object_member(feature: dict, key: str, feature_index: int) -> dict:
 
 
 def load_boundaries(
-    path: str | Path, cell_size: float = DEFAULT_CELL_SIZE
+    path: str | Path,
+    cell_size: float = DEFAULT_CELL_SIZE,
+    *,
+    cache_dir: str | Path | None = None,
 ) -> TractIndex:
     """Load a GeoJSON FeatureCollection of tract boundaries into a TractIndex.
 
@@ -213,11 +326,33 @@ def load_boundaries(
     GeoJSON lon,lat order; a third position element (altitude) is ignored.
     Coordinates must be finite lon/lat degrees. A malformed feature raises
     SchemaError or GeometryError naming its index in ``features``.
+
+    With ``cache_dir``, the compiled index of a file that loaded cleanly is
+    kept there, and a later load of the same bytes at the same cell size
+    reads it instead of decoding the JSON. A cache file that is missing,
+    unreadable or not written for these bytes is a miss (and is replaced);
+    a directory that cannot be written is left alone. Either way the result
+    and the errors are those of a load without the cache.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
+    if cache_dir is None:
+        return _parse_boundaries(data, cell_size)
+    key = _cache_key(data, float(cell_size))
+    cache_file = Path(cache_dir) / f"{key}.npz"
+    arrays = _read_cache(cache_file, key)
+    if arrays is not None:
+        return TractIndex._from_arrays(arrays, float(cell_size))
+    index = _parse_boundaries(data, cell_size)
+    _write_cache(cache_file, key, index)
+    return index
+
+
+def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
+    try:
+        raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"boundary file is not UTF-8 text at byte {exc.start}", offset=exc.start
@@ -271,6 +406,84 @@ def load_boundaries(
         for part in parts:
             polygons.append(_build_polygon(geoid, part, feature_index))
     return TractIndex(polygons, cell_size=cell_size)
+
+
+def _cache_key(data: bytes, cell_size: float) -> str:
+    # Imported here: only a cached load needs it, and harvest and map never load.
+    import hashlib
+
+    digest = hashlib.sha256(data).hexdigest()
+    return f"tract-index-v{_CACHE_VERSION}-cell{cell_size!r}-{digest}"
+
+
+def _read_cache(path: Path, key: str) -> dict[str, np.ndarray] | None:
+    """The arrays of the cache file, or None (a miss) unless it holds this
+    key and well-formed index arrays."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if str(npz["key"][()]) != key:
+                return None
+            # Reading a member whole checks its zip CRC, so a flipped byte
+            # anywhere raises here.
+            arrays = {name: npz[name] for name in _ARRAY_NAMES}
+            return arrays if _well_formed(**arrays) else None
+    except Exception:  # whatever a bad file raises, it is only a miss
+        logger.debug("cache file %s is unusable; decoding the boundaries", path, exc_info=True)
+        return None
+
+
+def _well_formed(
+    xy, ring_offsets, poly_rings, bbox, rank, geoids,
+    cell_keys, cell_offsets, cell_polys, oversize, grid,
+) -> bool:
+    """Whether cached arrays have the dtypes, shapes and offsets of a compiled
+    index, so that no lookup can fall out of range (an index error here is a
+    miss too)."""
+    int_arrays = (ring_offsets, poly_rings, rank, cell_keys, cell_offsets, cell_polys, oversize)
+    if not (
+        all(a.dtype == np.int64 and a.ndim == 1 for a in int_arrays)
+        and xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
+        and bbox.dtype == np.float64 and bbox.shape == (len(rank), 4)
+        and geoids.dtype.kind == "U" and geoids.ndim == 1
+        and grid.dtype == np.int64 and grid.shape == (4,)
+    ):
+        return False
+    n_polys = len(rank)
+    # Polygons per GEOID (a negative rank raises, which is a miss).
+    per_geoid = np.bincount(rank, minlength=len(geoids))
+
+    def runs(offsets, total, least):
+        return offsets[0] == 0 and offsets[-1] == total and (np.diff(offsets) >= least).all()
+
+    return bool(
+        runs(ring_offsets, len(xy), 2)  # every ring has an edge
+        and runs(poly_rings, len(ring_offsets) - 1, 1)
+        and len(poly_rings) == n_polys + 1
+        and runs(cell_offsets, len(cell_polys), 1)
+        and len(cell_offsets) == len(cell_keys) + 1
+        and (np.diff(cell_keys) > 0).all()
+        and (geoids[1:] > geoids[:-1]).all()
+        # Every rank names a GEOID and every GEOID has a polygon.
+        and len(per_geoid) == len(geoids) and (per_geoid > 0).all()
+        and all(((0 <= a) & (a < n_polys)).all() for a in (cell_polys, oversize))
+    )
+
+
+def _write_cache(path: Path, key: str, index: TractIndex) -> None:
+    """Store the index's arrays at path, whole or not at all (a temporary
+    file, then os.replace); a location that cannot be written is skipped."""
+    arrays = {name: getattr(index, "_" + name) for name in _ARRAY_NAMES}
+    if arrays["geoids"].tolist() != index.geoids():
+        return  # numpy strings drop trailing NULs; such a GEOID would not round-trip
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as fh:
+            np.savez(fh, key=np.array(key), **arrays)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def _vertices(ring: Ring) -> list[list[float]]:
@@ -358,17 +571,22 @@ def _polygon_contains(
     lons: np.ndarray, lats: np.ndarray, index: TractIndex, poly_index: int
 ) -> np.ndarray:
     """point_in_polygon for many points inside the polygon's bounding box."""
-    (start, stop), *holes = index._ring_spans[poly_index]
-    on_edge, crossed = _ring_tests(lons, lats, index._x, index._y, start, stop)
+    offsets = index._ring_offsets
+    first, last = index._poly_rings[poly_index : poly_index + 2].tolist()
+    on_edge, crossed = _ring_tests(
+        lons, lats, index._x, index._y, offsets[first], offsets[first + 1]
+    )
     inside = on_edge | crossed
     # Points strictly inside the outer ring; the first hole whose edge or
     # interior holds one decides it.
     undecided = crossed & ~on_edge
-    for start, stop in holes:
+    for hole in range(first + 1, last):
         which = np.flatnonzero(undecided)
         if not len(which):
             break
-        on_hole, in_hole = _ring_tests(lons[which], lats[which], index._x, index._y, start, stop)
+        on_hole, in_hole = _ring_tests(
+            lons[which], lats[which], index._x, index._y, offsets[hole], offsets[hole + 1]
+        )
         inside[which[in_hole & ~on_hole]] = False
         undecided[which[on_hole | in_hole]] = False
     return inside
@@ -376,29 +594,28 @@ def _polygon_contains(
 
 def _points_by_polygon(
     lats: np.ndarray, lons: np.ndarray, index: TractIndex
-) -> dict[int, list[np.ndarray]]:
-    """Polygon position -> index arrays of the points in grid cells listing it."""
-    if not index._grid:
-        return {}
-    (x0, y0), (x1, y1) = index._grid_lo, index._grid_hi
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points in grid cells listing each polygon: point indices ordered by
+    polygon position, polygon p's run being [bounds[p], bounds[p + 1])."""
+    x0, y0, x1, y1 = index._grid.tolist()
     cell_x = np.floor(lons / index.cell_size)
     cell_y = np.floor(lats / index.cell_size)
     # NaN compares false, so non-finite points fall outside the grid.
     points = np.flatnonzero((x0 <= cell_x) & (cell_x <= x1) & (y0 <= cell_y) & (cell_y <= y1))
-    height = y1 - y0 + 1
-    keys = (cell_x[points] - x0).astype(np.int64) * height + (
+    keys = (cell_x[points] - x0).astype(np.int64) * (y1 - y0 + 1) + (
         cell_y[points] - y0
     ).astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    keys, points = keys[order], points[order]
-    cells, starts = np.unique(keys, return_index=True)
-    stops = np.append(starts[1:], len(keys))
-    groups: dict[int, list[np.ndarray]] = {}
-    for key, start, stop in zip(cells.tolist(), starts.tolist(), stops.tolist()):
-        listed = index._grid.get((x0 + key // height, y0 + key % height), ())
-        for poly_index in listed:
-            groups.setdefault(poly_index, []).append(points[start:stop])
-    return groups
+    cells = np.searchsorted(index._cell_keys, keys)
+    listed = index._cell_keys[np.minimum(cells, len(index._cell_keys) - 1)] == keys
+    points, cells = points[listed], cells[listed]
+    # One (point, polygon) pair per polygon its cell lists.
+    first = index._cell_offsets[cells]
+    counts = index._cell_offsets[cells + 1] - first
+    slots = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    polys = index._cell_polys[slots]
+    order = np.argsort(polys, kind="stable")
+    bounds = _offsets(np.bincount(polys, minlength=len(index._rank)))
+    return np.repeat(points, counts)[order], bounds
 
 
 def assign_tracts(
@@ -409,8 +626,9 @@ def assign_tracts(
     The batch form of assign_tract with the same answers: points on an edge
     count inside, the lexicographically smallest GEOID wins on a boundary
     shared by several tracts, and a point with a non-finite coordinate lies in
-    no tract. Each polygon is tested only against the points of the grid
-    cells that list it and lie in its bounding box.
+    no tract. Each polygon is tested only against the points in its bounding
+    box, taken from the grid cells that list it (an oversize polygon takes
+    them from every point).
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
@@ -418,23 +636,27 @@ def assign_tracts(
         raise ValueError("lats and lons must be 1-D sequences of equal length")
     unassigned = len(index._geoid_table) - 1
     best = np.full(len(lats), unassigned, dtype=np.intp)
-    groups = _points_by_polygon(lats, lons, index)
+    grouped, bounds = _points_by_polygon(lats, lons, index)
+    bounds = bounds.tolist()
+    boxes = index._bbox.tolist()
+    ranks = index._rank.tolist()
+    oversize = index._is_oversize.tolist()
     for poly_index in index._by_rank:
-        blocks = groups.get(poly_index)
-        if blocks is None:
-            continue
-        points = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        # A point keeps the first container found: its GEOID is the smallest.
-        points = points[best[points] == unassigned]
+        if oversize[poly_index]:
+            points = np.flatnonzero(best == unassigned)
+        else:
+            start, stop = bounds[poly_index], bounds[poly_index + 1]
+            if start == stop:
+                continue
+            points = grouped[start:stop]
+            # A point keeps the first container found: its GEOID is the smallest.
+            points = points[best[points] == unassigned]
         px, py = lons[points], lats[points]
-        bbox = index.polygons[poly_index].bbox
-        in_bbox = (
-            (bbox.min_lon <= px) & (px <= bbox.max_lon)
-            & (bbox.min_lat <= py) & (py <= bbox.max_lat)
-        )
+        min_lon, min_lat, max_lon, max_lat = boxes[poly_index]
+        in_bbox = (min_lon <= px) & (px <= max_lon) & (min_lat <= py) & (py <= max_lat)
         points = points[in_bbox]
         inside = _polygon_contains(px[in_bbox], py[in_bbox], index, poly_index)
-        best[points[inside]] = index._rank[poly_index]
+        best[points[inside]] = ranks[poly_index]
     return [index._geoid_table[rank] for rank in best.tolist()]
 
 

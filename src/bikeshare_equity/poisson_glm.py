@@ -99,13 +99,11 @@ def _mean_response(beta: np.ndarray, X: DesignMatrix) -> tuple[np.ndarray, np.nd
 
 def log_likelihood(beta, X: DesignMatrix, y) -> float:
     """Poisson log likelihood: sum of y*eta - exp(eta) - log(y!)."""
-    # SciPy is imported here, not at module level, so the CLI never loads it.
-    from scipy.special import gammaln
-
     beta = np.asarray(beta, dtype=float)
     y = _validate_counts(y, X.n_rows)
     eta, mu = _mean_response(beta, X)
-    return float(np.sum(y * eta - mu - gammaln(y + 1.0)))
+    log_factorials = np.array([math.lgamma(count + 1.0) for count in y.tolist()])
+    return float(np.sum(y * eta - mu - log_factorials))
 
 
 def score(beta, X: DesignMatrix, y) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bikeshare_equity.gbfs_client import BikeObservation, DockingType, SystemEntry
 from bikeshare_equity.snapshot_store import append_snapshot
@@ -326,3 +327,39 @@ def build_synthetic_city(
         "receipt": receipt,
         "predictors": predictors,
     }
+
+
+# ---------------------------------------------------------------------------
+# CSV fuzzing
+# ---------------------------------------------------------------------------
+
+FIELD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "nan", "inf", "-0.0", "1e400", "1e308", "-1", "1.5", "0.5", "1_0",
+                     '"', "\r", "\n", "\x00", ",", " 53033000001 ", "x" * 140_000]),
+)
+
+
+@st.composite
+def mutated(draw, valid: bytes):
+    """valid with one edit: a field replaced (written unquoted, so it may
+    break the CSV), bytes inserted, a span cut out, or a line dropped or
+    doubled."""
+    action = draw(st.sampled_from(["field", "insert", "cut", "line"]))
+    if action == "field":
+        rows = [line.split(",") for line in valid.decode().splitlines()]
+        row = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][column] = draw(FIELD_TEXT)
+        return ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8", "surrogatepass")
+    if action == "insert":
+        at = draw(st.integers(0, len(valid)))
+        return valid[:at] + draw(st.binary(min_size=1, max_size=6)) + valid[at:]
+    if action == "cut":
+        start = draw(st.integers(0, len(valid) - 1))
+        return valid[:start] + valid[start + draw(st.integers(1, 40)):]
+    lines = valid.splitlines(keepends=True)
+    index = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        return b"".join(lines[:index] + lines[index + 1:])
+    return b"".join(lines[: index + 1] + lines[index:])

@@ -509,19 +509,21 @@ def test_pipeline_config_defaults():
 IMPORT_PROBE = """
 import sys
 import bikeshare_equity.cli as cli
-loaded = [name for name in ("scipy", "requests") if name in sys.modules]
+loaded = [name for name in ("scipy", "requests", "hashlib") if name in sys.modules]
 print("after import:", loaded)
 for argv in sys.argv[1:]:
     assert cli.main(argv.split("|")) == 0, argv
-loaded = [name for name in ("scipy", "requests") if name in sys.modules]
+loaded = [name for name in ("scipy", "requests", "hashlib") if name in sys.modules]
 print("after commands:", loaded)
 """
 
 
 def test_cli_import_harvest_and_map_load_neither_scipy_nor_requests(tmp_path):
-    """SciPy (only log_likelihood needs it) and requests (only http fetches)
-    are imported where they are used, so the CLI's start-up, a file:// harvest
-    and a map never pay for them. A module-level import of either fails this."""
+    """SciPy (a test-only dependency) is never imported by the package, and
+    requests (only http fetches) and hashlib (only analyze's boundary cache)
+    are imported where they are used, so the CLI's start-up, a file://
+    harvest and a map never pay for them. A module-level import of any of
+    them fails this."""
     import os
     import subprocess
     import sys

@@ -1,5 +1,6 @@
 import copy
 import json
+import timeit
 from fractions import Fraction
 
 import numpy as np
@@ -524,18 +525,27 @@ def reference_arrays(path):
     return xs, ys, spans, bboxes, ranks
 
 
+def ring_spans(index):
+    """Per polygon, the [start, stop) vertex span of each of its rings."""
+    offsets, poly_rings = index._ring_offsets.tolist(), index._poly_rings.tolist()
+    return [
+        [(offsets[r], offsets[r + 1]) for r in range(first, last)]
+        for first, last in zip(poly_rings, poly_rings[1:])
+    ]
+
+
 def assert_matches_reference(path, index):
     xs, ys, spans, bboxes, ranks = reference_arrays(path)
     # Bit for bit, so a -0.0 or a differently rounded float would show.
     assert index._x.view(np.int64).tolist() == np.array(xs).view(np.int64).tolist()
     assert index._y.view(np.int64).tolist() == np.array(ys).view(np.int64).tolist()
-    assert index._ring_spans == spans
+    assert ring_spans(index) == spans
     bbox_of = [
         (p.bbox.min_lon, p.bbox.min_lat, p.bbox.max_lon, p.bbox.max_lat) for p in index.polygons
     ]
     assert bbox_of == bboxes
     assert all(type(value) is float for box in bbox_of for value in box)
-    assert index._rank == ranks
+    assert index._rank.tolist() == ranks
 
 
 def densify(feature, per_side):
@@ -706,7 +716,7 @@ def test_index_accepts_polygons_built_by_hand(tmp_path):
     )
     assert index._x.tolist() == loaded._x.tolist()
     assert index._y.tolist() == loaded._y.tolist()
-    assert index._ring_spans == loaded._ring_spans
+    assert ring_spans(index) == ring_spans(loaded)
     probes = [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.5, 0.5)]
     assert assert_batch_matches_scan(index, probes) == [
         "53033000101", "53033000101", "53033000102", None
@@ -777,3 +787,70 @@ def test_load_boundaries_fuzz_one_mutated_node(tmp_path, path, value):
     except BikeshareEquityError:
         return
     assign_tracts([22.0, 2.0, 50.0], [22.0, 2.0, 50.0], index)
+
+
+# ---------------------------------------------------------------------------
+# The bounded grid: a polygon over the cell budget goes on the oversize list
+# ---------------------------------------------------------------------------
+
+def big_tract_features():
+    """A 20-degree square tract and two small neighbours on its edges, one
+    with a smaller GEOID (it wins their shared edge) and one with a larger."""
+    return [
+        square_feature("53033000101", west=-100.0, south=30.0, size=20.0),
+        square_feature("53033000100", west=-80.0, south=35.0),
+        square_feature("53033000102", west=-90.0, south=50.0),
+    ]
+
+
+def test_index_over_a_20_degree_tract_builds_fast(tmp_path):
+    index = load_fixture(tmp_path, big_tract_features()[:1])
+    polygons = index.polygons
+    best = min(timeit.repeat(lambda: TractIndex(polygons), number=1, repeat=5))
+    assert best <= 0.010, best
+    assert index._oversize.tolist() == [0]
+    assert len(index._cell_polys) == 0
+
+
+@pytest.mark.parametrize("cell_size", [0.05, 0.3, 5.0])
+def test_oversize_tract_matches_scan(tmp_path, cell_size):
+    index = load_fixture(tmp_path, big_tract_features(), cell_size=cell_size)
+    if cell_size < 1.0:
+        assert index._oversize.tolist() == [0]
+    probes = boundary_probes(index)
+    expected = assert_batch_matches_scan(index, probes)
+    assert {"53033000100", "53033000101", "53033000102", None} == set(expected)
+    rng = np.random.default_rng(20)
+    assert_batch_matches_scan(
+        index, list(zip(rng.uniform(-101, -78, 2000).tolist(), rng.uniform(29, 52, 2000).tolist()))
+    )
+    for lon, lat in probes:
+        candidates = {id(poly) for poly in index.candidates(lat, lon)}
+        assert all(id(p) in candidates for p in index.polygons if point_in_polygon(lat, lon, p))
+
+
+def test_globe_spanning_tract_registers_no_cells(tmp_path):
+    globe = [[-180.0, -90.0], [180.0, -90.0], [180.0, 90.0], [-180.0, 90.0], [-180.0, -90.0]]
+    features = [ring_feature(globe, "53033000102"), square_feature("53033000101", 10.0, 10.0)]
+    index = load_fixture(tmp_path, features)
+    assert len(index._cell_polys) <= geo._CELL_BUDGET * len(index.polygons)
+    assert index._oversize.tolist() == [0]
+    rng = np.random.default_rng(21)
+    probes = boundary_probes(index) + list(
+        zip(rng.uniform(-180, 180, 500).tolist(), rng.uniform(-90, 90, 500).tolist())
+    )
+    expected = assert_batch_matches_scan(index, probes)
+    # None: the probes just beyond the globe's edges.
+    assert {"53033000101", "53033000102", None} == set(expected)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 4])
+@pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
+def test_small_cell_budgets_match_scan(tmp_path, monkeypatch, shapes, budget):
+    # A tiny budget puts some or all polygons on the oversize list.
+    monkeypatch.setattr(geo, "_CELL_BUDGET", budget)
+    index = load_fixture(tmp_path, SHAPE_SETS[shapes](), cell_size=0.3)
+    assert len(index._cell_polys) <= budget * len(index.polygons)
+    if budget == 0:
+        assert len(index._oversize) == len(index.polygons)
+    assert_batch_matches_scan(index, boundary_probes(index))
