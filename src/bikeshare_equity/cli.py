@@ -71,7 +71,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -97,6 +97,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             setattr(config, field_name, value)
+    for key, field_name in CONFIG_KEYS.items():
+        # Opening a path that holds a NUL raises ValueError, not OSError.
+        if "\x00" in (getattr(config, field_name) or ""):
+            raise UsageError(f"{key} holds a NUL byte")
     if config.docked_count_mode not in DOCKED_MODES:
         raise UsageError(
             f"--docked-mode must be one of {', '.join(DOCKED_MODES)}"

@@ -23,12 +23,16 @@ offsets, bounding boxes, GEOID ranks, the grid). ``load_boundaries`` can keep
 them in a cache directory, one ``.npz`` file per boundary-file content and
 cell size, so a later load of the same file decodes no JSON.
 
-Batch assignment (``assign_tracts``) runs the same tests with numpy: points
-are grouped by grid cell, and each polygon tests only the points of the
-cells that list it, one (points x ring edges) block at a time. It evaluates
-the scalar test's float64 expressions in the same order, so it agrees with
-``point_in_polygon`` bit for bit; the scalar functions stay as the reference
-oracle.
+Batch assignment (``assign_tracts``) runs the same tests with numpy, on
+whole columns of points rather than one polygon at a time. Each point pairs
+with the polygons its grid cell lists (and every oversize polygon) whose
+bounding box holds it; each pair expands to one row per ring of its polygon;
+the rows are tested against per-ring vertex tables, padded to a common
+width within each power-of-two size class, one bounded block at a time; the
+first hole hit decides a point inside an outer ring, and ``np.minimum.at``
+picks each point's smallest GEOID rank. The float64 expressions are the
+scalar test's in the same order, so it agrees with ``point_in_polygon`` bit
+for bit; the scalar functions stay as the reference oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import logging
 import os
 import uuid
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -58,9 +63,12 @@ COUNTY_PREFIX_LENGTH = 5
 # first row equals the last.
 Ring = np.ndarray
 
-# Most elements in one (points x ring edges) block of the batch test; a ring
-# meeting more points is tested a slice of points at a time.
-_BLOCK_ELEMENTS = 1 << 17
+# The batch test takes at most this many points at a time, which bounds its
+# (point, polygon) pair and (pair, ring) row arrays however many points there
+# are, and then at most this many (row x ring edge) elements at a time, which
+# bounds its temporaries however long the rings are.
+_POINT_CHUNK = 2048
+_BLOCK_ELEMENTS = 1 << 14
 
 # Most grid cells one polygon registers; a polygon whose bounding box covers
 # more goes on the oversize list.
@@ -107,10 +115,9 @@ class TractIndex:
 
     The index is a handful of flat arrays:
 
-    - ``_xy``: every ring's (lon, lat) vertices, polygon by polygon (and the
-      same columns as contiguous ``_x``/``_y``). Ring r spans
-      [_ring_offsets[r], _ring_offsets[r + 1]) and owns the edges k -> k + 1
-      inside that span.
+    - ``_xy``: every ring's (lon, lat) vertices, polygon by polygon. Ring r
+      spans [_ring_offsets[r], _ring_offsets[r + 1]) and owns the edges
+      k -> k + 1 inside that span.
     - ``_poly_rings``: polygon p owns rings [_poly_rings[p], _poly_rings[p + 1]),
       the outer ring first.
     - ``_bbox``: per polygon, (min_lon, min_lat, max_lon, max_lat).
@@ -122,6 +129,10 @@ class TractIndex:
       size, and its key is (x - x0) * (y1 - y0 + 1) + (y - y0) for
       ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
       over the cell budget are in ``_oversize`` instead.
+
+    The batch test also reads arrays derived from these, which the cache
+    does not store: ``_bbox_columns`` (``_bbox`` transposed) and the padded
+    ring vertex tables of ``_ring_tables``.
     """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
@@ -172,26 +183,22 @@ class TractIndex:
         for name in _ARRAY_NAMES:
             setattr(self, "_" + name, arrays[name])
         self._xy.flags.writeable = False
-        self._x, self._y = self._xy.T.copy()
-        # Polygons in GEOID order, so the first container found for a point
-        # carries the smallest GEOID. The table maps a rank back to its
-        # GEOID; its extra last entry stands for "no tract".
-        self._by_rank = np.argsort(self._rank, kind="stable").tolist()
+        self._bbox_columns = self._bbox.T.copy()
+        # Maps a rank back to its GEOID; the extra last entry stands for "no tract".
         self._geoid_table: list[str | None] = [*geoids, None]
-        self._is_oversize = np.zeros(len(self._rank), dtype=bool)
-        self._is_oversize[self._oversize] = True
+
+    # Built on first use, not with the rest of the index: built during a load
+    # from the cache, they raised the peak RSS of analyze by about 0.5 MB.
+    @cached_property
+    def _ring_tables(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        """The padded ring vertex tables of the batch test; see _pad_rings."""
+        return _pad_rings(self._xy, self._ring_offsets)
 
     def candidates(self, lat: float, lon: float) -> list[TractPolygon]:
-        """Polygons listed by the point's grid cell, and the oversize polygons
+        """Polygons listed by the point's grid cell, and the oversize polygons,
         whose bounding box holds it; a superset of containers."""
-        _, bounds = _points_by_polygon(np.array([lat], dtype=np.float64),
-                                       np.array([lon], dtype=np.float64), self)
-        min_lon, min_lat, max_lon, max_lat = self._bbox.T
-        listed = (np.diff(bounds) > 0) | (
-            self._is_oversize
-            & (min_lon <= lon) & (lon <= max_lon) & (min_lat <= lat) & (lat <= max_lat)
-        )
-        return [self.polygons[i] for i in np.flatnonzero(listed).tolist()]
+        _, polys = _pairs(np.array([lat], dtype=np.float64), np.array([lon], dtype=np.float64), self)
+        return [self.polygons[i] for i in sorted(set(polys.tolist()))]
 
     def geoids(self) -> list[str]:
         """Sorted unique tract GEOIDs covered by the index."""
@@ -201,6 +208,35 @@ class TractIndex:
 def _offsets(sizes: list[int]) -> np.ndarray:
     """Run boundaries [0, s0, s0 + s1, ...] of consecutive runs of these sizes."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _pad_rings(
+    xy: np.ndarray, ring_offsets: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """The rings' vertices as padded tables for the batch test: (tables,
+    ring_table, ring_row).
+
+    Rings with 2**(c - 1) < edges <= 2**c share class c's pair of (rings,
+    width + 1) tables of lons and lats, width being the class's most edges,
+    so one long ring cannot widen the table of short ones. A shorter ring's
+    row repeats its closing vertex to the full width. Ring r is row
+    ring_row[r] of tables[ring_table[r]].
+    """
+    starts = ring_offsets[:-1]
+    edges = np.diff(ring_offsets) - 1
+    classes = np.frexp(np.maximum(edges - 1, 0).astype(np.float64))[1]  # ceil(log2(edges))
+    tables = []
+    ring_table = np.empty(len(edges), dtype=np.int64)
+    ring_row = np.empty(len(edges), dtype=np.int64)
+    # Not np.unique: it imports numpy.ma, a few milliseconds and megabytes.
+    for t, c in enumerate(np.flatnonzero(np.bincount(classes)).tolist()):
+        rings = np.flatnonzero(classes == c)
+        ring_table[rings] = t
+        ring_row[rings] = np.arange(len(rings))
+        vertices = np.minimum(np.arange(edges[rings].max() + 1), edges[rings, None])
+        vertices += starts[rings, None]
+        tables.append((xy[:, 0][vertices], xy[:, 1][vertices]))
+    return tables, ring_table, ring_row
 
 
 def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
@@ -232,7 +268,7 @@ def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
     # cells high is the cell (x0 + j // h, y0 + j % h).
     counts = n_cells[polys].astype(np.int64)
     h = np.repeat(heights[polys].astype(np.int64), counts)
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = _runs(np.zeros_like(counts), counts)
     keys = (np.repeat(x0, counts) + j // h - gx0) * span + (np.repeat(y0, counts) + j % h - gy0)
     # Stable, so each cell lists its polygons in index order.
     order = np.argsort(keys, kind="stable")
@@ -535,68 +571,65 @@ def point_in_polygon(lat: float, lon: float, poly: TractPolygon) -> bool:
     return True
 
 
-def _ring_tests(
-    lons: np.ndarray, lats: np.ndarray, x: np.ndarray, y: np.ndarray, start: int, stop: int
+def _ring_block(
+    lon: np.ndarray, lat: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: on an edge of the ring (as _on_ring_edge), and an odd number
-    of ray crossings (as _in_ring), for the ring owning vertices [start, stop).
+    """Per row: whether the point (lon[row], lat[row]) lies on an edge of the
+    ring whose vertices are that row of xs, ys (as _on_ring_edge), and whether
+    it makes an odd number of ray crossings (as _in_ring).
 
     Each edge k -> k + 1 is _in_ring's edge from j = k to i = k + 1, and the
     float64 expressions are the scalar ones in the same order, so both answers
-    are bit-identical to the scalar functions'.
+    are bit-identical to the scalar functions'. They are evaluated only for
+    the edges near the point's horizontal line: those that straddle it, or
+    have an end on it. That is a superset of the edges whose box holds the
+    point, and of those the ray can cross. A padding edge (the closing vertex
+    repeated) has zero length: it straddles no line, and a point is on it only
+    at the closing vertex, which is on the ring's first edge too.
     """
-    x1, x2 = x[start : stop - 1], x[start + 1 : stop]
-    y1, y2 = y[start : stop - 1], y[start + 1 : stop]
-    lo_x, hi_x = np.minimum(x1, x2), np.maximum(x1, x2)
-    lo_y, hi_y = np.minimum(y1, y2), np.maximum(y1, y2)
-    on_edge = np.empty(len(lons), dtype=bool)
-    crossed = np.empty(len(lons), dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // len(x1))
-    for s in range(0, len(lons), step):
-        lon = lons[s : s + step, None]
-        lat = lats[s : s + step, None]
-        in_box = (lo_x <= lon) & (lon <= hi_x) & (lo_y <= lat) & (lat <= hi_y)
-        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
-        on_edge[s : s + step] = (in_box & (cross == 0.0)).any(axis=1)
-        straddles = (y2 > lat) != (y1 > lat)
-        # Edges that do not straddle the ray may divide by zero (horizontal
-        # edges); their quotient is masked out by the straddle test.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ray_x = (x1 - x2) * (lat - y2) / (y1 - y2) + x2
-        crossed[s : s + step] = np.logical_xor.reduce(straddles & (lon < ray_x), axis=1)
-    return on_edge, crossed
+    edges = xs.shape[1] - 1
+    line = lat[:, None]
+    above = ys > line
+    level = ys == line
+    straddles = above[:, 1:] != above[:, :-1]
+    near = straddles | level[:, 1:]
+    near |= level[:, :-1]
+    # Flat positions of the near edges; edge k of a row starts at its vertex k.
+    i = np.flatnonzero(near)
+    row = i // edges
+    start = i + row
+    x, y = xs.reshape(-1), ys.reshape(-1)
+    x1, y1 = x[start], y[start]
+    start += 1
+    x2, y2 = x[start], y[start]
+    px, py = lon[row], lat[row]
+    in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
+    in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))
+    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+    # Narrowed in place: near edges become the edges the point is on, and
+    # straddling edges the ones its ray crosses.
+    on_edge = near
+    on_edge.reshape(-1)[i] = in_box & (cross == 0.0)
+    # An edge with an end on the line but not straddling it may divide by
+    # zero (a horizontal edge); the straddle test masks its quotient out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ray_x = (x1 - x2) * (py - y2) / (y1 - y2) + x2
+    crosses = straddles
+    crosses.reshape(-1)[i] &= px < ray_x
+    return on_edge.any(axis=1), np.logical_xor.reduce(crosses, axis=1)
 
 
-def _polygon_contains(
-    lons: np.ndarray, lats: np.ndarray, index: TractIndex, poly_index: int
-) -> np.ndarray:
-    """point_in_polygon for many points inside the polygon's bounding box."""
-    offsets = index._ring_offsets
-    first, last = index._poly_rings[poly_index : poly_index + 2].tolist()
-    on_edge, crossed = _ring_tests(
-        lons, lats, index._x, index._y, offsets[first], offsets[first + 1]
-    )
-    inside = on_edge | crossed
-    # Points strictly inside the outer ring; the first hole whose edge or
-    # interior holds one decides it.
-    undecided = crossed & ~on_edge
-    for hole in range(first + 1, last):
-        which = np.flatnonzero(undecided)
-        if not len(which):
-            break
-        on_hole, in_hole = _ring_tests(
-            lons[which], lats[which], index._x, index._y, offsets[hole], offsets[hole + 1]
-        )
-        inside[which[in_hole & ~on_hole]] = False
-        undecided[which[on_hole | in_hole]] = False
-    return inside
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - counts), counts)
 
 
-def _points_by_polygon(
-    lats: np.ndarray, lons: np.ndarray, index: TractIndex
-) -> tuple[np.ndarray, np.ndarray]:
-    """The points in grid cells listing each polygon: point indices ordered by
-    polygon position, polygon p's run being [bounds[p], bounds[p + 1])."""
+def _pairs(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(point, polygon) pairs, as a column of point indices and a column of
+    polygon positions, whose polygon's bounding box holds the point: each
+    point with the polygons its grid cell lists, and with every oversize
+    polygon. A superset of the (point, container) pairs."""
     x0, y0, x1, y1 = index._grid.tolist()
     cell_x = np.floor(lons / index.cell_size)
     cell_y = np.floor(lats / index.cell_size)
@@ -608,14 +641,75 @@ def _points_by_polygon(
     cells = np.searchsorted(index._cell_keys, keys)
     listed = index._cell_keys[np.minimum(cells, len(index._cell_keys) - 1)] == keys
     points, cells = points[listed], cells[listed]
-    # One (point, polygon) pair per polygon its cell lists.
     first = index._cell_offsets[cells]
     counts = index._cell_offsets[cells + 1] - first
-    slots = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    polys = index._cell_polys[slots]
-    order = np.argsort(polys, kind="stable")
-    bounds = _offsets(np.bincount(polys, minlength=len(index._rank)))
-    return np.repeat(points, counts)[order], bounds
+    points, polys = np.repeat(points, counts), index._cell_polys[_runs(first, counts)]
+    if len(index._oversize):
+        everyone = np.tile(np.arange(len(lats)), len(index._oversize))
+        points = np.concatenate((points, everyone))
+        polys = np.concatenate((polys, np.repeat(index._oversize, len(lats))))
+    # The bounding-box test, lon then lat, on the pairs left.
+    min_lon, min_lat, max_lon, max_lat = index._bbox_columns
+    for low, high, coords in ((min_lon, max_lon, lons), (min_lat, max_lat, lats)):
+        coord = coords[points]
+        keep = (low[polys] <= coord) & (coord <= high[polys])
+        points, polys = points[keep], polys[keep]
+    return points, polys
+
+
+def _contains(
+    lats: np.ndarray, lons: np.ndarray, points: np.ndarray, polys: np.ndarray, index: TractIndex
+) -> np.ndarray:
+    """point_in_polygon for each (point, polygon) pair whose polygon's
+    bounding box holds the point."""
+    # One row per (pair, ring), each pair's rows consecutive, outer ring first.
+    first = index._poly_rings[polys]
+    n_rings = index._poly_rings[polys + 1] - first
+    rings = _runs(first, n_rings)
+    row_points = np.repeat(points, n_rings)
+    on_edge = np.empty(len(rings), dtype=bool)
+    crossed = np.empty(len(rings), dtype=bool)
+    tables, ring_table, ring_row = index._ring_tables
+    ring_table, ring_row = ring_table[rings], ring_row[rings]
+    for t, (xs, ys) in enumerate(tables):
+        rows = np.flatnonzero(ring_table == t)
+        table_rows, lon, lat = ring_row[rows], lons[row_points[rows]], lats[row_points[rows]]
+        table_on_edge = np.empty(len(rows), dtype=bool)
+        table_crossed = np.empty(len(rows), dtype=bool)
+        step = max(1, _BLOCK_ELEMENTS // (xs.shape[1] - 1))
+        for s in range(0, len(rows), step):
+            block = slice(s, s + step)
+            table_on_edge[block], table_crossed[block] = _ring_block(
+                lon[block], lat[block], xs[table_rows[block]], ys[table_rows[block]]
+            )
+        on_edge[rows], crossed[rows] = table_on_edge, table_crossed
+    outer = np.cumsum(n_rings) - n_rings
+    inside = on_edge[outer] | crossed[outer]
+    if len(rings) > len(polys):
+        # A point strictly inside the outer ring is decided by the first hole
+        # whose edge or interior holds it: inside on its edge, else outside.
+        is_hole = np.ones(len(rings), dtype=bool)
+        is_hole[outer] = False
+        hits = np.flatnonzero(is_hole & (on_edge | crossed))
+        owners = np.repeat(np.arange(len(polys)), n_rings)[hits]
+        first_hit = np.concatenate(([True], owners[1:] != owners[:-1]))
+        hits, owners = hits[first_hit], owners[first_hit]
+        undecided = crossed[outer[owners]] & ~on_edge[outer[owners]]
+        inside[owners[undecided]] = on_edge[hits[undecided]]
+    return inside
+
+
+def _assign_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
+    """Per point, the GEOID rank of the tract containing it, or
+    len(index.geoids()) where no tract does; see assign_tracts."""
+    ranks = np.full(len(lats), len(index._geoid_table) - 1, dtype=np.int64)
+    for s in range(0, len(lats), _POINT_CHUNK):
+        chunk = slice(s, s + _POINT_CHUNK)
+        points, polys = _pairs(lats[chunk], lons[chunk], index)
+        inside = _contains(lats[chunk], lons[chunk], points, polys, index)
+        # The smallest rank among a point's containers: the smallest GEOID.
+        np.minimum.at(ranks[chunk], points[inside], index._rank[polys[inside]])
+    return ranks
 
 
 def assign_tracts(
@@ -626,38 +720,19 @@ def assign_tracts(
     The batch form of assign_tract with the same answers: points on an edge
     count inside, the lexicographically smallest GEOID wins on a boundary
     shared by several tracts, and a point with a non-finite coordinate lies in
-    no tract. Each polygon is tested only against the points in its bounding
-    box, taken from the grid cells that list it (an oversize polygon takes
-    them from every point).
+    no tract. The points are tested as columns, _POINT_CHUNK at a time, not
+    polygon by polygon: each point pairs with the polygons its grid cell
+    lists (and every oversize polygon) whose bounding box holds it, each
+    pair expands to one row per ring, the rows are tested against the rings'
+    padded vertex tables a block at a time, and each point keeps its
+    container with the smallest GEOID.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     if lats.ndim != 1 or lats.shape != lons.shape:
         raise ValueError("lats and lons must be 1-D sequences of equal length")
-    unassigned = len(index._geoid_table) - 1
-    best = np.full(len(lats), unassigned, dtype=np.intp)
-    grouped, bounds = _points_by_polygon(lats, lons, index)
-    bounds = bounds.tolist()
-    boxes = index._bbox.tolist()
-    ranks = index._rank.tolist()
-    oversize = index._is_oversize.tolist()
-    for poly_index in index._by_rank:
-        if oversize[poly_index]:
-            points = np.flatnonzero(best == unassigned)
-        else:
-            start, stop = bounds[poly_index], bounds[poly_index + 1]
-            if start == stop:
-                continue
-            points = grouped[start:stop]
-            # A point keeps the first container found: its GEOID is the smallest.
-            points = points[best[points] == unassigned]
-        px, py = lons[points], lats[points]
-        min_lon, min_lat, max_lon, max_lat = boxes[poly_index]
-        in_bbox = (min_lon <= px) & (px <= max_lon) & (min_lat <= py) & (py <= max_lat)
-        points = points[in_bbox]
-        inside = _polygon_contains(px[in_bbox], py[in_bbox], index, poly_index)
-        best[points[inside]] = ranks[poly_index]
-    return [index._geoid_table[rank] for rank in best.tolist()]
+    table = index._geoid_table
+    return [table[rank] for rank in _assign_ranks(lats, lons, index).tolist()]
 
 
 def assign_tract(obs: BikeObservation, index: TractIndex) -> str | None:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
 from .gbfs_client import BikeObservation, DockingType
-from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_tracts
+from .geo import COUNTY_PREFIX_LENGTH, TractIndex, _assign_ranks
 from .poisson_glm import DesignMatrix
 
 PREDICTOR_NAMES = (
@@ -116,6 +118,21 @@ class SystemSummary:
     q75: float
 
 
+def _observation_columns(
+    observations: Iterable[BikeObservation],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latitudes, longitudes and is-free flags of the observations, taken with
+    one zip over the tuples (a function, so the columns are freed on return)."""
+    columns = tuple(zip(*observations)) or ((),) * len(BikeObservation._fields)
+    _, _, lats, lons, types, _ = columns
+    is_free = map(operator.is_not, types, repeat(DockingType.DOCKED))
+    return (
+        np.fromiter(lats, dtype=np.float64, count=len(lats)),
+        np.fromiter(lons, dtype=np.float64, count=len(lons)),
+        np.fromiter(is_free, dtype=bool, count=len(types)),
+    )
+
+
 def count_by_tract(
     observations: Iterable[BikeObservation], index: TractIndex
 ) -> tuple[list[TractCount], CountDiagnostics]:
@@ -124,25 +141,17 @@ def count_by_tract(
     Tracts receiving no observations appear zero-filled; observations falling
     in no tract are dropped and tallied in the diagnostics.
     """
-    observations = list(observations)
-    geoids = assign_tracts(
-        [obs.lat for obs in observations], [obs.lon for obs in observations], index
-    )
-    docked: Counter[str] = Counter()
-    free: Counter[str] = Counter()
-    diagnostics = CountDiagnostics()
-    for obs, geoid in zip(observations, geoids):
-        if geoid is None:
-            diagnostics.unassigned += 1
-        elif obs.docking_type is DockingType.DOCKED:
-            docked[geoid] += 1
-        else:
-            free[geoid] += 1
+    lats, lons, is_free = _observation_columns(observations)
+    ranks = _assign_ranks(lats, lons, index)
+    # Row r of the tally holds rank r's (docked, free) counts; the last row,
+    # rank len(geoids), the observations in no tract.
+    geoids = index.geoids()
+    tally = np.bincount(ranks * 2 + is_free, minlength=2 * len(geoids) + 2).reshape(-1, 2)
     counts = [
-        TractCount(geoid, docked.get(geoid, 0), free.get(geoid, 0))
-        for geoid in index.geoids()
+        TractCount(geoid, docked, free)
+        for geoid, (docked, free) in zip(geoids, tally[:-1].tolist())
     ]
-    return counts, diagnostics
+    return counts, CountDiagnostics(unassigned=int(tally[-1].sum()))
 
 
 def filter_zero_counties(records: list) -> list:

@@ -19,8 +19,15 @@ OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
 
 
 def assert_same_index(cached, fresh):
-    for name in geo._ARRAY_NAMES + ("x", "y"):
-        got, want = getattr(cached, "_" + name), getattr(fresh, "_" + name)
+    # The cached arrays, and those derived from them.
+    got_tables, *got_rings = cached._ring_tables
+    want_tables, *want_rings = fresh._ring_tables
+    arrays = [(name, getattr(cached, "_" + name), getattr(fresh, "_" + name))
+              for name in geo._ARRAY_NAMES + ("bbox_columns",)]
+    arrays += zip(("ring_table", "ring_row"), got_rings, want_rings)
+    for got, want in zip(got_tables, want_tables, strict=True):
+        arrays += zip(("ring_table_x", "ring_table_y"), got, want)
+    for name, got, want in arrays:
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
     assert cached.cell_size == fresh.cell_size

@@ -457,6 +457,41 @@ def test_config_file_bad_key(tmp_path, capsys):
     assert "flavor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["catalog", "harvest", "analyze", "map"])
+def test_config_file_value_with_nul_byte_is_a_usage_error(tmp_path, capsys, command):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(
+        f"catalog={tmp_path}/x\x00y.csv\nstore={tmp_path}/store\n"
+        f"boundaries={tmp_path}/b\x00.geojson\ndemographics={tmp_path}/d.csv\n"
+    )
+    # Every command refuses the file, whichever keys it reads.
+    assert main(["--config", str(config_path), command]) == 2
+    assert capsys.readouterr().err == "error: catalog holds a NUL byte\n"
+
+
+@pytest.mark.parametrize("name, content", [("run\x00.conf", b"catalog=c.csv\n"),
+                                           ("run.conf", b"catalog=\xff.csv\n")])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, name, content):
+    (tmp_path / "run.conf").write_bytes(content)
+    assert main(["--config", str(tmp_path / name), "catalog"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["catalog", "--catalog", "x\x00y.csv"], "catalog"),
+        (["harvest", "--catalog", "c.csv", "--store", "st\x00re"], "store"),
+        (["analyze", "--store", "s", "--boundaries", "b.geojson",
+          "--demographics", "d\x00.csv"], "demographics"),
+        (["map", "--store", "s", "--out", "o\x00ut"], "out"),
+    ],
+)
+def test_flag_value_with_nul_byte_is_a_usage_error(capsys, argv, key):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {key} holds a NUL byte\n"
+
+
 def test_map_command(tmp_path, capsys):
     store = tmp_path / "store"
     observations = [

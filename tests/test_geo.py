@@ -1,7 +1,9 @@
 import copy
 import json
 import timeit
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -537,8 +539,8 @@ def ring_spans(index):
 def assert_matches_reference(path, index):
     xs, ys, spans, bboxes, ranks = reference_arrays(path)
     # Bit for bit, so a -0.0 or a differently rounded float would show.
-    assert index._x.view(np.int64).tolist() == np.array(xs).view(np.int64).tolist()
-    assert index._y.view(np.int64).tolist() == np.array(ys).view(np.int64).tolist()
+    assert index._xy[:, 0].view(np.int64).tolist() == np.array(xs).view(np.int64).tolist()
+    assert index._xy[:, 1].view(np.int64).tolist() == np.array(ys).view(np.int64).tolist()
     assert ring_spans(index) == spans
     bbox_of = [
         (p.bbox.min_lon, p.bbox.min_lat, p.bbox.max_lon, p.bbox.max_lat) for p in index.polygons
@@ -576,7 +578,7 @@ def test_loader_matches_per_pair_reference_on_dense_city(tmp_path):
         tmp_path / "dense.geojson", [densify(feature, 50) for feature in features]
     )
     index = load_boundaries(path)
-    assert len(index._x) == 30 * 201
+    assert len(index._xy) == 30 * 201
     assert_matches_reference(path, index)
     # The dense rings cover the same squares, so the city's observations
     # still land in their own tracts.
@@ -714,8 +716,7 @@ def test_index_accepts_polygons_built_by_hand(tmp_path):
         tmp_path,
         [square_feature("53033000101", 0.0, 0.0), square_feature("53033000102", 1.0, 0.0)],
     )
-    assert index._x.tolist() == loaded._x.tolist()
-    assert index._y.tolist() == loaded._y.tolist()
+    assert index._xy.tolist() == loaded._xy.tolist()
     assert ring_spans(index) == ring_spans(loaded)
     probes = [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.5, 0.5)]
     assert assert_batch_matches_scan(index, probes) == [
@@ -854,3 +855,140 @@ def test_small_cell_budgets_match_scan(tmp_path, monkeypatch, shapes, budget):
     if budget == 0:
         assert len(index._oversize) == len(index.polygons)
     assert_batch_matches_scan(index, boundary_probes(index))
+
+
+# ---------------------------------------------------------------------------
+# The columnar pass: rings of several widths in one index
+# ---------------------------------------------------------------------------
+
+def zigzag_ring(west, south, teeth, step):
+    """A closed ring of teeth + 4 vertices: a flat south side and a north
+    side zigzagging one step up and down, every coordinate a dyadic float."""
+    top = [[west + k * step, south + 1.0 + (k % 2) * step] for k in range(teeth, -1, -1)]
+    return [[west, south], [west + teeth * step, south], *top, [west, south]]
+
+
+def square_ring(west, south, size):
+    return [[west, south], [west + size, south], [west + size, south + size],
+            [west, south + size], [west, south]]
+
+
+def mixed_width_features():
+    """Rings of 4, 5, 40, 60 and 1,004 vertices, so that they fall in several
+    width classes and the shorter rings of a class are padded: the hole and
+    island tracts, the MultiPolygon city, the 20-degree oversize tract and
+    its neighbours, zigzags (one sharing its south side with a square that
+    has the smaller GEOID), a triangle, a square with a zigzag hole and a
+    square hole, and a square with two overlapping holes, where a point on
+    one hole's edge and inside the other is decided by the first."""
+    triangle = [[37.0, 0.0], [38.0, 0.0], [37.5, 1.0], [37.0, 0.0]]
+    return [
+        *holed_with_island_features(),
+        *multipolygon_city_features(),
+        *big_tract_features(),
+        ring_feature(zigzag_ring(30.0, 0.0, 1000, 1 / 1024), "53033001001"),
+        square_feature("53033001000", west=30.0, south=-1.0),
+        ring_feature(zigzag_ring(33.0, 0.0, 56, 1 / 64), "53033001002"),
+        ring_feature(zigzag_ring(35.0, 0.0, 36, 1 / 64), "53033001003"),
+        ring_feature(triangle, "53033001004"),
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "53033001005"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                square_ring(40.0, 0.0, 2.0),
+                zigzag_ring(40.25, 0.5, 36, 1 / 64)[::-1],
+                square_ring(41.25, 0.25, 0.5),
+            ]},
+        },
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "53033001006"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                square_ring(44.0, 0.0, 3.0), square_ring(44.5, 0.5, 1.5), square_ring(45.0, 1.0, 1.5),
+            ]},
+        },
+    ]
+
+
+@pytest.fixture(scope="module")
+def mixed_width_battery(tmp_path_factory):
+    """The index, its probes and the exhaustive scan's answers, computed once.
+
+    The probes are boundary_probes of every ring but the 1,004-vertex one;
+    for that ring (each probe costs the scalar scan about a millisecond), its
+    closing vertex and a seeded sample of 100 edges' first vertices and
+    midpoints, with their nearest floats; random points over every shape;
+    and NaN points.
+    """
+    features = mixed_width_features()
+    (long_ring,) = [f["geometry"]["coordinates"][0] for f in features
+                    if f["properties"]["GEOID"] == "53033001001"]
+    index = load_fixture(tmp_path_factory.mktemp("mixed"), features)
+    sizes = {len(ring) for poly in index.polygons for ring in poly.rings}
+    assert {4, 5, 40, 60, 1004} <= sizes
+    short = [p for p in index.polygons if p.tract_geoid != "53033001001"]
+    probes = set(boundary_probes(SimpleNamespace(polygons=short)))
+    rng = np.random.default_rng(77)
+    edges = list(zip(long_ring, long_ring[1:]))
+    for k in [0, *rng.choice(len(edges), size=100, replace=False).tolist()]:
+        (x1, y1), (x2, y2) = edges[k]
+        for lon, lat in ((x1, y1), ((x1 + x2) / 2, (y1 + y2) / 2)):
+            for dlon in (-np.inf, 0.0, np.inf):
+                for dlat in (-np.inf, 0.0, np.inf):
+                    probes.add((float(np.nextafter(lon, dlon)), float(np.nextafter(lat, dlat))))
+    regions = [((-0.5, 4.5), (-0.5, 4.5)), ((9.0, 25.0), (9.0, 25.0)),
+               ((-101.0, -78.0), (29.0, 52.0)), ((29.5, 47.5), (-1.5, 3.5))]
+    for (west, east), (south, north) in regions:
+        probes.update(zip(rng.uniform(west, east, 300).tolist(),
+                          rng.uniform(south, north, 300).tolist()))
+    nan = float("nan")
+    probes = sorted(probes) + [(nan, 0.5), (0.5, nan), (nan, nan), (31.0, nan)]
+    expected = [exhaustive_tract(index, lat, lon) for lon, lat in probes]
+    return index, probes, expected
+
+
+@pytest.mark.parametrize("block", [geo._BLOCK_ELEMENTS, 1, 2500])
+def test_mixed_widths_match_scan(mixed_width_battery, monkeypatch, block):
+    # 2500 elements hold two rows of the 1,004-vertex ring: its rows, and
+    # those of the 60-vertex class, are split across blocks.
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", block)
+    index, probes, expected = mixed_width_battery
+    got = assign_tracts([lat for _, lat in probes], [lon for lon, _ in probes], index)
+    assert [(p, g) for p, g, e in zip(probes, got, expected) if g != e] == []
+    assert len(set(expected)) == len(index.geoids()) + 1  # every tract, and None
+
+
+def test_mixed_widths_match_winding_oracle(mixed_width_battery):
+    """Off the boundaries (seeded random points), the smallest GEOID whose
+    polygon holds the point by winding number."""
+    index = mixed_width_battery[0]
+    rng = np.random.default_rng(78)
+    points = list(zip(rng.uniform(29.5, 47.5, 2000).tolist(), rng.uniform(-1.5, 3.5, 2000).tolist()))
+    points += list(zip(rng.uniform(-0.5, 25.0, 500).tolist(), rng.uniform(-0.5, 25.0, 500).tolist()))
+    got = assign_tracts([lat for _, lat in points], [lon for lon, _ in points], index)
+    for (lon, lat), geoid in zip(points, got):
+        holders = [p.tract_geoid for p in index.polygons
+                   if p.bbox.contains(lon, lat) and winding_number_inside(lon, lat, p.rings)]
+        assert geoid == min(holders, default=None), (lon, lat)
+    assert len(set(got)) >= 10
+
+
+def test_count_by_tract_memory_is_bounded(tmp_path):
+    """Points times edges is 2e8 here; the pass works through it in blocks,
+    so its peak allocation stays a few megabytes."""
+    ring = zigzag_ring(0.0, 0.0, 19996, 1 / 16384)
+    index = load_fixture(tmp_path, [ring_feature(ring)])
+    assert len(index._xy) == 20000
+    rng = np.random.default_rng(79)
+    lons = rng.uniform(0.0, 19996 / 16384, 10000).tolist()
+    lats = rng.uniform(0.0, 1.0 + 1 / 16384, 10000).tolist()
+    observations = [observation("sys", f"e{i}", lat, lon) for i, (lat, lon) in enumerate(zip(lats, lons))]
+    tracemalloc.start()
+    try:
+        counts, diagnostics = count_by_tract(observations, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert counts[0].count_free + diagnostics.unassigned == 10000
+    assert counts[0].count_free > 9900
