@@ -130,9 +130,8 @@ class TractIndex:
       ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
       over the cell budget are in ``_oversize`` instead.
 
-    The batch test also reads arrays derived from these, which the cache
-    does not store: ``_bbox_columns`` (``_bbox`` transposed) and the padded
-    ring vertex tables of ``_ring_tables``.
+    The batch test also reads the padded ring vertex tables of
+    ``_ring_tables``, derived from these and not stored by the cache.
     """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
@@ -183,7 +182,6 @@ class TractIndex:
         for name in _ARRAY_NAMES:
             setattr(self, "_" + name, arrays[name])
         self._xy.flags.writeable = False
-        self._bbox_columns = self._bbox.T.copy()
         # Maps a rank back to its GEOID; the extra last entry stands for "no tract".
         self._geoid_table: list[str | None] = [*geoids, None]
 
@@ -649,7 +647,7 @@ def _pairs(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> tuple[np.nd
         points = np.concatenate((points, everyone))
         polys = np.concatenate((polys, np.repeat(index._oversize, len(lats))))
     # The bounding-box test, lon then lat, on the pairs left.
-    min_lon, min_lat, max_lon, max_lat = index._bbox_columns
+    min_lon, min_lat, max_lon, max_lat = index._bbox.T
     for low, high, coords in ((min_lon, max_lon, lons), (min_lat, max_lat, lats)):
         coord = coords[points]
         keep = (low[polys] <= coord) & (coord <= high[polys])
@@ -692,16 +690,24 @@ def _contains(
         is_hole[outer] = False
         hits = np.flatnonzero(is_hole & (on_edge | crossed))
         owners = np.repeat(np.arange(len(polys)), n_rings)[hits]
-        first_hit = np.concatenate(([True], owners[1:] != owners[:-1]))
+        # As long as owners, which is empty when no point is on or in a hole.
+        first_hit = np.ones(len(owners), dtype=bool)
+        first_hit[1:] = owners[1:] != owners[:-1]
         hits, owners = hits[first_hit], owners[first_hit]
         undecided = crossed[outer[owners]] & ~on_edge[outer[owners]]
         inside[owners[undecided]] = on_edge[hits[undecided]]
     return inside
 
 
-def _assign_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
-    """Per point, the GEOID rank of the tract containing it, or
-    len(index.geoids()) where no tract does; see assign_tracts."""
+def assign_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
+    """Per point, as an int64 array, the rank of the tract containing it: its
+    GEOID's position in ``index.geoids()``, or ``len(index.geoids())`` where
+    no tract does.
+
+    The columnar core of assign_tracts, with the same answers; lats and lons
+    are 1-D float64 arrays of equal length. A caller that tallies points per
+    tract can count ranks (``np.bincount``) without forming GEOID strings.
+    """
     ranks = np.full(len(lats), len(index._geoid_table) - 1, dtype=np.int64)
     for s in range(0, len(lats), _POINT_CHUNK):
         chunk = slice(s, s + _POINT_CHUNK)
@@ -732,7 +738,7 @@ def assign_tracts(
     if lats.ndim != 1 or lats.shape != lons.shape:
         raise ValueError("lats and lons must be 1-D sequences of equal length")
     table = index._geoid_table
-    return [table[rank] for rank in _assign_ranks(lats, lons, index).tolist()]
+    return [table[rank] for rank in assign_ranks(lats, lons, index).tolist()]
 
 
 def assign_tract(obs: BikeObservation, index: TractIndex) -> str | None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
 from .gbfs_client import BikeObservation, DockingType
-from .geo import COUNTY_PREFIX_LENGTH, TractIndex, _assign_ranks
+from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
 
 PREDICTOR_NAMES = (
@@ -142,7 +142,7 @@ def count_by_tract(
     in no tract are dropped and tallied in the diagnostics.
     """
     lats, lons, is_free = _observation_columns(observations)
-    ranks = _assign_ranks(lats, lons, index)
+    ranks = assign_ranks(lats, lons, index)
     # Row r of the tally holds rank r's (docked, free) counts; the last row,
     # rank len(geoids), the observations in no tract.
     geoids = index.geoids()

@@ -23,7 +23,7 @@ def assert_same_index(cached, fresh):
     got_tables, *got_rings = cached._ring_tables
     want_tables, *want_rings = fresh._ring_tables
     arrays = [(name, getattr(cached, "_" + name), getattr(fresh, "_" + name))
-              for name in geo._ARRAY_NAMES + ("bbox_columns",)]
+              for name in geo._ARRAY_NAMES]
     arrays += zip(("ring_table", "ring_row"), got_rings, want_rings)
     for got, want in zip(got_tables, want_tables, strict=True):
         arrays += zip(("ring_table_x", "ring_table_y"), got, want)

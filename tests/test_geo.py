@@ -454,6 +454,31 @@ def test_batch_matches_scan_when_blocks_are_sliced(tmp_path, monkeypatch):
     assert_batch_matches_scan(index, boundary_probes(index))
 
 
+def test_batch_points_in_holed_tract_that_miss_the_hole(tmp_path):
+    # Rows for a hole ring, but no point on or in the hole.
+    index = load_fixture(tmp_path, [holed_square_feature()])
+    assert assign_tracts([0.5], [0.5], index) == ["53033000800"]
+    assert assign_tract(observation("sys", "b", lat=0.5, lon=0.5), index) == "53033000800"
+    probes = [(0.5, 0.5), (3.5, 0.5), (0.5, 3.5), (3.5, 3.5), (2.0, 0.25), (0.0, 2.0), (5.0, 5.0)]
+    expected = ["53033000800"] * 6 + [None]
+    assert assign_tracts([lat for _, lat in probes], [lon for lon, _ in probes], index) == expected
+    assert_batch_matches_scan(index, probes)
+
+
+def test_assign_ranks_are_positions_in_geoids(tmp_path):
+    index = load_fixture(tmp_path, five_tract_features())
+    lats = np.array([0.5, 0.5, 0.5, 80.0])
+    lons = np.array([0.5, 1.5, 2.5, 170.0])
+    ranks = geo.assign_ranks(lats, lons, index)
+    assert ranks.dtype == np.int64
+    geoids = index.geoids()
+    # len(geoids) stands for "no tract".
+    assert [None if r == len(geoids) else geoids[r] for r in ranks.tolist()] == assign_tracts(
+        lats, lons, index
+    )
+    assert ranks[-1] == len(geoids)
+
+
 def test_batch_empty_input(tmp_path):
     index = load_fixture(tmp_path, five_tract_features())
     assert assign_tracts([], [], index) == []
