@@ -25,14 +25,10 @@ from .gbfs_client import (
     BikeObservation,
     DockingType,
     FeedManifest,
-    FreeBike,
-    Station,
     SystemEntry,
     discover_feeds,
     fetch_system_catalog,
     harvest,
-    parse_free_bike_status,
-    parse_station_information,
 )
 from .geo import (
     TractIndex,

@@ -11,13 +11,14 @@ fixed inputs: re-running produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import BikeshareEquityError, StageError
+from .errors import BikeshareEquityError, StageError, StorageError
 from .gbfs_client import (
     BikeObservation,
     DockingType,
@@ -182,10 +183,21 @@ def _stage(name: str, func: Callable):
         raise StageError(name, str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _writing_outputs(out_dir: Path):
+    """Raise an OSError from creating or writing the output directory as one
+    StorageError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise StorageError(f"cannot write outputs to {out_dir}: {exc}") from exc
+
+
 def cmd_analyze(config: PipelineConfig) -> int:
     _require(config, "store_path", "boundaries_path", "demographics_path")
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing_outputs(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     selector = parse_snapshot_selector(config.snapshot_selector)
 
     observations = _stage(
@@ -220,15 +232,6 @@ def cmd_analyze(config: PipelineConfig) -> int:
         raise StageError("fit_poisson", f"did not converge after {fit.iterations} iterations")
     report = _stage("render_report", lambda: render_report(fit))
 
-    with open(out_dir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("docking_type,total_bikes,n_systems,q25,q50,q75\n")
-        for summary in summaries:
-            fh.write(
-                f"{summary.docking_type.value},{summary.total_bikes},"
-                f"{summary.n_systems},{summary.q25!r},{summary.q50!r},{summary.q75!r}\n"
-            )
-    with open(out_dir / "table2.csv", "w", encoding="utf-8", newline="") as fh:
-        report_to_csv(report, fh)
     manifest = {
         "snapshot_selector": config.snapshot_selector,
         "observations": len(observations),
@@ -246,9 +249,19 @@ def cmd_analyze(config: PipelineConfig) -> int:
             "deviance": fit.deviance,
         },
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing_outputs(out_dir):
+        with open(out_dir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("docking_type,total_bikes,n_systems,q25,q50,q75\n")
+            for summary in summaries:
+                fh.write(
+                    f"{summary.docking_type.value},{summary.total_bikes},"
+                    f"{summary.n_systems},{summary.q25!r},{summary.q50!r},{summary.q75!r}\n"
+                )
+        with open(out_dir / "table2.csv", "w", encoding="utf-8", newline="") as fh:
+            report_to_csv(report, fh)
+        with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(report_to_text(report))
     print(
         f"analyzed {len(observations)} observations over {len(records)} tracts; "
@@ -340,14 +353,16 @@ def render_map_svg(
 def cmd_map(config: PipelineConfig) -> int:
     _require(config, "store_path")
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing_outputs(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     selector = parse_snapshot_selector(config.snapshot_selector)
     observations = _stage(
         "load_snapshot", lambda: load_snapshot(config.store_path, selector)
     )
     svg = render_map_svg(observations)
     path = out_dir / "map.svg"
-    path.write_text(svg, encoding="utf-8")
+    with _writing_outputs(out_dir):
+        path.write_text(svg, encoding="utf-8")
     if not observations:
         print("warning: snapshot is empty; map has no markers", file=sys.stderr)
     print(f"wrote {path} with {len(observations)} markers")

@@ -9,7 +9,6 @@ canonical bike observations.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -76,26 +75,6 @@ class FeedManifest:
     ttl: int
 
 
-@dataclass(frozen=True)
-class Station:
-    system_id: str
-    station_id: str
-    lat: float
-    lon: float
-    name: str | None = None
-    capacity: int | None = None
-
-
-@dataclass(frozen=True)
-class FreeBike:
-    system_id: str
-    bike_id: str
-    lat: float
-    lon: float
-    is_reserved: bool = False
-    is_disabled: bool = False
-
-
 class BikeObservation(NamedTuple):
     """One harvested entity at one time point; a tuple, so building one is a
     single C-level call (the harvest and every snapshot read build thousands)."""
@@ -106,13 +85,6 @@ class BikeObservation(NamedTuple):
     lon: float
     docking_type: DockingType
     observed_at: int
-
-
-@dataclass
-class ParseDiagnostics:
-    """Tally of feed entries dropped during parsing."""
-
-    dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -129,13 +101,22 @@ class HarvestDiagnostics:
 
 
 def http_timeout() -> float:
-    """Per-request timeout in seconds, overridable via BIKESHARE_HTTP_TIMEOUT."""
+    """Per-request timeout in seconds, overridable via BIKESHARE_HTTP_TIMEOUT.
+
+    Only a finite positive number overrides the default: the HTTP stack
+    rejects a timeout of zero or less, which would fail every remote system.
+    """
     raw = os.environ.get(TIMEOUT_ENV_VAR)
     if raw:
         try:
-            return float(raw)
+            timeout = float(raw)
         except ValueError:
-            logger.warning("ignoring non-numeric %s=%r", TIMEOUT_ENV_VAR, raw)
+            timeout = math.nan
+        if 0.0 < timeout < math.inf:  # NaN fails too
+            return timeout
+        logger.warning(
+            "ignoring %s=%r: not a finite positive number of seconds", TIMEOUT_ENV_VAR, raw
+        )
     return DEFAULT_TIMEOUT
 
 
@@ -355,79 +336,28 @@ def _coerce_coordinate(value) -> float | None:
 @dataclass(frozen=True)
 class _EntityFeed:
     """How one entity feed is laid out: where its entries are, which member
-    is their id, and the extra fields its records carry."""
+    is their id, and the boolean flags the harvest reads (absent is false)."""
 
     name: str
     list_key: str
     id_key: str
-    # (member, converter of the raw member value, or None when absent).
-    extras: tuple[tuple[str, Callable], ...]
-    # Members that spec form fills in when absent.
-    defaults: tuple[tuple[str, object], ...] = ()
+    flags: tuple[str, ...] = ()
 
 
-def _station_name(value) -> str | None:
-    return str(value) if value is not None else None
-
-
-def _station_capacity(value) -> int | None:
-    return value if type(value) is int and value >= 0 else None  # bool is not a capacity
-
-
-_STATIONS = _EntityFeed(
-    STATION_FEED,
-    "stations",
-    "station_id",
-    (("name", _station_name), ("capacity", _station_capacity)),
-)
-_BIKES = _EntityFeed(
-    FREE_BIKE_FEED,
-    "bikes",
-    "bike_id",
-    (("is_reserved", bool), ("is_disabled", bool)),
-    (("is_reserved", False), ("is_disabled", False)),
-)
-
-
-def _normalize_entries(entries: list, feed: _EntityFeed) -> list[tuple]:
-    """Rewrite a decoded feed's entries to spec form in place and return
-    ``(id, lat, lon, *extras)`` for every usable one.
-
-    Spec form: coordinates that _coerce_coordinate accepts become floats and
-    absent defaults are filled in. An entry is usable when it is an object
-    with a truthy id and lat/lon within range; the rest are left as they are
-    (the caller counts them as dropped). A coordinate that is already a float,
-    the common case, is kept as it is.
-    """
-    id_key, extras, defaults = feed.id_key, feed.extras, feed.defaults
-    rows = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            continue
-        lat = entry.get("lat")
-        if type(lat) is not float:
-            lat = _coerce_coordinate(lat)
-            if lat is not None:
-                entry["lat"] = lat
-        lon = entry.get("lon")
-        if type(lon) is not float:
-            lon = _coerce_coordinate(lon)
-            if lon is not None:
-                entry["lon"] = lon
-        for key, value in defaults:
-            entry.setdefault(key, value)
-        entity_id = entry.get(id_key)
-        if entity_id and lat is not None and lon is not None:
-            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
-                extra = [convert(entry.get(key)) for key, convert in extras]
-                rows.append((str(entity_id), lat, lon, *extra))
-    return rows
+_STATIONS = _EntityFeed(STATION_FEED, "stations", "station_id")
+_BIKES = _EntityFeed(FREE_BIKE_FEED, "bikes", "bike_id", ("is_reserved", "is_disabled"))
 
 
 def _entity_rows(
     document: bytes, system_id: str, feed: _EntityFeed
 ) -> tuple[list[tuple], int]:
-    """Decode an entity feed; return its usable rows and the dropped tally.
+    """Decode an entity feed; return ``(id, lat, lon, *flags)`` for every
+    usable entry, and the tally of the others (dropped).
+
+    An entry is usable when it is an object with a truthy id and lat/lon that
+    _coerce_coordinate accepts and that lie within range. The entries are read,
+    never rewritten. A coordinate that is already a float, the common case, is
+    kept as it is.
 
     Raises:
         ParseError: undecodable document (carries the byte offset).
@@ -438,57 +368,22 @@ def _entity_rows(
     entries = data.get(feed.list_key) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise SchemaError(f"{system_id}: {feed.name} missing data.{feed.list_key}")
-    rows = _normalize_entries(entries, feed)
+    id_key, flags = feed.id_key, feed.flags
+    rows = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            continue
+        lat = entry.get("lat")
+        if type(lat) is not float:
+            lat = _coerce_coordinate(lat)
+        lon = entry.get("lon")
+        if type(lon) is not float:
+            lon = _coerce_coordinate(lon)
+        entity_id = entry.get(id_key)
+        if entity_id and lat is not None and lon is not None:
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                rows.append((str(entity_id), lat, lon, *[bool(entry.get(key)) for key in flags]))
     return rows, len(entries) - len(rows)
-
-
-def _canonicalize(payload: dict, feed: _EntityFeed) -> dict:
-    out = copy.deepcopy(payload)
-    data = out.get("data")
-    entries = data.get(feed.list_key) if isinstance(data, dict) else None
-    if isinstance(entries, list):
-        _normalize_entries(entries, feed)
-    return out
-
-
-def canonicalize_station_payload(payload: dict) -> dict:
-    """A copy of a station_information payload with known deviations rewritten
-    to spec form. Idempotent; the parsers normalize without copying."""
-    return _canonicalize(payload, _STATIONS)
-
-
-def canonicalize_bike_payload(payload: dict) -> dict:
-    """A copy of a free_bike_status payload with known deviations rewritten
-    to spec form."""
-    return _canonicalize(payload, _BIKES)
-
-
-def parse_station_information(
-    document: bytes, system_id: str
-) -> tuple[list[Station], ParseDiagnostics]:
-    """Parse a station_information payload into Station records.
-
-    Entries missing an id or valid coordinates are dropped and tallied in the
-    returned diagnostics rather than failing the document.
-
-    Raises:
-        ParseError: undecodable document (carries the byte offset).
-        SchemaError: data.stations missing.
-    """
-    rows, dropped = _entity_rows(document, system_id, _STATIONS)
-    return [Station(system_id, *row) for row in rows], ParseDiagnostics(dropped)
-
-
-def parse_free_bike_status(
-    document: bytes, system_id: str
-) -> tuple[list[FreeBike], ParseDiagnostics]:
-    """Parse a free_bike_status payload into FreeBike records.
-
-    Mirrors parse_station_information over data.bikes; absent is_reserved and
-    is_disabled flags default to false.
-    """
-    rows, dropped = _entity_rows(document, system_id, _BIKES)
-    return [FreeBike(system_id, *row) for row in rows], ParseDiagnostics(dropped)
 
 
 def parse_station_status(document: bytes, system_id: str) -> dict[str, int]:
@@ -572,12 +467,12 @@ def _harvest_feeds(
             if available is None:
                 observations.extend(
                     BikeObservation(system_id, station_id, lat, lon, docked, observed_at)
-                    for station_id, lat, lon, *_ in rows
+                    for station_id, lat, lon in rows
                 )
             else:
                 observations.extend(
                     BikeObservation(system_id, f"{station_id}#{i}", lat, lon, docked, observed_at)
-                    for station_id, lat, lon, *_ in rows
+                    for station_id, lat, lon in rows
                     for i in range(available.get(station_id, 0))
                 )
         except (TransportError, SchemaError, ParseError) as exc:
@@ -681,12 +576,6 @@ def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) 
         )
     )
     return len(system_ids)
-
-
-def observations_to_csv_bytes(observations: Iterable[BikeObservation]) -> bytes:
-    buffer = io.StringIO()
-    write_observations_csv(observations, buffer)
-    return buffer.getvalue().encode("utf-8")
 
 
 def _csv_rows(fh: TextIO) -> Iterator[list[str]]:

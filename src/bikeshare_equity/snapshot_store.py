@@ -44,8 +44,12 @@ def _read_manifest(store: Path) -> list[_ManifestRow]:
     path = store / MANIFEST_NAME
     if not path.exists():
         return []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageError(f"cannot read manifest {path}: {exc}") from exc
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

@@ -16,11 +16,10 @@ from bikeshare_equity.errors import SchemaError
 from bikeshare_equity.gbfs_client import (
     BikeObservation,
     DockingType,
+    FeedFailure,
     discover_feeds,
     fetch_system_catalog,
     harvest,
-    parse_free_bike_status,
-    parse_station_information,
 )
 from bikeshare_equity.geo import assign_tract, load_boundaries, point_in_polygon
 from bikeshare_equity.join_aggregate import (
@@ -307,10 +306,17 @@ def test_criterion_8_gbfs_fixture_suite(tmp_path):
     assert diag.failures == [] and diag.dropped_entities == 0
 
     # Malformed fixtures raise the named schema errors.
-    with pytest.raises(SchemaError, match="stations"):
-        parse_station_information(b'{"data": {}}', "bad")
-    with pytest.raises(SchemaError, match="bikes"):
-        parse_free_bike_status(b'{"data": {}}', "bad")
+    malformed = make_system(tmp_path / "malformed", "bad", stations=[], bikes=[])
+    for feed in ("station_information", "free_bike_status"):
+        write_json(tmp_path / "malformed" / f"bad_{feed}.json", {"data": {}})
+    observations, diag = harvest([malformed], clock=lambda: 1700000000)
+    assert observations == [] and diag.dropped_entities == 0
+    assert diag.failures == [
+        FeedFailure(
+            "bad", "station_information", "bad: station_information missing data.stations"
+        ),
+        FeedFailure("bad", "free_bike_status", "bad: free_bike_status missing data.bikes"),
+    ]
 
     from bikeshare_equity.gbfs_client import SystemEntry
 

@@ -430,6 +430,64 @@ def test_bad_snapshot_field_fails_stage_load_snapshot(tmp_path, capsys, command)
     assert "row 3" in err and "notanumber" in err
 
 
+def break_manifest(manifest, case):
+    if case == "not UTF-8":
+        manifest.write_bytes(b"1,1700000000,4,snapshot_000001.csv\xff\n")
+    else:
+        manifest.unlink()
+        manifest.mkdir()
+
+
+@pytest.mark.parametrize("case", ["not UTF-8", "a directory"])
+@pytest.mark.parametrize("command", ["analyze", "map"])
+def test_unreadable_manifest_fails_stage_load_snapshot(tmp_path, capsys, command, case):
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    manifest = city["store"] / "manifest.csv"
+    break_manifest(manifest, case)
+    if command == "analyze":
+        argv = analyze_argv(city, tmp_path / "out")
+    else:
+        argv = ["map", "--store", str(city["store"]), "--out", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: stage load_snapshot: cannot read manifest {manifest}: "), err
+
+
+@pytest.mark.parametrize("case", ["not UTF-8", "a directory"])
+def test_unreadable_manifest_fails_harvest(tmp_path, capsys, two_system_catalog, case):
+    store = tmp_path / "store"
+    assert main(["harvest", "--catalog", str(two_system_catalog), "--store", str(store)]) == 0
+    capsys.readouterr()
+    break_manifest(store / "manifest.csv", case)
+    rc = main(["harvest", "--catalog", str(two_system_catalog), "--store", str(store)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: cannot read manifest {store / 'manifest.csv'}: "), err
+
+
+@pytest.mark.parametrize("case", ["an existing file", "under a file"])
+@pytest.mark.parametrize("command", ["analyze", "map"])
+def test_unusable_out_dir_fails_before_loading(tmp_path, capsys, monkeypatch, command, case):
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker if case == "an existing file" else blocker / "out"
+
+    def no_load(*args):
+        raise AssertionError("loaded a snapshot before creating the output directory")
+
+    monkeypatch.setattr(cli, "load_snapshot", no_load)
+    if command == "analyze":
+        argv = analyze_argv(city, out_dir)
+    else:
+        argv = ["map", "--store", str(city["store"]), "--out", str(out_dir)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: cannot write outputs to {out_dir}: "), err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
     config_path = tmp_path / "run.conf"

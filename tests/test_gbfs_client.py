@@ -13,16 +13,15 @@ from bikeshare_equity.gbfs_client import (
     BikeObservation,
     DockingType,
     SystemEntry,
-    canonicalize_bike_payload,
-    canonicalize_station_payload,
+    _BIKES,
+    _STATIONS,
+    _entity_rows,
     discover_feeds,
     fetch_system_catalog,
     harvest,
-    observations_to_csv_bytes,
-    parse_free_bike_status,
-    parse_station_information,
     parse_station_status,
     read_observations_csv,
+    write_observations_csv,
 )
 from helpers import bike_doc, make_system, station_doc, write_json
 
@@ -203,21 +202,19 @@ def doc_bytes(doc) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def csv_text(observations) -> str:
+    buffer = io.StringIO()
+    write_observations_csv(observations, buffer)
+    return buffer.getvalue()
+
+
 def test_parse_station_information_basic():
     payload = station_doc(
         [{"station_id": "s1", "name": "Plaza", "lat": 45.5, "lon": -122.6, "capacity": 12}]
     )
-    stations, diag = parse_station_information(doc_bytes(payload), "sys")
-    assert diag.dropped == 0
-    assert len(stations) == 1
-    station = stations[0]
-    assert (station.system_id, station.station_id) == ("sys", "s1")
-    assert (station.lat, station.lon, station.capacity, station.name) == (
-        45.5,
-        -122.6,
-        12,
-        "Plaza",
-    )
+    rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
+    assert dropped == 0
+    assert rows == [("s1", 45.5, -122.6)]
 
 
 def test_parse_station_missing_lon_dropped():
@@ -228,33 +225,33 @@ def test_parse_station_missing_lon_dropped():
             {"station_id": "c", "lat": 45.2, "lon": -122.2},
         ]
     )
-    stations, diag = parse_station_information(doc_bytes(payload), "sys")
-    assert [s.station_id for s in stations] == ["a", "c"]
-    assert diag.dropped == 1
+    rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
+    assert [row[0] for row in rows] == ["a", "c"]
+    assert dropped == 1
 
 
 def test_parse_station_out_of_bounds_dropped():
     payload = station_doc([{"station_id": "x", "lat": 91.0, "lon": 0.0}])
-    stations, diag = parse_station_information(doc_bytes(payload), "sys")
-    assert stations == []
-    assert diag.dropped == 1
+    rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
+    assert rows == []
+    assert dropped == 1
 
 
 def test_parse_station_string_coordinates():
     payload = station_doc([{"station_id": "s", "lat": "45.5", "lon": "-122.6"}])
-    stations, diag = parse_station_information(doc_bytes(payload), "sys")
-    assert diag.dropped == 0
-    assert (stations[0].lat, stations[0].lon) == (45.5, -122.6)
+    rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
+    assert dropped == 0
+    assert rows[0][1:] == (45.5, -122.6)
 
 
 def test_parse_station_schema_error():
     with pytest.raises(SchemaError, match="stations"):
-        parse_station_information(doc_bytes({"data": {}}), "sys")
+        _entity_rows(doc_bytes({"data": {}}), "sys", _STATIONS)
 
 
 def test_parse_station_parse_error_offset():
     with pytest.raises(ParseError) as excinfo:
-        parse_station_information(b'{"data": {"stations": [', "sys")
+        _entity_rows(b'{"data": {"stations": [', "sys", _STATIONS)
     assert excinfo.value.offset is not None
 
 
@@ -265,21 +262,22 @@ def test_parse_free_bikes_reserved_flag():
             {"bike_id": "b2", "lat": 40.1, "lon": -100.1, "is_reserved": False, "is_disabled": False},
         ]
     )
-    bikes, diag = parse_free_bike_status(doc_bytes(payload), "sys")
-    assert diag.dropped == 0
-    assert [b.is_reserved for b in bikes] == [True, False]
+    rows, dropped = _entity_rows(doc_bytes(payload), "sys", _BIKES)
+    assert dropped == 0
+    assert [is_reserved for _, _, _, is_reserved, _ in rows] == [True, False]
 
 
 def test_parse_free_bikes_empty():
-    bikes, diag = parse_free_bike_status(doc_bytes(bike_doc([])), "sys")
-    assert bikes == [] and diag.dropped == 0
+    rows, dropped = _entity_rows(doc_bytes(bike_doc([])), "sys", _BIKES)
+    assert rows == [] and dropped == 0
 
 
 def test_parse_free_bikes_missing_booleans_default_false():
     payload = bike_doc([{"bike_id": "b", "lat": 40.0, "lon": -100.0}])
-    bikes, _ = parse_free_bike_status(doc_bytes(payload), "sys")
-    assert bikes[0].is_disabled is False
-    assert bikes[0].is_reserved is False
+    rows, _ = _entity_rows(doc_bytes(payload), "sys", _BIKES)
+    _, _, _, is_reserved, is_disabled = rows[0]
+    assert is_disabled is False
+    assert is_reserved is False
 
 
 def test_parse_station_status_counts():
@@ -294,30 +292,21 @@ def test_parse_station_status_counts():
     assert parse_station_status(doc_bytes(doc), "sys") == {"a": 3, "b": 0}
 
 
-def test_canonicalize_idempotent():
-    deviant = station_doc([{"station_id": "s", "lat": "45.5", "lon": "-122.6"}])
-    once = canonicalize_station_payload(deviant)
-    assert canonicalize_station_payload(once) == once
-    deviant_bikes = bike_doc([{"bike_id": "b", "lat": 40.0, "lon": -100.0}])
-    once_bikes = canonicalize_bike_payload(deviant_bikes)
-    assert canonicalize_bike_payload(once_bikes) == once_bikes
-
-
 def test_parse_deterministic_bytes():
     payload = doc_bytes(
         station_doc([{"station_id": "s", "lat": 45.5, "lon": -122.6}])
     )
-    first = parse_station_information(payload, "sys")[0]
-    second = parse_station_information(payload, "sys")[0]
+    first = _entity_rows(payload, "sys", _STATIONS)[0]
+    second = _entity_rows(payload, "sys", _STATIONS)[0]
     obs = [
-        gbfs_client.BikeObservation(s.system_id, s.station_id, s.lat, s.lon, DockingType.DOCKED, 0)
-        for s in first
+        gbfs_client.BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
+        for station_id, lat, lon in first
     ]
     obs2 = [
-        gbfs_client.BikeObservation(s.system_id, s.station_id, s.lat, s.lon, DockingType.DOCKED, 0)
-        for s in second
+        gbfs_client.BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
+        for station_id, lat, lon in second
     ]
-    assert observations_to_csv_bytes(obs) == observations_to_csv_bytes(obs2)
+    assert csv_text(obs) == csv_text(obs2)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +556,10 @@ def test_observation_csv_round_trip(tmp_path):
         gbfs_client.BikeObservation("sys", "e1", 45.5, -122.6, DockingType.DOCKED, 1700000000),
         gbfs_client.BikeObservation("sys", "e2", 40.123456789, -100.987654321, DockingType.FREE, 1700000001),
     ]
-    raw = observations_to_csv_bytes(observations)
-    header = raw.decode().splitlines()[0]
+    text = csv_text(observations)
+    header = text.splitlines()[0]
     assert header == "system_id,entity_id,lat,lon,docking_type,observed_at"
-    assert read_observations_csv(io.StringIO(raw.decode())) == observations
+    assert read_observations_csv(io.StringIO(text)) == observations
 
 
 OBSERVATION_HEADER = "system_id,entity_id,lat,lon,docking_type,observed_at\n"
@@ -660,8 +649,11 @@ def test_http_server_error_retried(http_fixture_server, monkeypatch):
     assert "free_bike_status" in manifest.feeds
 
 
-def test_timeout_env_override(monkeypatch):
+def test_timeout_env_override(monkeypatch, caplog):
     monkeypatch.setenv(gbfs_client.TIMEOUT_ENV_VAR, "3.5")
     assert gbfs_client.http_timeout() == 3.5
-    monkeypatch.setenv(gbfs_client.TIMEOUT_ENV_VAR, "junk")
-    assert gbfs_client.http_timeout() == gbfs_client.DEFAULT_TIMEOUT
+    for unusable in ("junk", "0", "-1", "nan", "inf"):
+        monkeypatch.setenv(gbfs_client.TIMEOUT_ENV_VAR, unusable)
+        caplog.clear()
+        assert gbfs_client.http_timeout() == gbfs_client.DEFAULT_TIMEOUT, unusable
+        assert [record.levelname for record in caplog.records] == ["WARNING"], unusable
