@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,6 +271,13 @@ def cmd_analyze(config: PipelineConfig) -> int:
     return 0
 
 
+_MARKER = '<circle class="marker %s" cx="%.2f" cy="%.2f" r="2.5"/>'
+_MARKER_CLASS = {DockingType.DOCKED: "docked", DockingType.FREE: "free"}
+_LAT = operator.attrgetter("lat")
+_LON = operator.attrgetter("lon")
+_KIND = operator.attrgetter("docking_type")
+
+
 def render_map_svg(
     observations: Sequence[BikeObservation], width: int = 800, height: int = 500
 ) -> str:
@@ -279,11 +287,11 @@ def render_map_svg(
     count caption are always drawn, and an empty snapshot still produces axes.
     """
     margin = 40.0
+    # Columns are streamed with map() rather than copied: the markers are the
+    # largest thing map holds, and a copy of each column would add to it.
     if observations:
-        lons = [obs.lon for obs in observations]
-        lats = [obs.lat for obs in observations]
-        min_lon, max_lon = min(lons), max(lons)
-        min_lat, max_lat = min(lats), max(lats)
+        min_lon, max_lon = min(map(_LON, observations)), max(map(_LON, observations))
+        min_lat, max_lat = min(map(_LAT, observations)), max(map(_LAT, observations))
     else:
         # Continental-US default frame so an empty plot still shows axes.
         min_lon, max_lon, min_lat, max_lat = -125.0, -66.0, 24.0, 50.0
@@ -305,7 +313,7 @@ def render_map_svg(
     def y_of(lat: float) -> float:
         return height - margin - (lat - min_lat) * scale
 
-    n_docked = sum(1 for obs in observations if obs.docking_type is DockingType.DOCKED)
+    n_docked = operator.countOf(map(_KIND, observations), DockingType.DOCKED)
     n_free = len(observations) - n_docked
     plot_right = x_of(max_lon)
     plot_top = y_of(max_lat)
@@ -327,12 +335,11 @@ def render_map_svg(
         f'<text x="4" y="{height - margin:.2f}">lat {min_lat:.2f}</text>',
         f'<text x="4" y="{plot_top + 4:.2f}">lat {max_lat:.2f}</text>',
     ]
-    for obs in observations:
-        kind = "docked" if obs.docking_type is DockingType.DOCKED else "free"
-        lines.append(
-            f'<circle class="marker {kind}" cx="{x_of(obs.lon):.2f}" '
-            f'cy="{y_of(obs.lat):.2f}" r="2.5"/>'
-        )
+    # x_of and y_of inlined: per marker, a call costs more than the arithmetic.
+    classes = map(_MARKER_CLASS.__getitem__, map(_KIND, observations))
+    xs = (margin + (lon - min_lon) * scale for lon in map(_LON, observations))
+    ys = (height - margin - (lat - min_lat) * scale for lat in map(_LAT, observations))
+    lines.extend(map(_MARKER.__mod__, zip(classes, xs, ys)))
     legend_x = width - margin - 120
     lines.extend(
         [

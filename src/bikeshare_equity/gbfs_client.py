@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
@@ -336,12 +337,13 @@ def _coerce_coordinate(value) -> float | None:
 @dataclass(frozen=True)
 class _EntityFeed:
     """How one entity feed is laid out: where its entries are, which member
-    is their id, and the boolean flags the harvest reads (absent is false)."""
+    is their id, and the two boolean flags the harvest reads, if any (absent
+    is false)."""
 
     name: str
     list_key: str
     id_key: str
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, str] | None = None
 
 
 _STATIONS = _EntityFeed(STATION_FEED, "stations", "station_id")
@@ -369,6 +371,7 @@ def _entity_rows(
     if not isinstance(entries, list):
         raise SchemaError(f"{system_id}: {feed.name} missing data.{feed.list_key}")
     id_key, flags = feed.id_key, feed.flags
+    first_flag, second_flag = flags or (None, None)
     rows = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -382,7 +385,13 @@ def _entity_rows(
         entity_id = entry.get(id_key)
         if entity_id and lat is not None and lon is not None:
             if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
-                rows.append((str(entity_id), lat, lon, *[bool(entry.get(key)) for key in flags]))
+                if flags is None:
+                    rows.append((str(entity_id), lat, lon))
+                else:
+                    rows.append((
+                        str(entity_id), lat, lon,
+                        bool(entry.get(first_flag)), bool(entry.get(second_flag)),
+                    ))
     return rows, len(entries) - len(rows)
 
 
@@ -458,6 +467,9 @@ def _harvest_feeds(
                 failures.append(FeedFailure(system_id, STATION_STATUS_FEED, str(exc)))
 
     docked, free = DockingType.DOCKED, DockingType.FREE
+    # tuple.__new__ builds each record without the NamedTuple's Python-level
+    # __new__; the records are the same BikeObservations.
+    new = tuple.__new__
     if station_url is not None:
         try:
             rows, feed_dropped = _entity_rows(
@@ -466,12 +478,15 @@ def _harvest_feeds(
             dropped += feed_dropped
             if available is None:
                 observations.extend(
-                    BikeObservation(system_id, station_id, lat, lon, docked, observed_at)
+                    new(BikeObservation, (system_id, station_id, lat, lon, docked, observed_at))
                     for station_id, lat, lon in rows
                 )
             else:
                 observations.extend(
-                    BikeObservation(system_id, f"{station_id}#{i}", lat, lon, docked, observed_at)
+                    new(
+                        BikeObservation,
+                        (system_id, f"{station_id}#{i}", lat, lon, docked, observed_at),
+                    )
                     for station_id, lat, lon in rows
                     for i in range(available.get(station_id, 0))
                 )
@@ -486,7 +501,7 @@ def _harvest_feeds(
             dropped += feed_dropped
             # Reserved or disabled bikes are not spatially accessible supply.
             observations.extend(
-                BikeObservation(system_id, bike_id, lat, lon, free, observed_at)
+                new(BikeObservation, (system_id, bike_id, lat, lon, free, observed_at))
                 for bike_id, lat, lon, reserved, disabled in rows
                 if not (reserved or disabled)
             )
@@ -555,26 +570,68 @@ _KIND_TEXT = {kind: kind.value for kind in DockingType}
 _TEXT_KIND = {kind.value: kind for kind in DockingType}
 
 
+# Rows per fh.write: about 70 kB of text, enough that the joins and writes
+# cost little per row. 4,096-row chunks (about 0.3 MB each) wrote no faster
+# and raised a harvest's peak RSS by 1 MB on CPython 3.11/glibc; these raise
+# it by 0.1 MB.
+_WRITE_CHUNK = 1 << 10
+# A text field holding any of these is written quoted, each '"' doubled: csv's
+# QUOTE_MINIMAL as Python 3.13's csv.writer applies it with "\n" line ends.
+# (Earlier versions leave a lone "\r" bare, and no reader splits that back.)
+_QUOTED_CHARS = (",", '"', "\n", "\r")
+
+
+def observation_columns(observations: Iterable[BikeObservation]) -> tuple[tuple, ...]:
+    """The six columns of the records, in OBSERVATION_COLUMNS order, taken
+    with one zip over the tuples (six empty tuples for no records)."""
+    return tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
+
+
+def _quote_field(text: str) -> str:
+    if any(char in text for char in _QUOTED_CHARS):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _text_fields(column: tuple[str, ...]) -> Iterable[str]:
+    """A column of ids as CSV fields. One search over the joined column
+    decides; only a column that holds a character needing quotes is quoted
+    value by value."""
+    try:
+        joined = "".join(column)
+    except TypeError:  # None (read from a short snapshot row) or a number
+        column = ["" if value is None else str(value) for value in column]
+        joined = "".join(column)
+    if any(char in joined for char in _QUOTED_CHARS):
+        return map(_quote_field, column)
+    return column
+
+
 def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
     """Write observations in the canonical CSV layout; returns the row count.
 
-    The records are split into columns and each column is converted with one
-    map() call, so no Python code runs per row.
+    The records are split into columns, each column is converted with one
+    map() call and each row is one str.join, so no Python code runs per row
+    unless an id needs quoting or is not a str (None is written as an empty
+    field, anything else as its str(), as csv.writer does). The rows go to fh
+    in chunks of _WRITE_CHUNK.
     """
-    columns = tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
-    system_ids, entity_ids, lats, lons, kinds, observed_ats = columns
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(OBSERVATION_COLUMNS)
-    writer.writerows(
+    system_ids, entity_ids, lats, lons, kinds, observed_ats = observation_columns(observations)
+    rows = map(
+        ",".join,
         zip(
-            system_ids,
-            entity_ids,
+            _text_fields(system_ids),
+            _text_fields(entity_ids),
             map(repr, map(float, lats)),
             map(repr, map(float, lons)),
             map(_KIND_TEXT.__getitem__, kinds),
-            observed_ats,
-        )
+            map(str, observed_ats),
+        ),
     )
+    fh.write(",".join(OBSERVATION_COLUMNS) + "\n")
+    while chunk := list(islice(rows, _WRITE_CHUNK)):
+        chunk.append("")  # the last row's line end
+        fh.write("\n".join(chunk))
     return len(system_ids)
 
 
@@ -597,7 +654,8 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
     lines are skipped, and a field missing from a short row reads as absent.
 
     Raises:
-        SchemaError: a required column is missing or a docking_type is unknown.
+        SchemaError: a required column is missing, or a docking_type is
+            unknown (the message names the data row, as below).
         ParseError: a lat or lon that is not a finite number of degrees in
             range, or an observed_at that is not an integer (the message names
             the data row, counted from 1 after the header, blank lines not
@@ -622,7 +680,9 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
         system_id, entity_id, lat_text, lon_text, kind_text, observed_text = fields(row)
         kind = _TEXT_KIND.get(kind_text)
         if kind is None:
-            raise SchemaError(f"unknown docking_type: {kind_text!r}")
+            raise SchemaError(
+                f"observation CSV row {row_number}: unknown docking_type {kind_text!r}"
+            )
         try:
             lat = float(lat_text)
             lon = float(lon_text)

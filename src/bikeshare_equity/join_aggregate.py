@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
-from .gbfs_client import BikeObservation, DockingType
+from .gbfs_client import BikeObservation, DockingType, observation_columns
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
 
@@ -123,8 +123,7 @@ def _observation_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latitudes, longitudes and is-free flags of the observations, taken with
     one zip over the tuples (a function, so the columns are freed on return)."""
-    columns = tuple(zip(*observations)) or ((),) * len(BikeObservation._fields)
-    _, _, lats, lons, types, _ = columns
+    _, _, lats, lons, types, _ = observation_columns(observations)
     is_free = map(operator.is_not, types, repeat(DockingType.DOCKED))
     return (
         np.fromiter(lats, dtype=np.float64, count=len(lats)),

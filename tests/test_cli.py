@@ -126,6 +126,29 @@ def test_harvest_command_survives_bad_last_updated(tmp_path, capsys):
     assert [(o.system_id, o.entity_id) for o in load_snapshot(store)] == [("good_city", "s1")]
 
 
+def test_harvest_of_ids_holding_line_breaks_and_quotes_reads_back(tmp_path, capsys):
+    # A bare "\r" in a snapshot field splits its row in two on reading, so a
+    # harvested "b\r1" must be written quoted for map and analyze to load it.
+    ids = ["b\r1", "b\n2", 'b"3', "b,4", "b\r\n5", "b6"]
+    system = make_system(
+        tmp_path,
+        "sys",
+        bikes=[
+            {"bike_id": bike_id, "lat": 40.0 + i / 10, "lon": -100.0}
+            for i, bike_id in enumerate(ids)
+        ],
+    )
+    catalog = write_catalog(tmp_path / "catalog.csv", [system])
+    store = tmp_path / "store"
+    assert main(["harvest", "--catalog", str(catalog), "--store", str(store)]) == 0
+    assert [obs.entity_id for obs in load_snapshot(store)] == ids
+    capsys.readouterr()
+    rc = main(["map", "--store", str(store), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert f"with {len(ids)} markers" in captured.out
+
+
 def test_harvest_command_empty_catalog(tmp_path, capsys):
     catalog = tmp_path / "catalog.csv"
     catalog.write_text("system_id,country_code,name,auto_discovery_url\n")

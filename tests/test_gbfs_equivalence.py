@@ -5,7 +5,9 @@ one-node mutation fuzz, for _entity_rows and for a whole harvest.
 
 The reference carries one intended change: an integer coordinate beyond the
 float range is unusable, so its entry is dropped and tallied (the old parser
-raised OverflowError, which failed the whole system)."""
+raised OverflowError, which failed the whole system). The reference snapshot
+bytes quote an id holding a carriage return, as Python 3.13's csv.writer does
+(earlier versions left it bare, and the snapshot could not be read back)."""
 
 import copy
 import csv
@@ -209,15 +211,24 @@ def ref_system_harvest(system_id, station_raw, bike_raw, observed_at):
 
 
 def ref_observations_to_csv_bytes(observations):
+    r"""csv.writer's bytes, with a field holding "\r" quoted on every Python
+    version, as 3.13 quotes it: each row is written with "\r\n" line ends,
+    which makes csv quote both characters, and its "\r\n" becomes "\n"."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("system_id", "entity_id", "lat", "lon", "docking_type", "observed_at"))
-    for obs in observations:
-        writer.writerow(
-            [obs.system_id, obs.entity_id, repr(float(obs.lat)), repr(float(obs.lon)),
-             obs.docking_type.value, obs.observed_at]
-        )
-    return buffer.getvalue().encode("utf-8")
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
+    rows = [("system_id", "entity_id", "lat", "lon", "docking_type", "observed_at")]
+    rows += [
+        [obs.system_id, obs.entity_id, repr(float(obs.lat)), repr(float(obs.lon)),
+         obs.docking_type.value, obs.observed_at]
+        for obs in observations
+    ]
+    for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,7 @@ def assert_harvest_agrees(root, station_raw, bike_raw):
     observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT, max_in_flight=1)
     expected, failures, dropped = ref_system_harvest("sys", station_raw, bike_raw, OBSERVED_AT)
     assert observations == expected
+    assert all(type(obs) is BikeObservation for obs in observations)
     assert diagnostics.failures == failures
     assert diagnostics.dropped_entities == dropped
     assert observations_to_csv_bytes(observations) == ref_observations_to_csv_bytes(expected)
@@ -339,6 +351,11 @@ BATTERY = [
     ("huge integer bike coordinate",
      raw(station_doc(DEVIANT_STATIONS)),
      raw(bike_doc([{"bike_id": "b", "lat": 1.0, "lon": -10**400}]))),
+    ("ids needing quotes",
+     raw(station_doc([{"station_id": station_id, "lat": 45.5, "lon": -122.6}
+                      for station_id in ("s,1", 's"2', "s\n3", "s\r4", "s\r\n5", " s6 ")])),
+     raw(bike_doc([{"bike_id": bike_id, "lat": 40.0, "lon": -100.0}
+                   for bike_id in ("b\r1", '"b2"', "é,b3")]))),
 ]
 
 

@@ -1,16 +1,23 @@
 """read_observations_csv against the DictReader reader it replaced (kept below
 as a reference) on CSV layout edge cases, and a fuzz of snapshot files
-through the map command."""
+through the map command; write_observations_csv read back and against
+csv.writer's bytes.
+
+The reader's reference carries one intended change: an unknown docking_type
+names its data row, as the lat/lon and observed_at errors do."""
 
 import contextlib
 import csv
 import io
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bikeshare_equity import gbfs_client
 from bikeshare_equity.cli import main
 from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
 from bikeshare_equity.gbfs_client import (
@@ -18,6 +25,7 @@ from bikeshare_equity.gbfs_client import (
     BikeObservation,
     DockingType,
     read_observations_csv,
+    write_observations_csv,
 )
 
 # ---------------------------------------------------------------------------
@@ -35,7 +43,9 @@ def ref_read_observations_csv(fh):
     for row_number, row in enumerate(reader, start=1):
         kind = row["docking_type"]
         if kind not in (DockingType.DOCKED.value, DockingType.FREE.value):
-            raise SchemaError(f"unknown docking_type: {kind!r}")
+            raise SchemaError(
+                f"observation CSV row {row_number}: unknown docking_type {kind!r}"
+            )
         try:
             lat = float(row["lat"])
             lon = float(row["lon"])
@@ -191,3 +201,105 @@ def test_map_on_fuzzed_snapshot_exits_cleanly(tmp_path_factory, content):
             assert ours == ref
     else:  # csv.Error escaped the reference reader
         assert ours[0] is ParseError
+
+
+# ---------------------------------------------------------------------------
+# Writer: read back, and csv.writer's bytes
+# ---------------------------------------------------------------------------
+
+
+CHUNK = gbfs_client._WRITE_CHUNK
+
+
+def ref_csv_writer_text(observations):
+    """The snapshot text csv.writer gives, as the writer made it before it
+    joined rows itself."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(OBSERVATION_COLUMNS)
+    writer.writerows(
+        (obs.system_id, obs.entity_id, repr(float(obs.lat)), repr(float(obs.lon)),
+         obs.docking_type.value, obs.observed_at)
+        for obs in observations
+    )
+    return buffer.getvalue()
+
+
+class RecordingFile(io.StringIO):
+    """A text buffer that keeps the line count of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines_per_write = []
+
+    def write(self, text):
+        self.lines_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+def check_writer(observations):
+    """The written text reads back as the observations and, where csv.writer
+    quotes as the writer does, equals csv.writer's text."""
+    fh = RecordingFile()
+    assert write_observations_csv(observations, fh) == len(observations)
+    text = fh.getvalue()
+    ids = "".join(value for obs in observations for value in (obs.system_id, obs.entity_id))
+    # csv before Python 3.11 can neither write nor read NUL.
+    if sys.version_info >= (3, 11) or "\x00" not in ids:
+        assert read_observations_csv(io.StringIO(text, newline="")) == observations
+        # csv.writer quotes a field holding "\r" only from Python 3.13.
+        if sys.version_info >= (3, 13) or "\r" not in ids:
+            assert text == ref_csv_writer_text(observations)
+    assert max(fh.lines_per_write) <= CHUNK
+    return fh
+
+
+IDS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "\x00", "a", " ", "é", "中"]),
+            max_size=6),
+)
+
+
+def coordinate(limit):
+    floats = st.floats(-limit, limit, allow_nan=False)
+    return st.one_of(floats, floats.map(np.float64))
+
+
+OBSERVATIONS = st.lists(
+    st.builds(BikeObservation, IDS, IDS, coordinate(90.0), coordinate(180.0),
+              st.sampled_from(DockingType), st.integers(0, 2**40)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(observations=OBSERVATIONS)
+def test_written_snapshot_reads_back_and_matches_csv_writer(observations):
+    check_writer(observations)
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1],
+                         ids=["0", "1", "chunk-1", "chunk", "chunk+1"])
+def test_writer_splits_rows_into_bounded_writes(count):
+    observations = [
+        BikeObservation("sys" if i % 7 else "s,ys", f"e{i}", i / count - 0.5, -i / count,
+                        DockingType.FREE if i % 3 else DockingType.DOCKED, 1_700_000_000 + i)
+        for i in range(count)
+    ]
+    fh = check_writer(observations)
+    # The header, then the rows in as few writes as the chunk allows.
+    sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+    assert fh.lines_per_write == [1] + sizes
+
+
+def test_writer_writes_ids_that_are_not_str_as_csv_writer_does():
+    # A snapshot row short of its system_id reads back as None.
+    observations = [
+        BikeObservation(None, 7, 45.5, -122.6, DockingType.FREE, 1),
+        BikeObservation("s,1", None, 45.5, -122.6, DockingType.DOCKED, 2),
+    ]
+    fh = io.StringIO()
+    write_observations_csv(observations, fh)
+    assert fh.getvalue() == ref_csv_writer_text(observations)
+
