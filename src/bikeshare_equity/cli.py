@@ -40,6 +40,9 @@ from .poisson_glm import fit_poisson, render_report, report_to_csv, report_to_te
 from .snapshot_store import append_snapshot, load_snapshot
 
 DOCKED_MODES = ("stations", "available_bikes")
+# The store's subdirectory for cached parses of its snapshots and of the
+# boundary files analyzed against it.
+CACHE_DIR_NAME = "cache"
 
 CONFIG_KEYS = {
     "catalog": "catalog_source",
@@ -201,15 +204,16 @@ def cmd_analyze(config: PipelineConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     selector = parse_snapshot_selector(config.snapshot_selector)
 
+    # Parsed snapshots and compiled boundaries are cached in the store, keyed
+    # by the files' content.
+    cache_dir = Path(config.store_path) / CACHE_DIR_NAME
     observations = _stage(
-        "load_snapshot", lambda: load_snapshot(config.store_path, selector)
+        "load_snapshot",
+        lambda: load_snapshot(config.store_path, selector, cache_dir=cache_dir),
     )
-    # Compiled boundaries are cached in the store, keyed by the file's content.
     index = _stage(
         "load_boundaries",
-        lambda: load_boundaries(
-            config.boundaries_path, cache_dir=Path(config.store_path) / "cache"
-        ),
+        lambda: load_boundaries(config.boundaries_path, cache_dir=cache_dir),
     )
     if not observations:
         raise StageError("summarize_systems", "snapshot contains no observations")
@@ -363,8 +367,10 @@ def cmd_map(config: PipelineConfig) -> int:
     with _writing_outputs(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     selector = parse_snapshot_selector(config.snapshot_selector)
+    cache_dir = Path(config.store_path) / CACHE_DIR_NAME
     observations = _stage(
-        "load_snapshot", lambda: load_snapshot(config.store_path, selector)
+        "load_snapshot",
+        lambda: load_snapshot(config.store_path, selector, cache_dir=cache_dir),
     )
     svg = render_map_svg(observations)
     path = out_dir / "map.svg"

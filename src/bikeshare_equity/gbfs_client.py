@@ -599,7 +599,7 @@ def _text_fields(column: tuple[str, ...]) -> Iterable[str]:
     value by value."""
     try:
         joined = "".join(column)
-    except TypeError:  # None (read from a short snapshot row) or a number
+    except TypeError:  # None or a number, in records built by the caller
         column = ["" if value is None else str(value) for value in column]
         joined = "".join(column)
     if any(char in joined for char in _QUOTED_CHARS):
@@ -652,10 +652,12 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
     Columns are found by header name, so their order is free and extra
     columns are ignored; when a name repeats, its last column is read. Blank
     lines are skipped, and a field missing from a short row reads as absent.
+    Every record holds str ids, float degrees, a DockingType and an int.
 
     Raises:
-        SchemaError: a required column is missing, or a docking_type is
-            unknown (the message names the data row, as below).
+        SchemaError: a required column is missing, a row is short of its
+            system_id or entity_id field, or a docking_type is unknown (the
+            message names the data row, as below).
         ParseError: a lat or lon that is not a finite number of degrees in
             range, or an observed_at that is not an integer (the message names
             the data row, counted from 1 after the header, blank lines not
@@ -669,6 +671,10 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
         raise SchemaError(f"observation CSV missing column(s): {', '.join(missing)}")
     fields = operator.itemgetter(*(position[column] for column in OBSERVATION_COLUMNS))
     width = len(header)
+    id_positions = [(column, position[column]) for column in OBSERVATION_COLUMNS[:2]]
+    # tuple.__new__ builds each record without the NamedTuple's Python-level
+    # __new__; the records are the same BikeObservations.
+    new = tuple.__new__
     observations = []
     row_number = 0
     for row in reader:
@@ -676,6 +682,11 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
             continue
         row_number += 1
         if len(row) < width:
+            absent = [column for column, index in id_positions if index >= len(row)]
+            if absent:
+                raise SchemaError(
+                    f"observation CSV row {row_number}: no {', '.join(absent)} field"
+                )
             row += [None] * (width - len(row))
         system_id, entity_id, lat_text, lon_text, kind_text, observed_text = fields(row)
         kind = _TEXT_KIND.get(kind_text)
@@ -704,5 +715,7 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
                 f"observation CSV row {row_number}: observed_at "
                 f"{observed_text!r} is not an integer"
             ) from None
-        observations.append(BikeObservation(system_id, entity_id, lat, lon, kind, observed_at))
+        observations.append(
+            new(BikeObservation, (system_id, entity_id, lat, lon, kind, observed_at))
+        )
     return observations

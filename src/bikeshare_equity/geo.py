@@ -37,11 +37,8 @@ for bit; the scalar functions stay as the reference oracle.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
-import os
-import uuid
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -49,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .content_cache import content_key, write_atomically
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
 
@@ -443,11 +441,7 @@ def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
 
 
 def _cache_key(data: bytes, cell_size: float) -> str:
-    # Imported here: only a cached load needs it, and harvest and map never load.
-    import hashlib
-
-    digest = hashlib.sha256(data).hexdigest()
-    return f"tract-index-v{_CACHE_VERSION}-cell{cell_size!r}-{digest}"
+    return content_key(f"tract-index-v{_CACHE_VERSION}-cell{cell_size!r}", data)
 
 
 def _read_cache(path: Path, key: str) -> dict[str, np.ndarray] | None:
@@ -504,20 +498,12 @@ def _well_formed(
 
 
 def _write_cache(path: Path, key: str, index: TractIndex) -> None:
-    """Store the index's arrays at path, whole or not at all (a temporary
-    file, then os.replace); a location that cannot be written is skipped."""
+    """Store the index's arrays at path, whole or not at all; a location that
+    cannot be written is skipped."""
     arrays = {name: getattr(index, "_" + name) for name in _ARRAY_NAMES}
     if arrays["geoids"].tolist() != index.geoids():
         return  # numpy strings drop trailing NULs; such a GEOID would not round-trip
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "xb") as fh:
-            np.savez(fh, key=np.array(key), **arrays)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+    write_atomically(path, lambda fh: np.savez(fh, key=np.array(key), **arrays))
 
 
 def _vertices(ring: Ring) -> list[list[float]]:

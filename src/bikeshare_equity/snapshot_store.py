@@ -4,22 +4,52 @@ Each append writes one immutable CSV file (written under a temporary name,
 then hard-linked to its final name, so readers never see a partial snapshot
 and concurrent writers never share an id) and records it in a manifest file
 with one line per snapshot: ``snapshot_id,observed_at,row_count,filename``.
+
+Reads can keep each parsed snapshot in a cache directory, one file per
+snapshot content (``snapshot-v<N>-<sha256 of the CSV bytes>``), so a later
+read of the same file parses no CSV. A cache file holds a JSON header line
+(the key, the byte order, the row count ``n``, the ``entity_id`` list, and
+``[value, count]`` run-length pairs for ``system_id``, ``docking_type`` and
+``observed_at``), then the lat column and the lon column as raw float64,
+then a big-endian CRC32 of everything before it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
+import json
+import logging
+import math
 import os
+import sys
 import time
 import uuid
+import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
+from .content_cache import content_key, write_atomically
 from .errors import SnapshotNotFoundError, StorageError
-from .gbfs_client import BikeObservation, read_observations_csv, write_observations_csv
+from .gbfs_client import (
+    _KIND_TEXT,
+    _TEXT_KIND,
+    BikeObservation,
+    observation_columns,
+    read_observations_csv,
+    write_observations_csv,
+)
+
+logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
+
+# Part of every snapshot cache key: a change to the cache file's layout or
+# meaning must bump it, so files written before the change are never read.
+_CACHE_VERSION = 1
 
 Selector = Union[str, int, tuple]
 
@@ -123,17 +153,142 @@ def append_snapshot(
     )
 
 
-def _read_snapshot_file(store: Path, row: _ManifestRow) -> list[BikeObservation]:
+def _read_snapshot_file(
+    store: Path, row: _ManifestRow, cache_dir: str | Path | None = None
+) -> list[BikeObservation]:
     path = store / row.filename
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return read_observations_csv(fh)
+        data = path.read_bytes()
     except OSError as exc:
         raise StorageError(f"manifest names missing snapshot file {path}") from exc
+    if cache_dir is None:
+        return _parse_csv(data)
+    key = content_key(f"snapshot-v{_CACHE_VERSION}", data)
+    cache_file = Path(cache_dir) / key
+    columns = _read_cache(cache_file, key)
+    if columns is not None:
+        del data  # freed before the records are built
+        return _records(*columns)
+    observations = _parse_csv(data)
+    del data
+    _write_cache(cache_file, key, observations)
+    return observations
+
+
+def _parse_csv(data: bytes) -> list[BikeObservation]:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+        return read_observations_csv(fh)
+
+
+def _records(systems, entity_ids, lats, lons, kinds, observed_ats) -> list[BikeObservation]:
+    """The records of cached columns: each run-length column repeats one
+    object per run, and tuple.__new__ builds the BikeObservations."""
+    return list(
+        map(
+            tuple.__new__,
+            repeat(BikeObservation),
+            zip(_expand(systems), entity_ids, lats, lons, _expand(kinds), _expand(observed_ats)),
+        )
+    )
+
+
+def _expand(runs: list) -> Iterable:
+    return chain.from_iterable(repeat(value, count) for value, count in runs)
+
+
+def _run_lengths(values: Iterable) -> list[list]:
+    return [[value, len(list(run))] for value, run in groupby(values)]
+
+
+def _write_cache(path: Path, key: str, observations: list[BikeObservation]) -> None:
+    """Store the records at path, whole or not at all; a location that cannot
+    be written is skipped."""
+    system_ids, entity_ids, lats, lons, kinds, observed_ats = observation_columns(observations)
+    header = {
+        "key": key,
+        "byteorder": sys.byteorder,
+        "n": len(system_ids),
+        "system_id": _run_lengths(system_ids),
+        "entity_id": entity_ids,
+        "docking_type": _run_lengths(map(_KIND_TEXT.__getitem__, kinds)),
+        "observed_at": _run_lengths(observed_ats),
+    }
+    payload = b"".join([
+        json.dumps(header, separators=(",", ":")).encode("ascii"),
+        b"\n",
+        array("d", lats).tobytes(),
+        array("d", lons).tobytes(),
+    ])
+    crc = zlib.crc32(payload).to_bytes(4, "big")
+    write_atomically(path, lambda fh: fh.writelines((payload, crc)))
+
+
+def _read_cache(path: Path, key: str) -> tuple | None:
+    """The columns of the cache file, for _records, or None (a miss) unless
+    it holds this key, its CRC matches, and every record is one the CSV
+    reader could return: str ids, finite lat/lon in range, a known
+    docking_type, an int observed_at, and run lengths that sum to n."""
+    try:
+        blob = path.read_bytes()
+        view = memoryview(blob)
+        if zlib.crc32(view[:-4]) != int.from_bytes(view[-4:], "big"):
+            return None
+        end = blob.index(b"\n")
+        header = json.loads(blob[:end])
+        if header["key"] != key or header["byteorder"] != sys.byteorder:
+            return None
+        n = header["n"]
+        systems, entity_ids = header["system_id"], header["entity_id"]
+        kinds, observed_ats = header["docking_type"], header["observed_at"]
+        if not (
+            type(n) is int
+            and len(view) - end - 5 == 16 * n
+            and _valid_runs(systems, n, lambda value: type(value) is str)
+            and _valid_runs(kinds, n, _TEXT_KIND.__contains__)
+            and _valid_runs(observed_ats, n, lambda value: type(value) is int)
+            and type(entity_ids) is list
+            and len(entity_ids) == n
+            and set(map(type, entity_ids)) <= {str}
+        ):
+            return None
+        lats, lons = array("d"), array("d")
+        lats.frombytes(view[end + 1:end + 1 + 8 * n])
+        lons.frombytes(view[end + 1 + 8 * n:-4])
+        lats, lons = lats.tolist(), lons.tolist()
+        if not (_in_range(lats, 90.0) and _in_range(lons, 180.0)):
+            return None
+    except Exception:  # whatever a bad file raises, it is only a miss
+        logger.debug("cache file %s is unusable; parsing the snapshot", path, exc_info=True)
+        return None
+    kinds = [(_TEXT_KIND[value], count) for value, count in kinds]
+    return systems, entity_ids, lats, lons, kinds, observed_ats
+
+
+def _valid_runs(runs, n: int, valid_value: Callable[[object], bool]) -> bool:
+    return (
+        type(runs) is list
+        and all(
+            type(run) is list and len(run) == 2 and valid_value(run[0])
+            and type(run[1]) is int and run[1] > 0
+            for run in runs
+        )
+        and sum(count for _, count in runs) == n
+    )
+
+
+def _in_range(values: list[float], limit: float) -> bool:
+    """Whether every value is finite and within [-limit, limit]. min and max
+    are only trustworthy without NaN; a NaN makes the sum NaN."""
+    return not values or (
+        -limit <= min(values) and max(values) <= limit and math.isfinite(sum(values))
+    )
 
 
 def load_snapshot(
-    store_path: str | Path, selector: Selector = "latest"
+    store_path: str | Path,
+    selector: Selector = "latest",
+    *,
+    cache_dir: str | Path | None = None,
 ) -> list[BikeObservation]:
     """Load observations for a selector: "latest", a snapshot id, or a
     (start, end) inclusive observed_at range.
@@ -141,6 +296,13 @@ def load_snapshot(
     A range spanning several snapshots is deduplicated by
     (system_id, entity_id, docking_type), keeping the newest observed_at; a
     later snapshot wins ties so repeated loads are deterministic.
+
+    With ``cache_dir``, the parsed records of each snapshot file that read
+    cleanly are kept there, and a later read of the same bytes loads them
+    instead of parsing the CSV. A cache file that is missing, unreadable or
+    not written for these bytes is a miss (and is replaced); a directory that
+    cannot be written is left alone. Either way the result and the errors
+    are those of a load without the cache.
 
     Raises:
         SnapshotNotFoundError: nothing matches the selector.
@@ -173,10 +335,10 @@ def load_snapshot(
             "selector must be 'latest', an integer id, or a (start, end) range"
         )
     if len(chosen) == 1:
-        return _read_snapshot_file(store, chosen[0])
+        return _read_snapshot_file(store, chosen[0], cache_dir)
     deduped: dict[tuple, BikeObservation] = {}
     for row in chosen:
-        for obs in _read_snapshot_file(store, row):
+        for obs in _read_snapshot_file(store, row, cache_dir):
             key = (obs.system_id, obs.entity_id, obs.docking_type)
             previous = deduped.get(key)
             if previous is None or obs.observed_at >= previous.observed_at:

@@ -3,21 +3,24 @@ as a reference) on CSV layout edge cases, and a fuzz of snapshot files
 through the map command; write_observations_csv read back and against
 csv.writer's bytes.
 
-The reader's reference carries one intended change: an unknown docking_type
-names its data row, as the lat/lon and observed_at errors do."""
+The reader's reference carries two intended changes: an unknown docking_type
+names its data row, as the lat/lon and observed_at errors do, and a row short
+of its system_id or entity_id field is a SchemaError, not a record with a
+None id."""
 
 import contextlib
 import csv
 import io
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikeshare_equity import gbfs_client
+from bikeshare_equity import gbfs_client, snapshot_store
 from bikeshare_equity.cli import main
 from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
 from bikeshare_equity.gbfs_client import (
@@ -27,6 +30,7 @@ from bikeshare_equity.gbfs_client import (
     read_observations_csv,
     write_observations_csv,
 )
+from bikeshare_equity.snapshot_store import load_snapshot
 
 # ---------------------------------------------------------------------------
 # Reference: the reader as it was before positional column access.
@@ -41,6 +45,9 @@ def ref_read_observations_csv(fh):
         raise SchemaError(f"observation CSV missing column(s): {', '.join(missing)}")
     observations = []
     for row_number, row in enumerate(reader, start=1):
+        absent = [column for column in ("system_id", "entity_id") if row[column] is None]
+        if absent:
+            raise SchemaError(f"observation CSV row {row_number}: no {', '.join(absent)} field")
         kind = row["docking_type"]
         if kind not in (DockingType.DOCKED.value, DockingType.FREE.value):
             raise SchemaError(
@@ -121,19 +128,102 @@ def test_read_matches_dictreader_reference(text):
     assert outcome(read_observations_csv, text) == outcome(ref_read_observations_csv, text)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (HEADER + ROW1 + "sys,e2,90.5,0.0,free,1\n", r"row 2: lat, lon \('90.5', '0.0'\) are outside"),
-        (HEADER + "sys,e2,0.0,-180.25,free,1\n", "row 1: lat, lon .* are outside"),
-        (HEADER + "sys,e2,1e300,0.0,free,1\n", "row 1: lat, lon .* are outside"),
-        (HEADER + "sys," + "x" * 200_000 + ",1.0,2.0,free,1\n", "line 2: field larger than field limit"),
-    ],
-    ids=["lat-range", "lon-range", "huge", "field-limit"],
-)
+REJECTED = {
+    "lat-range": (HEADER + ROW1 + "sys,e2,90.5,0.0,free,1\n",
+                  r"row 2: lat, lon \('90.5', '0.0'\) are outside"),
+    "lon-range": (HEADER + "sys,e2,0.0,-180.25,free,1\n", "row 1: lat, lon .* are outside"),
+    "huge": (HEADER + "sys,e2,1e300,0.0,free,1\n", "row 1: lat, lon .* are outside"),
+    "field-limit": (HEADER + "sys," + "x" * 200_000 + ",1.0,2.0,free,1\n",
+                    "line 2: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("text, message", REJECTED.values(), ids=REJECTED.keys())
 def test_read_rejects_out_of_range_and_malformed_csv(text, message):
     with pytest.raises(ParseError, match=message):
         read_observations_csv(io.StringIO(text, newline=""))
+
+
+# The header puts the id columns last, so a short row can lack them.
+SHORT_OF_IDS = (
+    "observed_at,lon,docking_type,lat,entity_id,system_id\n"
+    "1700000000,-122.6,free,45.5,e1,sys\n"
+    "1700000001,-122.5,docked,45.4,e2\n"
+)
+
+
+def test_row_short_of_an_id_field_is_a_schema_error(tmp_path, capsys):
+    with pytest.raises(SchemaError, match=r"^observation CSV row 2: no system_id field$"):
+        read_observations_csv(io.StringIO(SHORT_OF_IDS, newline=""))
+    text = SHORT_OF_IDS.replace(",e2\n", "\n")
+    with pytest.raises(SchemaError, match=r"^observation CSV row 2: no system_id, entity_id field$"):
+        read_observations_csv(io.StringIO(text, newline=""))
+    store = tmp_path / "store"
+    write_store(store, SHORT_OF_IDS.encode())
+    assert main(["map", "--store", str(store), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage load_snapshot: observation CSV row 2: no system_id field\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The store's snapshot cache against the uncached read
+# ---------------------------------------------------------------------------
+
+
+def write_store(store, content):
+    """A store whose one snapshot file holds content."""
+    store.mkdir()
+    (store / "manifest.csv").write_text("1,1700000000,3,snapshot_000001.csv\n")
+    (store / "snapshot_000001.csv").write_bytes(content)
+
+
+def load_outcome(store, **kwargs):
+    try:
+        return load_snapshot(store, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def element_types(records):
+    return [(type(record), *map(type, record)) for record in records]
+
+
+def no_parse(fh):
+    raise AssertionError("a cache hit parsed the CSV")
+
+
+def cached_reads_agree(store):
+    """Read the store uncached, then with a cache (a miss, then a hit):
+    all three give equal records with identical element types, or the same
+    error, in which case nothing is cached. Returns the uncached outcome."""
+    cache = store / "cache"
+    uncached = load_outcome(store)
+    reads = [load_outcome(store, cache_dir=cache)]
+    if isinstance(uncached, list):
+        with mock.patch.object(snapshot_store, "read_observations_csv", no_parse):
+            reads.append(load_outcome(store, cache_dir=cache))
+        assert len(list(cache.iterdir())) == 1
+    else:
+        assert not cache.exists()
+    for read in reads:
+        assert read == uncached
+        if isinstance(read, list):
+            assert element_types(read) == element_types(uncached)
+    return uncached
+
+
+CACHE_CASES = {**EDGE_CASES, **{name: text for name, (text, _) in REJECTED.items()}}
+
+
+@pytest.mark.parametrize("text", CACHE_CASES.values(), ids=CACHE_CASES.keys())
+def test_cached_read_matches_uncached_read(tmp_path, text):
+    store = tmp_path / "store"
+    write_store(store, text.encode("utf-8"))
+    expected = outcome(read_observations_csv, text)
+    assert cached_reads_agree(store) == expected
+    if isinstance(expected, list):
+        assert all(type(record) is BikeObservation for record in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +266,10 @@ def snapshot_bytes(draw):
 @settings(max_examples=200, deadline=None)
 @given(content=snapshot_bytes())
 def test_map_on_fuzzed_snapshot_exits_cleanly(tmp_path_factory, content):
-    store = tmp_path_factory.mktemp("store")
-    (store / "manifest.csv").write_text("1,1700000000,3,snapshot_000001.csv\n")
-    (store / "snapshot_000001.csv").write_bytes(content)
+    store = tmp_path_factory.mktemp("fuzz") / "store"
+    write_store(store, content)
+    # Uncached, missed and hit reads agree; then map reads the cache.
+    cached_reads_agree(store)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(["map", "--store", str(store), "--out", str(store / "out")])
