@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
@@ -566,8 +566,15 @@ def harvest(
     return observations, diagnostics
 
 
-_KIND_TEXT = {kind: kind.value for kind in DockingType}
-_TEXT_KIND = {kind.value: kind for kind in DockingType}
+# A DockingType's text in the snapshot CSV, and back.
+KIND_TEXT = {kind: kind.value for kind in DockingType}
+TEXT_KIND = {kind.value: kind for kind in DockingType}
+
+# The version of read_observations_csv's results. A change to the inputs it
+# accepts or to the records it returns for them must bump it: it is part of
+# the key of every cached read (snapshot_store), so no record an older reader
+# returned is served for bytes this one reads differently.
+OBSERVATION_READER_VERSION = 1
 
 
 # Rows per fh.write: about 70 kB of text, enough that the joins and writes
@@ -624,7 +631,7 @@ def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) 
             _text_fields(entity_ids),
             map(repr, map(float, lats)),
             map(repr, map(float, lons)),
-            map(_KIND_TEXT.__getitem__, kinds),
+            map(KIND_TEXT.__getitem__, kinds),
             map(str, observed_ats),
         ),
     )
@@ -662,6 +669,10 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
             range, or an observed_at that is not an integer (the message names
             the data row, counted from 1 after the header, blank lines not
             counted); text that is not UTF-8 or not CSV.
+
+    Every record passes valid_observation_values. A change to what this
+    accepts or returns must change that rule with it and bump
+    OBSERVATION_READER_VERSION.
     """
     reader = _csv_rows(fh)
     header = next(reader, [])
@@ -689,7 +700,7 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
                 )
             row += [None] * (width - len(row))
         system_id, entity_id, lat_text, lon_text, kind_text, observed_text = fields(row)
-        kind = _TEXT_KIND.get(kind_text)
+        kind = TEXT_KIND.get(kind_text)
         if kind is None:
             raise SchemaError(
                 f"observation CSV row {row_number}: unknown docking_type {kind_text!r}"
@@ -719,3 +730,30 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
             new(BikeObservation, (system_id, entity_id, lat, lon, kind, observed_at))
         )
     return observations
+
+
+def valid_observation_values(
+    system_ids: Iterable, entity_ids: Iterable, lats: list[float], lons: list[float],
+    kinds: Iterable, observed_ats: Iterable,
+) -> bool:
+    """Whether each column holds only values that read_observations_csv can
+    put in it: str ids, lats in [-90, 90] and lons in [-180, 180] (finite),
+    DockingTypes, and int observed_ats (a bool is not one). lats and lons
+    are lists of floats; only their values are checked. The columns may have
+    any lengths, so a column of distinct values stands for a longer one. A
+    cached read (snapshot_store) serves no column that fails this."""
+    return (
+        set(map(type, chain(system_ids, entity_ids))) <= {str}
+        and set(map(type, kinds)) <= {DockingType}
+        and set(map(type, observed_ats)) <= {int}
+        and _within(lats, 90.0)
+        and _within(lons, 180.0)
+    )
+
+
+def _within(degrees: list[float], limit: float) -> bool:
+    """Whether every value is finite and in [-limit, limit]. min and max are
+    only trustworthy without NaN; a NaN makes the sum NaN."""
+    return not degrees or (
+        -limit <= min(degrees) and max(degrees) <= limit and math.isfinite(sum(degrees))
+    )

@@ -6,8 +6,10 @@ and concurrent writers never share an id) and records it in a manifest file
 with one line per snapshot: ``snapshot_id,observed_at,row_count,filename``.
 
 Reads can keep each parsed snapshot in a cache directory, one file per
-snapshot content (``snapshot-v<N>-<sha256 of the CSV bytes>``), so a later
-read of the same file parses no CSV. A cache file holds a JSON header line
+snapshot content (``snapshot-v<N>-r<R>-<sha256 of the CSV bytes>``, where N
+is the cache file's layout version and R the CSV reader's,
+``gbfs_client.OBSERVATION_READER_VERSION``), so a later read of the same
+file parses no CSV. A cache file holds a JSON header line
 (the key, the byte order, the row count ``n``, the ``entity_id`` list, and
 ``[value, count]`` run-length pairs for ``system_id``, ``docking_type`` and
 ``observed_at``), then the lat column and the lon column as raw float64,
@@ -20,7 +22,6 @@ import contextlib
 import io
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -35,11 +36,13 @@ from typing import Callable, Iterable, Union
 from .content_cache import content_key, write_atomically
 from .errors import SnapshotNotFoundError, StorageError
 from .gbfs_client import (
-    _KIND_TEXT,
-    _TEXT_KIND,
+    KIND_TEXT,
+    OBSERVATION_READER_VERSION,
+    TEXT_KIND,
     BikeObservation,
     observation_columns,
     read_observations_csv,
+    valid_observation_values,
     write_observations_csv,
 )
 
@@ -47,8 +50,9 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
 
-# Part of every snapshot cache key: a change to the cache file's layout or
-# meaning must bump it, so files written before the change are never read.
+# Part of every snapshot cache key, with the reader's version: a change to
+# the cache file's layout or meaning must bump it, so files written before
+# the change are never read.
 _CACHE_VERSION = 1
 
 Selector = Union[str, int, tuple]
@@ -163,7 +167,7 @@ def _read_snapshot_file(
         raise StorageError(f"manifest names missing snapshot file {path}") from exc
     if cache_dir is None:
         return _parse_csv(data)
-    key = content_key(f"snapshot-v{_CACHE_VERSION}", data)
+    key = content_key(f"snapshot-v{_CACHE_VERSION}-r{OBSERVATION_READER_VERSION}", data)
     cache_file = Path(cache_dir) / key
     columns = _read_cache(cache_file, key)
     if columns is not None:
@@ -210,7 +214,7 @@ def _write_cache(path: Path, key: str, observations: list[BikeObservation]) -> N
         "n": len(system_ids),
         "system_id": _run_lengths(system_ids),
         "entity_id": entity_ids,
-        "docking_type": _run_lengths(map(_KIND_TEXT.__getitem__, kinds)),
+        "docking_type": _run_lengths(map(KIND_TEXT.__getitem__, kinds)),
         "observed_at": _run_lengths(observed_ats),
     }
     payload = b"".join([
@@ -225,9 +229,9 @@ def _write_cache(path: Path, key: str, observations: list[BikeObservation]) -> N
 
 def _read_cache(path: Path, key: str) -> tuple | None:
     """The columns of the cache file, for _records, or None (a miss) unless
-    it holds this key, its CRC matches, and every record is one the CSV
-    reader could return: str ids, finite lat/lon in range, a known
-    docking_type, an int observed_at, and run lengths that sum to n."""
+    it holds this key, its CRC matches, its run lengths and columns add up
+    to n, and its values pass the CSV reader's own rule
+    (gbfs_client.valid_observation_values)."""
     try:
         blob = path.read_bytes()
         view = memoryview(blob)
@@ -238,50 +242,47 @@ def _read_cache(path: Path, key: str) -> tuple | None:
         if header["key"] != key or header["byteorder"] != sys.byteorder:
             return None
         n = header["n"]
-        systems, entity_ids = header["system_id"], header["entity_id"]
-        kinds, observed_ats = header["docking_type"], header["observed_at"]
+        entity_ids = header["entity_id"]
+        runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]
         if not (
             type(n) is int
             and len(view) - end - 5 == 16 * n
-            and _valid_runs(systems, n, lambda value: type(value) is str)
-            and _valid_runs(kinds, n, _TEXT_KIND.__contains__)
-            and _valid_runs(observed_ats, n, lambda value: type(value) is int)
+            and all(_valid_runs(column, n) for column in runs)
             and type(entity_ids) is list
             and len(entity_ids) == n
-            and set(map(type, entity_ids)) <= {str}
         ):
             return None
+        systems, kinds, observed_ats = runs
+        kinds = [(TEXT_KIND[value], count) for value, count in kinds]
         lats, lons = array("d"), array("d")
         lats.frombytes(view[end + 1:end + 1 + 8 * n])
         lons.frombytes(view[end + 1 + 8 * n:-4])
         lats, lons = lats.tolist(), lons.tolist()
-        if not (_in_range(lats, 90.0) and _in_range(lons, 180.0)):
+        if not valid_observation_values(
+            _values(systems), entity_ids, lats, lons, _values(kinds), _values(observed_ats)
+        ):
             return None
     except Exception:  # whatever a bad file raises, it is only a miss
         logger.debug("cache file %s is unusable; parsing the snapshot", path, exc_info=True)
         return None
-    kinds = [(_TEXT_KIND[value], count) for value, count in kinds]
     return systems, entity_ids, lats, lons, kinds, observed_ats
 
 
-def _valid_runs(runs, n: int, valid_value: Callable[[object], bool]) -> bool:
+def _valid_runs(runs, n: int) -> bool:
+    """Whether runs is a list of [value, count] pairs whose positive int
+    counts sum to n."""
     return (
         type(runs) is list
         and all(
-            type(run) is list and len(run) == 2 and valid_value(run[0])
-            and type(run[1]) is int and run[1] > 0
+            type(run) is list and len(run) == 2 and type(run[1]) is int and run[1] > 0
             for run in runs
         )
         and sum(count for _, count in runs) == n
     )
 
 
-def _in_range(values: list[float], limit: float) -> bool:
-    """Whether every value is finite and within [-limit, limit]. min and max
-    are only trustworthy without NaN; a NaN makes the sum NaN."""
-    return not values or (
-        -limit <= min(values) and max(values) <= limit and math.isfinite(sum(values))
-    )
+def _values(runs: list) -> list:
+    return [value for value, _ in runs]
 
 
 def load_snapshot(

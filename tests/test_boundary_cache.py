@@ -114,8 +114,12 @@ def analyze(city, out_dir):
 
 
 def cache_files(city):
-    """The boundary cache's files (the store's cache also holds snapshots)."""
-    return sorted((city["store"] / "cache").glob("tract-index-*"))
+    """Every entry in the store's cache but the snapshot cache's finished
+    files, so a temporary file of either cache is listed."""
+    return sorted(
+        path for path in (city["store"] / "cache").iterdir()
+        if not path.name.startswith("snapshot-")
+    )
 
 
 def test_two_analyze_runs_on_one_store_are_byte_identical(tmp_path, city, monkeypatch):

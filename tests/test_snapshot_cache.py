@@ -38,7 +38,12 @@ def parses(monkeypatch):
 
 
 def snapshot_caches(store):
-    return sorted((store / "cache").glob("snapshot-*"))
+    """Every entry in the store's cache but the boundary cache's finished
+    files, so a temporary file of either cache is listed."""
+    return sorted(
+        path for path in (store / "cache").iterdir()
+        if not path.name.startswith("tract-index-")
+    )
 
 
 def analyze(city, out_dir):
@@ -243,13 +248,17 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, parses, spoil):
     assert parses == [1]
 
 
-def test_old_version_file_is_never_read(city, monkeypatch, parses):
+@pytest.mark.parametrize("version, prefix", [
+    ("_CACHE_VERSION", "snapshot-v0-r"),  # the cache file's layout
+    ("OBSERVATION_READER_VERSION", f"snapshot-v{snapshot_store._CACHE_VERSION}-r0-"),
+])
+def test_old_version_file_is_never_read(city, monkeypatch, parses, version, prefix):
     store = city["store"]
-    monkeypatch.setattr(snapshot_store, "_CACHE_VERSION", 0)
+    monkeypatch.setattr(snapshot_store, version, 0)
     expected = load_snapshot(store, cache_dir=store / "cache")
     monkeypatch.undo()
     (old,) = snapshot_caches(store)
-    assert old.name.startswith("snapshot-v0-")
+    assert old.name.startswith(prefix)
     read = snapshot_store._read_cache
 
     def read_current(path, key):

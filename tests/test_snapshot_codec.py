@@ -27,7 +27,9 @@ from bikeshare_equity.gbfs_client import (
     OBSERVATION_COLUMNS,
     BikeObservation,
     DockingType,
+    observation_columns,
     read_observations_csv,
+    valid_observation_values,
     write_observations_csv,
 )
 from bikeshare_equity.snapshot_store import load_snapshot
@@ -196,11 +198,13 @@ def no_parse(fh):
 def cached_reads_agree(store):
     """Read the store uncached, then with a cache (a miss, then a hit):
     all three give equal records with identical element types, or the same
-    error, in which case nothing is cached. Returns the uncached outcome."""
+    error, in which case nothing is cached. Records read pass the reader's
+    rule for values, which a cache hit checks. Returns the uncached outcome."""
     cache = store / "cache"
     uncached = load_outcome(store)
     reads = [load_outcome(store, cache_dir=cache)]
     if isinstance(uncached, list):
+        assert valid_observation_values(*observation_columns(uncached))
         with mock.patch.object(snapshot_store, "read_observations_csv", no_parse):
             reads.append(load_outcome(store, cache_dir=cache))
         assert len(list(cache.iterdir())) == 1
@@ -224,6 +228,30 @@ def test_cached_read_matches_uncached_read(tmp_path, text):
     assert cached_reads_agree(store) == expected
     if isinstance(expected, list):
         assert all(type(record) is BikeObservation for record in expected)
+
+
+GOOD_COLUMNS = (["sys"], ["e1", ""], [45.5, -90.0, 90.0], [-122.6, -180.0, 180.0],
+                [DockingType.FREE, DockingType.DOCKED], [1700000000, 0])
+BAD_VALUES = {
+    "system id not a str": (0, None),
+    "entity id not a str": (1, 7),
+    "lat out of range": (2, 90.5),
+    "lat NaN": (2, math.nan),
+    "lon out of range": (3, -180.25),
+    "lon infinite": (3, math.inf),
+    "kind as text": (4, "free"),
+    "observed_at a float": (5, 1.0),
+    "observed_at a bool": (5, True),
+}
+
+
+@pytest.mark.parametrize("column, value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_valid_observation_values_rejects_what_the_reader_never_returns(column, value):
+    assert valid_observation_values(*GOOD_COLUMNS)
+    assert valid_observation_values(*([] for _ in GOOD_COLUMNS))
+    columns = [list(values) for values in GOOD_COLUMNS]
+    columns[column].append(value)
+    assert not valid_observation_values(*columns)
 
 
 # ---------------------------------------------------------------------------
