@@ -13,16 +13,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BikeshareEquityError, StageError, StorageError
 from .gbfs_client import (
     BikeObservation,
     DockingType,
+    as_observations,
     fetch_system_catalog,
     harvest,
 )
@@ -277,25 +278,23 @@ def cmd_analyze(config: PipelineConfig) -> int:
 
 _MARKER = '<circle class="marker %s" cx="%.2f" cy="%.2f" r="2.5"/>'
 _MARKER_CLASS = {DockingType.DOCKED: "docked", DockingType.FREE: "free"}
-_LAT = operator.attrgetter("lat")
-_LON = operator.attrgetter("lon")
-_KIND = operator.attrgetter("docking_type")
 
 
 def render_map_svg(
-    observations: Sequence[BikeObservation], width: int = 800, height: int = 500
+    observations: Iterable[BikeObservation], width: int = 800, height: int = 500
 ) -> str:
     """Equirectangular scatter of observations as a standalone SVG document.
 
     Docked and free observations get distinct marker classes; a legend and a
     count caption are always drawn, and an empty snapshot still produces axes.
+    The markers are formatted from the observations' columns.
     """
+    observations = as_observations(observations)
+    lats, lons, kinds = observations.lats, observations.lons, observations.docking_type_runs
     margin = 40.0
-    # Columns are streamed with map() rather than copied: the markers are the
-    # largest thing map holds, and a copy of each column would add to it.
     if observations:
-        min_lon, max_lon = min(map(_LON, observations)), max(map(_LON, observations))
-        min_lat, max_lat = min(map(_LAT, observations)), max(map(_LAT, observations))
+        min_lon, max_lon = min(lons), max(lons)
+        min_lat, max_lat = min(lats), max(lats)
     else:
         # Continental-US default frame so an empty plot still shows axes.
         min_lon, max_lon, min_lat, max_lat = -125.0, -66.0, 24.0, 50.0
@@ -317,7 +316,7 @@ def render_map_svg(
     def y_of(lat: float) -> float:
         return height - margin - (lat - min_lat) * scale
 
-    n_docked = operator.countOf(map(_KIND, observations), DockingType.DOCKED)
+    n_docked = sum(count for kind, count in kinds if kind == DockingType.DOCKED)
     n_free = len(observations) - n_docked
     plot_right = x_of(max_lon)
     plot_top = y_of(max_lat)
@@ -340,9 +339,9 @@ def render_map_svg(
         f'<text x="4" y="{plot_top + 4:.2f}">lat {max_lat:.2f}</text>',
     ]
     # x_of and y_of inlined: per marker, a call costs more than the arithmetic.
-    classes = map(_MARKER_CLASS.__getitem__, map(_KIND, observations))
-    xs = (margin + (lon - min_lon) * scale for lon in map(_LON, observations))
-    ys = (height - margin - (lat - min_lat) * scale for lat in map(_LAT, observations))
+    classes = chain.from_iterable(repeat(_MARKER_CLASS[kind], count) for kind, count in kinds)
+    xs = (margin + (lon - min_lon) * scale for lon in lons)
+    ys = (height - margin - (lat - min_lat) * scale for lat in lats)
     lines.extend(map(_MARKER.__mod__, zip(classes, xs, ys)))
     legend_x = width - margin - 120
     lines.extend(

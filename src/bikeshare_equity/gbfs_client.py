@@ -4,7 +4,8 @@ Discovers bikeshare systems from a catalog CSV, fetches their auto-discovery
 documents and feeds over HTTP (or from local files, which is handy for
 archived documents and fixtures), normalizes the format deviations that occur
 in the wild, and turns station_information / free_bike_status payloads into
-canonical bike observations.
+canonical bike observations. Snapshots are read back as Observations:
+the columns of their records, which the pipeline's stages read whole.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import math
 import operator
 import os
 import time
+from array import array
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
@@ -78,7 +81,7 @@ class FeedManifest:
 
 class BikeObservation(NamedTuple):
     """One harvested entity at one time point; a tuple, so building one is a
-    single C-level call (the harvest and every snapshot read build thousands)."""
+    single C-level call (a harvest builds thousands)."""
 
     system_id: str
     entity_id: str
@@ -594,6 +597,118 @@ def observation_columns(observations: Iterable[BikeObservation]) -> tuple[tuple,
     return tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
 
 
+def _run_lengths(values: Iterable) -> list[list]:
+    """[value, count] runs of equal consecutive values; each run keeps the
+    object of its first value."""
+    return [[value, len(list(run))] for value, run in groupby(values)]
+
+
+def _expand(runs: Iterable) -> Iterator:
+    """The values of [value, count] runs, one object per run repeated."""
+    return chain.from_iterable(repeat(value, count) for value, count in runs)
+
+
+def _run_value(runs: Iterable, position: int):
+    """The value at a row position of [value, count] runs."""
+    for value, count in runs:
+        position -= count
+        if position < 0:
+            return value
+    raise IndexError("run-length column shorter than the observations")
+
+
+class Observations(Sequence):
+    """A snapshot's observations as columns, as a snapshot cache file holds
+    them: the entity_ids, and the lats and lons as float64 arrays, one value
+    per row, and ``[value, count]`` runs of equal consecutive system_id,
+    docking_type and observed_at values, whose counts sum to the row count.
+    The arrays hold no float objects, which a column of 10k rows would
+    otherwise keep for as long as it lives.
+
+    It is a read-only sequence of BikeObservations: len, int indexing
+    (negative too) and iteration build each record on demand. An index
+    walks the runs, so reading every record is an iteration's job. The
+    pipeline's stages read the columns, and build no records.
+    """
+
+    __slots__ = (
+        "system_id_runs", "entity_ids", "lats", "lons", "docking_type_runs", "observed_at_runs",
+    )
+
+    def __init__(
+        self,
+        system_id_runs: list,
+        entity_ids: Sequence[str],
+        lats: array,
+        lons: array,
+        docking_type_runs: list,
+        observed_at_runs: list,
+    ):
+        self.system_id_runs = system_id_runs
+        self.entity_ids = entity_ids
+        self.lats = lats
+        self.lons = lons
+        self.docking_type_runs = docking_type_runs
+        self.observed_at_runs = observed_at_runs
+
+    @classmethod
+    def from_columns(
+        cls, system_ids: Iterable, entity_ids: Sequence[str], lats: Iterable[float],
+        lons: Iterable[float], docking_types: Iterable, observed_ats: Iterable,
+    ) -> Observations:
+        """From six columns with one value per row, in OBSERVATION_COLUMNS
+        order; system_ids, docking_types and observed_ats become runs, and
+        lats and lons float64 arrays."""
+        return cls(
+            _run_lengths(system_ids), entity_ids, array("d", lats), array("d", lons),
+            _run_lengths(docking_types), _run_lengths(observed_ats),
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[BikeObservation]) -> Observations:
+        """The columns of records, which are read once."""
+        return cls.from_columns(*observation_columns(records))
+
+    def columns(self) -> tuple[Iterable, ...]:
+        """The six columns with one value per row, in OBSERVATION_COLUMNS
+        order; the run-length ones are expanded as they are iterated."""
+        return (
+            _expand(self.system_id_runs), self.entity_ids, self.lats, self.lons,
+            _expand(self.docking_type_runs), _expand(self.observed_at_runs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.entity_ids)
+
+    def __iter__(self) -> Iterator[BikeObservation]:
+        # tuple.__new__ builds each record without the NamedTuple's
+        # Python-level __new__; the records are the same BikeObservations.
+        return map(tuple.__new__, repeat(BikeObservation), zip(*self.columns()))
+
+    def __getitem__(self, index: int) -> BikeObservation:
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("observation index out of range")
+        return tuple.__new__(BikeObservation, (
+            _run_value(self.system_id_runs, position),
+            self.entity_ids[position],
+            self.lats[position],
+            self.lons[position],
+            _run_value(self.docking_type_runs, position),
+            _run_value(self.observed_at_runs, position),
+        ))
+
+
+def as_observations(observations: Iterable[BikeObservation]) -> Observations:
+    """observations itself if it is an Observations, else the columns of its
+    records, read once (so a generator will do)."""
+    if isinstance(observations, Observations):
+        return observations
+    return Observations.from_records(observations)
+
+
 def _quote_field(text: str) -> str:
     if any(char in text for char in _QUOTED_CHARS):
         return '"' + text.replace('"', '""') + '"'
@@ -653,13 +768,13 @@ def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
         raise ParseError(f"observation CSV is not UTF-8 text: {exc}") from None
 
 
-def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
-    """Read observations from the canonical CSV layout.
+def read_observations_csv(fh: TextIO) -> Observations:
+    """Read observations from the canonical CSV layout, as columns.
 
     Columns are found by header name, so their order is free and extra
     columns are ignored; when a name repeats, its last column is read. Blank
     lines are skipped, and a field missing from a short row reads as absent.
-    Every record holds str ids, float degrees, a DockingType and an int.
+    Every row holds str ids, float degrees, a DockingType and an int.
 
     Raises:
         SchemaError: a required column is missing, a row is short of its
@@ -670,7 +785,7 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
             the data row, counted from 1 after the header, blank lines not
             counted); text that is not UTF-8 or not CSV.
 
-    Every record passes valid_observation_values. A change to what this
+    The columns pass valid_observation_values. A change to what this
     accepts or returns must change that rule with it and bump
     OBSERVATION_READER_VERSION.
     """
@@ -683,10 +798,8 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
     fields = operator.itemgetter(*(position[column] for column in OBSERVATION_COLUMNS))
     width = len(header)
     id_positions = [(column, position[column]) for column in OBSERVATION_COLUMNS[:2]]
-    # tuple.__new__ builds each record without the NamedTuple's Python-level
-    # __new__; the records are the same BikeObservations.
-    new = tuple.__new__
-    observations = []
+    system_ids, entity_ids, kinds, observed_ats = [], [], [], []
+    lats, lons = array("d"), array("d")
     row_number = 0
     for row in reader:
         if not row:
@@ -726,20 +839,23 @@ def read_observations_csv(fh: TextIO) -> list[BikeObservation]:
                 f"observation CSV row {row_number}: observed_at "
                 f"{observed_text!r} is not an integer"
             ) from None
-        observations.append(
-            new(BikeObservation, (system_id, entity_id, lat, lon, kind, observed_at))
-        )
-    return observations
+        system_ids.append(system_id)
+        entity_ids.append(entity_id)
+        lats.append(lat)
+        lons.append(lon)
+        kinds.append(kind)
+        observed_ats.append(observed_at)
+    return Observations.from_columns(system_ids, entity_ids, lats, lons, kinds, observed_ats)
 
 
 def valid_observation_values(
-    system_ids: Iterable, entity_ids: Iterable, lats: list[float], lons: list[float],
+    system_ids: Iterable, entity_ids: Iterable, lats: Sequence[float], lons: Sequence[float],
     kinds: Iterable, observed_ats: Iterable,
 ) -> bool:
     """Whether each column holds only values that read_observations_csv can
     put in it: str ids, lats in [-90, 90] and lons in [-180, 180] (finite),
     DockingTypes, and int observed_ats (a bool is not one). lats and lons
-    are lists of floats; only their values are checked. The columns may have
+    are sequences of floats; only their values are checked. The columns may have
     any lengths, so a column of distinct values stands for a longer one. A
     cached read (snapshot_store) serves no column that fails this."""
     return (
@@ -751,7 +867,7 @@ def valid_observation_values(
     )
 
 
-def _within(degrees: list[float], limit: float) -> bool:
+def _within(degrees: Sequence[float], limit: float) -> bool:
     """Whether every value is finite and in [-limit, limit]. min and max are
     only trustworthy without NaN; a NaN makes the sum NaN."""
     return not degrees or (

@@ -12,17 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
-from .gbfs_client import BikeObservation, DockingType, observation_columns
+from .gbfs_client import BikeObservation, DockingType, as_observations
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
 
@@ -118,20 +116,6 @@ class SystemSummary:
     q75: float
 
 
-def _observation_columns(
-    observations: Iterable[BikeObservation],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latitudes, longitudes and is-free flags of the observations, taken with
-    one zip over the tuples (a function, so the columns are freed on return)."""
-    _, _, lats, lons, types, _ = observation_columns(observations)
-    is_free = map(operator.is_not, types, repeat(DockingType.DOCKED))
-    return (
-        np.fromiter(lats, dtype=np.float64, count=len(lats)),
-        np.fromiter(lons, dtype=np.float64, count=len(lons)),
-        np.fromiter(is_free, dtype=bool, count=len(types)),
-    )
-
-
 def count_by_tract(
     observations: Iterable[BikeObservation], index: TractIndex
 ) -> tuple[list[TractCount], CountDiagnostics]:
@@ -140,8 +124,17 @@ def count_by_tract(
     Tracts receiving no observations appear zero-filled; observations falling
     in no tract are dropped and tallied in the diagnostics.
     """
-    lats, lons, is_free = _observation_columns(observations)
-    ranks = assign_ranks(lats, lons, index)
+    observations = as_observations(observations)
+    kinds = observations.docking_type_runs
+    is_free = np.repeat(
+        np.array([kind is not DockingType.DOCKED for kind, _ in kinds], dtype=bool),
+        np.array([count for _, count in kinds], dtype=np.intp),
+    )
+    ranks = assign_ranks(
+        np.array(observations.lats, dtype=np.float64),
+        np.array(observations.lons, dtype=np.float64),
+        index,
+    )
     # Row r of the tally holds rank r's (docked, free) counts; the last row,
     # rank len(geoids), the observations in no tract.
     geoids = index.geoids()
@@ -289,22 +282,43 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
     )
 
 
-def summarize_systems(observations: Sequence[BikeObservation]) -> list[SystemSummary]:
+def _merged_runs(first: list, second: list):
+    """(first value, second value, count) for each stretch of rows over which
+    neither of two [value, count] run lists that cover the same rows changes."""
+    second = iter(second)
+    left = 0
+    for first_value, count in first:
+        while count:
+            if not left:
+                second_value, left = next(second)
+            taken = min(count, left)
+            yield first_value, second_value, taken
+            count -= taken
+            left -= taken
+
+
+def summarize_systems(observations: Iterable[BikeObservation]) -> list[SystemSummary]:
     """Totals, system counts, and per-system quartiles for each docking type.
 
     Dockless (free) comes first, then docked; a docking type with no
-    observations is omitted.
+    observations is omitted. The counts come from the docking_type and
+    system_id runs of the observations' columns, merged run by run.
     """
+    observations = as_observations(observations)
     if not observations:
         raise ValueError("summarize_systems requires at least one observation")
+    per_pair: Counter = Counter()
+    for kind, system_id, count in _merged_runs(
+        observations.docking_type_runs, observations.system_id_runs
+    ):
+        per_pair[kind, system_id] += count
     summaries: list[SystemSummary] = []
     for docking_type in (DockingType.FREE, DockingType.DOCKED):
-        per_system = Counter(
-            obs.system_id for obs in observations if obs.docking_type is docking_type
+        counts = sorted(
+            count for (kind, _), count in per_pair.items() if kind is docking_type
         )
-        if not per_system:
+        if not counts:
             continue
-        counts = sorted(per_system.values())
         summaries.append(
             SystemSummary(
                 docking_type=docking_type,

@@ -9,11 +9,13 @@ Reads can keep each parsed snapshot in a cache directory, one file per
 snapshot content (``snapshot-v<N>-r<R>-<sha256 of the CSV bytes>``, where N
 is the cache file's layout version and R the CSV reader's,
 ``gbfs_client.OBSERVATION_READER_VERSION``), so a later read of the same
-file parses no CSV. A cache file holds a JSON header line
-(the key, the byte order, the row count ``n``, the ``entity_id`` list, and
-``[value, count]`` run-length pairs for ``system_id``, ``docking_type`` and
-``observed_at``), then the lat column and the lon column as raw float64,
-then a big-endian CRC32 of everything before it.
+file parses no CSV. A cache file holds the columns of a
+``gbfs_client.Observations``: a JSON header line (the key, the byte order,
+the row count ``n``, the ``entity_id`` list, and ``[value, count]``
+run-length pairs for ``system_id``, ``docking_type`` and ``observed_at``),
+then the lat column and the lon column as raw float64, then a big-endian
+CRC32 of everything before it. A read returns an Observations, cached or
+not, and builds no records.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import uuid
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -40,7 +41,7 @@ from .gbfs_client import (
     OBSERVATION_READER_VERSION,
     TEXT_KIND,
     BikeObservation,
-    observation_columns,
+    Observations,
     read_observations_csv,
     valid_observation_values,
     write_observations_csv,
@@ -159,7 +160,7 @@ def append_snapshot(
 
 def _read_snapshot_file(
     store: Path, row: _ManifestRow, cache_dir: str | Path | None = None
-) -> list[BikeObservation]:
+) -> Observations:
     path = store / row.filename
     try:
         data = path.read_bytes()
@@ -169,68 +170,47 @@ def _read_snapshot_file(
         return _parse_csv(data)
     key = content_key(f"snapshot-v{_CACHE_VERSION}-r{OBSERVATION_READER_VERSION}", data)
     cache_file = Path(cache_dir) / key
-    columns = _read_cache(cache_file, key)
-    if columns is not None:
-        del data  # freed before the records are built
-        return _records(*columns)
-    observations = _parse_csv(data)
-    del data
-    _write_cache(cache_file, key, observations)
+    observations = _read_cache(cache_file, key)
+    if observations is None:
+        observations = _parse_csv(data)
+        del data
+        _write_cache(cache_file, key, observations)
     return observations
 
 
-def _parse_csv(data: bytes) -> list[BikeObservation]:
+def _parse_csv(data: bytes) -> Observations:
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         return read_observations_csv(fh)
 
 
-def _records(systems, entity_ids, lats, lons, kinds, observed_ats) -> list[BikeObservation]:
-    """The records of cached columns: each run-length column repeats one
-    object per run, and tuple.__new__ builds the BikeObservations."""
-    return list(
-        map(
-            tuple.__new__,
-            repeat(BikeObservation),
-            zip(_expand(systems), entity_ids, lats, lons, _expand(kinds), _expand(observed_ats)),
-        )
-    )
-
-
-def _expand(runs: list) -> Iterable:
-    return chain.from_iterable(repeat(value, count) for value, count in runs)
-
-
-def _run_lengths(values: Iterable) -> list[list]:
-    return [[value, len(list(run))] for value, run in groupby(values)]
-
-
-def _write_cache(path: Path, key: str, observations: list[BikeObservation]) -> None:
-    """Store the records at path, whole or not at all; a location that cannot
-    be written is skipped."""
-    system_ids, entity_ids, lats, lons, kinds, observed_ats = observation_columns(observations)
+def _write_cache(path: Path, key: str, observations: Observations) -> None:
+    """Store the columns at path, whole or not at all; a location that
+    cannot be written is skipped."""
     header = {
         "key": key,
         "byteorder": sys.byteorder,
-        "n": len(system_ids),
-        "system_id": _run_lengths(system_ids),
-        "entity_id": entity_ids,
-        "docking_type": _run_lengths(map(KIND_TEXT.__getitem__, kinds)),
-        "observed_at": _run_lengths(observed_ats),
+        "n": len(observations),
+        "system_id": observations.system_id_runs,
+        "entity_id": observations.entity_ids,
+        "docking_type": [
+            [KIND_TEXT[kind], count] for kind, count in observations.docking_type_runs
+        ],
+        "observed_at": observations.observed_at_runs,
     }
     payload = b"".join([
         json.dumps(header, separators=(",", ":")).encode("ascii"),
         b"\n",
-        array("d", lats).tobytes(),
-        array("d", lons).tobytes(),
+        observations.lats.tobytes(),
+        observations.lons.tobytes(),
     ])
     crc = zlib.crc32(payload).to_bytes(4, "big")
     write_atomically(path, lambda fh: fh.writelines((payload, crc)))
 
 
-def _read_cache(path: Path, key: str) -> tuple | None:
-    """The columns of the cache file, for _records, or None (a miss) unless
-    it holds this key, its CRC matches, its run lengths and columns add up
-    to n, and its values pass the CSV reader's own rule
+def _read_cache(path: Path, key: str) -> Observations | None:
+    """The columns of the cache file, or None (a miss) unless it holds this
+    key, its CRC matches, its run lengths and columns add up to n, and its
+    values pass the CSV reader's own rule
     (gbfs_client.valid_observation_values)."""
     try:
         blob = path.read_bytes()
@@ -253,11 +233,10 @@ def _read_cache(path: Path, key: str) -> tuple | None:
         ):
             return None
         systems, kinds, observed_ats = runs
-        kinds = [(TEXT_KIND[value], count) for value, count in kinds]
+        kinds = [[TEXT_KIND[value], count] for value, count in kinds]
         lats, lons = array("d"), array("d")
         lats.frombytes(view[end + 1:end + 1 + 8 * n])
         lons.frombytes(view[end + 1 + 8 * n:-4])
-        lats, lons = lats.tolist(), lons.tolist()
         if not valid_observation_values(
             _values(systems), entity_ids, lats, lons, _values(kinds), _values(observed_ats)
         ):
@@ -265,7 +244,7 @@ def _read_cache(path: Path, key: str) -> tuple | None:
     except Exception:  # whatever a bad file raises, it is only a miss
         logger.debug("cache file %s is unusable; parsing the snapshot", path, exc_info=True)
         return None
-    return systems, entity_ids, lats, lons, kinds, observed_ats
+    return Observations(systems, entity_ids, lats, lons, kinds, observed_ats)
 
 
 def _valid_runs(runs, n: int) -> bool:
@@ -290,15 +269,18 @@ def load_snapshot(
     selector: Selector = "latest",
     *,
     cache_dir: str | Path | None = None,
-) -> list[BikeObservation]:
+) -> Observations:
     """Load observations for a selector: "latest", a snapshot id, or a
-    (start, end) inclusive observed_at range.
+    (start, end) inclusive observed_at range. The result is a
+    ``gbfs_client.Observations``: a sequence of BikeObservations built on
+    access from the columns it holds.
 
     A range spanning several snapshots is deduplicated by
     (system_id, entity_id, docking_type), keeping the newest observed_at; a
-    later snapshot wins ties so repeated loads are deterministic.
+    later snapshot wins ties so repeated loads are deterministic. Each key
+    keeps the place where it first appears.
 
-    With ``cache_dir``, the parsed records of each snapshot file that read
+    With ``cache_dir``, the parsed columns of each snapshot file that read
     cleanly are kept there, and a later read of the same bytes loads them
     instead of parsing the CSV. A cache file that is missing, unreadable or
     not written for these bytes is a miss (and is replaced); a directory that
@@ -337,11 +319,20 @@ def load_snapshot(
         )
     if len(chosen) == 1:
         return _read_snapshot_file(store, chosen[0], cache_dir)
-    deduped: dict[tuple, BikeObservation] = {}
-    for row in chosen:
-        for obs in _read_snapshot_file(store, row, cache_dir):
-            key = (obs.system_id, obs.entity_id, obs.docking_type)
-            previous = deduped.get(key)
-            if previous is None or obs.observed_at >= previous.observed_at:
-                deduped[key] = obs
-    return list(deduped.values())
+    return _newest_per_key(_read_snapshot_file(store, row, cache_dir) for row in chosen)
+
+
+def _newest_per_key(snapshots: Iterable[Observations]) -> Observations:
+    """One row per (system_id, entity_id, docking_type) of the snapshots,
+    read in order: each key where it first appears, with the lat, lon and
+    observed_at of its newest observed_at (the later row on a tie)."""
+    newest: dict[tuple, tuple] = {}
+    for snapshot in snapshots:
+        system_ids, entity_ids, lats, lons, kinds, observed_ats = snapshot.columns()
+        for key, value in zip(zip(system_ids, entity_ids, kinds), zip(observed_ats, lats, lons)):
+            kept = newest.get(key)
+            if kept is None or value[0] >= kept[0]:
+                newest[key] = value
+    system_ids, entity_ids, kinds = tuple(zip(*newest)) or ((), (), ())
+    observed_ats, lats, lons = tuple(zip(*newest.values())) or ((), (), ())
+    return Observations.from_columns(system_ids, entity_ids, lats, lons, kinds, observed_ats)

@@ -559,7 +559,7 @@ def test_observation_csv_round_trip(tmp_path):
     text = csv_text(observations)
     header = text.splitlines()[0]
     assert header == "system_id,entity_id,lat,lon,docking_type,observed_at"
-    assert read_observations_csv(io.StringIO(text)) == observations
+    assert list(read_observations_csv(io.StringIO(text))) == observations
 
 
 OBSERVATION_HEADER = "system_id,entity_id,lat,lon,docking_type,observed_at\n"

@@ -380,6 +380,34 @@ def test_summarize_orders_free_then_docked():
 def test_summarize_requires_observations():
     with pytest.raises(ValueError):
         summarize_systems([])
+    with pytest.raises(ValueError):
+        summarize_systems(obs for obs in [])
+
+
+def test_summarize_reads_a_generator_once():
+    observations = make_fleet({"f": 1}, DockingType.FREE) + make_fleet(
+        {"d": 2}, DockingType.DOCKED
+    )
+    from_generator = summarize_systems(obs for obs in observations)
+    assert from_generator == summarize_systems(observations)
+    assert [(s.docking_type, s.total_bikes) for s in from_generator] == [
+        (DockingType.FREE, 1), (DockingType.DOCKED, 2)
+    ]
+
+
+def test_summarize_counts_systems_split_across_runs():
+    """A system's rows need not be adjacent: its count adds up over every run
+    of its system_id within a docking type."""
+    rows = (
+        make_fleet({"a": 2, "b": 3}, DockingType.FREE)
+        + make_fleet({"a": 4}, DockingType.DOCKED)
+        + make_fleet({"a": 1, "c": 2}, DockingType.FREE)
+        + make_fleet({"b": 5, "a": 1}, DockingType.DOCKED)
+    )
+    free, docked = summarize_systems(rows)
+    # Free: a 2 + 1, b 3, c 2; docked: a 4 + 1, b 5.
+    assert (free.total_bikes, free.n_systems, free.q25, free.q50) == (8, 3, 2.5, 3.0)
+    assert (docked.total_bikes, docked.n_systems, docked.q25, docked.q75) == (10, 2, 5.0, 5.0)
 
 
 def test_quantiles_match_oracles():

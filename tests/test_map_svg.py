@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bikeshare_equity.cli import render_map_svg
-from bikeshare_equity.gbfs_client import DockingType
+from bikeshare_equity.gbfs_client import DockingType, Observations
 from helpers import observation
 
 # ---------------------------------------------------------------------------
@@ -106,4 +106,12 @@ CASES = {
 
 @pytest.mark.parametrize("observations", CASES.values(), ids=CASES.keys())
 def test_render_map_svg_matches_reference(observations):
-    assert render_map_svg(observations) == ref_render_map_svg(observations)
+    expected = ref_render_map_svg(observations)
+    assert render_map_svg(observations) == expected
+    assert render_map_svg(Observations.from_records(observations)) == expected
+
+
+def test_render_map_svg_reads_a_generator_once():
+    observations = sample(50, 2)
+    expected = ref_render_map_svg(observations)
+    assert render_map_svg(obs for obs in observations) == expected

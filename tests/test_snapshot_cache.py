@@ -58,9 +58,9 @@ def map_svg(store, out_dir, *extra):
 
 def test_cached_records_equal_the_uncached_read(city, parses):
     store = city["store"]
-    fresh = load_snapshot(store)
-    missed = load_snapshot(store, cache_dir=store / "cache")
-    hit = load_snapshot(store, cache_dir=store / "cache")
+    fresh = list(load_snapshot(store))
+    missed = list(load_snapshot(store, cache_dir=store / "cache"))
+    hit = list(load_snapshot(store, cache_dir=store / "cache"))
     assert parses == [1, 1]
     assert missed == fresh and hit == fresh == city["observations"]
     for got in (missed, hit):
@@ -103,10 +103,10 @@ def test_range_selector_over_cached_snapshots_equals_uncached_read(tmp_path, par
             store,
         )
     for selector in [(0, 10_000), (100, 250), "latest", 2]:
-        fresh = load_snapshot(store, selector)
+        fresh = list(load_snapshot(store, selector))
         parses.clear()
-        assert load_snapshot(store, selector, cache_dir=store / "cache") == fresh
-        assert load_snapshot(store, selector, cache_dir=store / "cache") == fresh
+        assert list(load_snapshot(store, selector, cache_dir=store / "cache")) == fresh
+        assert list(load_snapshot(store, selector, cache_dir=store / "cache")) == fresh
         assert len(parses) <= len(snapshot_caches(store))
     assert len(snapshot_caches(store)) == 4
     parses.clear()
@@ -220,22 +220,22 @@ SPOILERS = {
 def test_an_unchanged_rewrite_is_still_a_hit(city, parses):
     """The crafted files below differ from a good one only where they say."""
     store = city["store"]
-    expected = load_snapshot(store, cache_dir=store / "cache")
+    expected = list(load_snapshot(store, cache_dir=store / "cache"))
     (cache_file,) = snapshot_caches(store)
     rewrite(cache_file, lambda header, values: None)
-    assert load_snapshot(store, cache_dir=store / "cache") == expected
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert parses == [1]
 
 
 @pytest.mark.parametrize("spoil", sorted(SPOILERS))
 def test_bad_cache_file_is_a_silent_miss(tmp_path, city, parses, spoil):
     store = city["store"]
-    expected = load_snapshot(store, cache_dir=store / "cache")
+    expected = list(load_snapshot(store, cache_dir=store / "cache"))
     expected_svg = map_svg(store, tmp_path / "clean")
     (cache_file,) = snapshot_caches(store)
     SPOILERS[spoil](cache_file)
     parses.clear()
-    assert load_snapshot(store, cache_dir=store / "cache") == expected
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert parses == [1]
     if spoil == "a directory":
         # Nothing replaces a directory, and no temporary file is left.
@@ -255,7 +255,7 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, parses, spoil):
 def test_old_version_file_is_never_read(city, monkeypatch, parses, version, prefix):
     store = city["store"]
     monkeypatch.setattr(snapshot_store, version, 0)
-    expected = load_snapshot(store, cache_dir=store / "cache")
+    expected = list(load_snapshot(store, cache_dir=store / "cache"))
     monkeypatch.undo()
     (old,) = snapshot_caches(store)
     assert old.name.startswith(prefix)
@@ -266,7 +266,7 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses, version, pref
         return read(path, key)
 
     monkeypatch.setattr(snapshot_store, "_read_cache", read_current)
-    assert load_snapshot(store, cache_dir=store / "cache") == expected
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert len(snapshot_caches(store)) == 2
 
 
@@ -277,7 +277,7 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses, version, pref
 
 def test_unwritable_cache_location_gets_no_writes(tmp_path, city, monkeypatch):
     store = city["store"]
-    expected = load_snapshot(store)
+    expected = list(load_snapshot(store))
     cache = store / "cache"
     cache.mkdir()
 
@@ -287,8 +287,8 @@ def test_unwritable_cache_location_gets_no_writes(tmp_path, city, monkeypatch):
     # Shadows the built-in open in content_cache, as a read-only cache
     # directory would, whoever the user is.
     monkeypatch.setattr(content_cache, "open", refuse, raising=False)
-    assert load_snapshot(store, cache_dir=cache) == expected
-    assert load_snapshot(store, cache_dir=cache) == expected
+    assert list(load_snapshot(store, cache_dir=cache)) == expected
+    assert list(load_snapshot(store, cache_dir=cache)) == expected
     assert list(cache.iterdir()) == []
 
 

@@ -27,6 +27,7 @@ from bikeshare_equity.gbfs_client import (
     OBSERVATION_COLUMNS,
     BikeObservation,
     DockingType,
+    Observations,
     observation_columns,
     read_observations_csv,
     valid_observation_values,
@@ -80,8 +81,9 @@ def ref_read_observations_csv(fh):
 
 
 def outcome(read, text):
+    """The records read, as a list, or the error's type and message."""
     try:
-        return read(io.StringIO(text, newline=""))
+        return list(read(io.StringIO(text, newline="")))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -181,10 +183,14 @@ def write_store(store, content):
 
 
 def load_outcome(store, **kwargs):
+    """The records load_snapshot returns, as a list, or the error's type
+    and message."""
     try:
-        return load_snapshot(store, **kwargs)
+        observations = load_snapshot(store, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    assert isinstance(observations, Observations)
+    return list(observations)
 
 
 def element_types(records):
@@ -365,7 +371,7 @@ def check_writer(observations):
     ids = "".join(value for obs in observations for value in (obs.system_id, obs.entity_id))
     # csv before Python 3.11 can neither write nor read NUL.
     if sys.version_info >= (3, 11) or "\x00" not in ids:
-        assert read_observations_csv(io.StringIO(text, newline="")) == observations
+        assert list(read_observations_csv(io.StringIO(text, newline=""))) == observations
         # csv.writer quotes a field holding "\r" only from Python 3.13.
         if sys.version_info >= (3, 13) or "\r" not in ids:
             assert text == ref_csv_writer_text(observations)

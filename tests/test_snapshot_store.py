@@ -29,7 +29,7 @@ def test_append_empty_snapshot_creates_file(tmp_path):
     assert receipt.row_count == 0
     assert receipt.observed_at == 77
     assert (tmp_path / "snapshot_000001.csv").exists()
-    assert load_snapshot(tmp_path, 1) == []
+    assert list(load_snapshot(tmp_path, 1)) == []
 
 
 def test_snapshot_ids_monotonic(tmp_path):
@@ -42,14 +42,14 @@ def test_load_latest(tmp_path):
     append_snapshot(sample_observations(2, observed_at=100), tmp_path)
     newer = sample_observations(3, observed_at=200)
     append_snapshot(newer, tmp_path)
-    assert load_snapshot(tmp_path, "latest") == newer
+    assert list(load_snapshot(tmp_path, "latest")) == newer
 
 
 def test_load_by_id(tmp_path):
     older = sample_observations(2, observed_at=100)
     append_snapshot(older, tmp_path)
     append_snapshot(sample_observations(3, observed_at=200), tmp_path)
-    assert load_snapshot(tmp_path, 1) == older
+    assert list(load_snapshot(tmp_path, 1)) == older
 
 
 def test_load_missing_id(tmp_path):
@@ -117,7 +117,7 @@ def test_numpy_float_coordinates_round_trip(tmp_path):
     receipt = append_snapshot(as_numpy, tmp_path / "numpy")
     append_snapshot(as_python, tmp_path / "python")
     loaded = load_snapshot(tmp_path / "numpy", receipt.snapshot_id)
-    assert loaded == as_python
+    assert list(loaded) == as_python
     assert all(type(obs.lat) is float and type(obs.lon) is float for obs in loaded)
     name = "snapshot_000001.csv"
     assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
@@ -182,6 +182,76 @@ def test_random_round_trip_and_dedup_property():
                 assert expected[key].observed_at == obs.observed_at
 
 
+def ref_newest_per_key(snapshots):
+    """The range selector's dedupe as it was on records: a dict from each
+    (system_id, entity_id, docking_type) to its newest record, the later
+    record winning a tie."""
+    deduped = {}
+    for records in snapshots:
+        for obs in records:
+            key = (obs.system_id, obs.entity_id, obs.docking_type)
+            previous = deduped.get(key)
+            if previous is None or obs.observed_at >= previous.observed_at:
+                deduped[key] = obs
+    return list(deduped.values())
+
+
+def row(entity_id, observed_at, lat, system_id="sys", kind=DockingType.FREE):
+    return observation(system_id, entity_id, lat, -100.0 - lat / 10, kind, observed_at)
+
+
+def random_snapshots(seed):
+    import random
+
+    rng = random.Random(seed)
+    return [
+        [
+            row(f"e{rng.randint(0, 4)}", rng.randint(0, 3), rng.uniform(-80, 80),
+                f"sys{rng.randint(0, 1)}", rng.choice(list(DockingType)))
+            for _ in range(rng.randint(0, 10))
+        ]
+        for _ in range(rng.randint(2, 4))
+    ]
+
+
+DEDUPE_CASES = {
+    "key repeated inside one snapshot": [
+        [row("x", 100, 1.0), row("y", 100, 2.0), row("x", 150, 3.0), row("x", 120, 4.0)],
+        [row("y", 90, 5.0)],
+    ],
+    "observed_at tie inside one snapshot": [
+        [row("x", 100, 1.0), row("x", 100, 2.0)], [row("z", 50, 3.0)],
+    ],
+    "observed_at tie across snapshots": [[row("x", 100, 1.0)], [row("x", 100, 2.0)]],
+    "newest row in an earlier snapshot": [
+        [row("x", 300, 1.0), row("y", 100, 2.0)], [row("x", 200, 3.0), row("y", 200, 4.0)],
+    ],
+    "order of first appearance": [
+        [row("b", 1, 1.0), row("a", 1, 2.0)],
+        [row("c", 2, 3.0), row("a", 2, 4.0), row("b", 0, 5.0)],
+        [row("d", 3, 6.0, "other"), row("c", 3, 7.0, kind=DockingType.DOCKED)],
+    ],
+    "every snapshot empty": [[], []],
+    **{f"random {seed}": random_snapshots(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("snapshots", DEDUPE_CASES.values(), ids=DEDUPE_CASES.keys())
+def test_range_dedupe_matches_record_reference(tmp_path, snapshots):
+    store = tmp_path / "store"
+    for t, records in enumerate(snapshots):
+        append_snapshot(records, store, clock=lambda: t)
+    expected = ref_newest_per_key(snapshots)
+    selector = (0, 10_000)
+    # Uncached, then a cache miss, then a hit.
+    for cache_dir in (None, store / "cache", store / "cache"):
+        loaded = load_snapshot(store, selector, cache_dir=cache_dir)
+        assert list(loaded) == expected
+        assert [tuple(map(type, obs)) for obs in loaded] == [
+            tuple(map(type, obs)) for obs in expected
+        ]
+
+
 def test_append_skips_an_orphan_snapshot_file(tmp_path):
     """A crash between writing a snapshot file and its manifest line leaves a
     file the manifest does not name; the next append takes the next id and
@@ -192,7 +262,7 @@ def test_append_skips_an_orphan_snapshot_file(tmp_path):
     receipt = append_snapshot(sample_observations(3), tmp_path)
     assert receipt.snapshot_id == 3
     assert orphan.read_text() == "orphaned bytes\n"
-    assert load_snapshot(tmp_path, 3) == sample_observations(3)
+    assert list(load_snapshot(tmp_path, 3)) == sample_observations(3)
     with pytest.raises(SnapshotNotFoundError):
         load_snapshot(tmp_path, 2)
 
@@ -207,8 +277,8 @@ def test_append_with_a_stale_manifest_view_takes_the_next_free_id(tmp_path, monk
     second = append_snapshot(sample_observations(4), tmp_path)
     monkeypatch.undo()
     assert (first.snapshot_id, second.snapshot_id) == (1, 2)
-    assert load_snapshot(tmp_path, 1) == sample_observations(2)
-    assert load_snapshot(tmp_path, 2) == sample_observations(4)
+    assert list(load_snapshot(tmp_path, 1)) == sample_observations(2)
+    assert list(load_snapshot(tmp_path, 2)) == sample_observations(4)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "manifest.csv", "snapshot_000001.csv", "snapshot_000002.csv"
     ]
