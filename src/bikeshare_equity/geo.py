@@ -20,8 +20,9 @@ Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
 arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
 The compiled index is a handful of flat arrays (vertices, ring and polygon
 offsets, bounding boxes, GEOID ranks, the grid). ``load_boundaries`` can keep
-them in a cache directory, one ``.npz`` file per boundary-file content and
-cell size, so a later load of the same file decodes no JSON.
+all but the grid in a cache directory, one ``content_cache`` file per
+boundary-file content, so a later load of the same file at any cell size
+decodes no JSON and builds no TractPolygon.
 
 Batch assignment (``assign_tracts``) runs the same tests with numpy, on
 whole columns of points rather than one polygon at a time. Each point pairs
@@ -38,7 +39,7 @@ for bit; the scalar functions stay as the reference oracle.
 from __future__ import annotations
 
 import json
-import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,11 +47,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .content_cache import content_key, write_atomically
+from .content_cache import content_key, read_entry, write_entry
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CELL_SIZE = 0.05
 
@@ -72,16 +71,13 @@ _BLOCK_ELEMENTS = 1 << 14
 # more goes on the oversize list.
 _CELL_BUDGET = 4096
 
-# The arrays of a compiled index (TractIndex attributes with a leading
-# underscore), as a cache file stores them.
-_ARRAY_NAMES = (
-    "xy", "ring_offsets", "poly_rings", "bbox", "rank", "geoids",
-    "cell_keys", "cell_offsets", "cell_polys", "oversize", "grid",
-)
+# The arrays a cache file stores (TractIndex attributes with a leading
+# underscore); every load builds the grid from them.
+_PART_NAMES = ("xy", "ring_offsets", "poly_rings", "bbox", "rank")
 
-# Part of every cache key: a change to the cached arrays' layout or meaning
+# Part of every cache key: a change to the cache file's layout or meaning
 # must bump it, so files written before the change are never read.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class TractIndex:
     - ``_poly_rings``: polygon p owns rings [_poly_rings[p], _poly_rings[p + 1]),
       the outer ring first.
     - ``_bbox``: per polygon, (min_lon, min_lat, max_lon, max_lat).
-    - ``_rank``: per polygon, the position of its GEOID in ``_geoids``, the
+    - ``_rank``: per polygon, the position of its GEOID in ``geoids()``, the
       sorted GEOIDs.
     - The grid: cell i, whose key is ``_cell_keys[i]`` (sorted), lists the
       polygons ``_cell_polys[_cell_offsets[i]:_cell_offsets[i + 1]]``. The
@@ -128,60 +124,55 @@ class TractIndex:
       ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
       over the cell budget are in ``_oversize`` instead.
 
-    The batch test also reads the padded ring vertex tables of
-    ``_ring_tables``, derived from these and not stored by the cache.
+    The parts (``_PART_NAMES``) come from the polygons given or from a cache
+    file; one initialiser builds the grid over them. The padded ring tables
+    of the batch test (``_ring_tables``) and ``polygons`` are built on use.
     """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
-        if not cell_size > 0:
-            raise ValueError("cell_size must be positive")
-        cell_size = float(cell_size)
         polygons = list(polygons)
         rings = [ring for poly in polygons for ring in poly.rings]
         geoids = sorted({poly.tract_geoid for poly in polygons})
         rank = {geoid: r for r, geoid in enumerate(geoids)}
-        bbox = np.array(
-            [(p.bbox.min_lon, p.bbox.min_lat, p.bbox.max_lon, p.bbox.max_lat) for p in polygons],
-            dtype=np.float64,
-        ).reshape(-1, 4)
-        arrays = {
+        boxes = [poly.bbox for poly in polygons]
+        parts = {
             "xy": np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2)),
             "ring_offsets": _offsets([len(ring) for ring in rings]),
             "poly_rings": _offsets([len(poly.rings) for poly in polygons]),
-            "bbox": bbox,
+            "bbox": np.array(
+                [(b.min_lon, b.min_lat, b.max_lon, b.max_lat) for b in boxes], dtype=np.float64
+            ).reshape(-1, 4),
             "rank": np.array([rank[poly.tract_geoid] for poly in polygons], dtype=np.int64),
-            "geoids": np.array(geoids, dtype=str),
-            **_grid_arrays(bbox, cell_size),
         }
-        self._set_arrays(arrays, cell_size, geoids)
-        self.polygons = polygons
+        self._set_parts(parts, geoids, cell_size)
 
     @classmethod
-    def _from_arrays(cls, arrays: dict[str, np.ndarray], cell_size: float) -> TractIndex:
-        """The index a cache file holds; its polygons' rings are views of _xy."""
+    def _from_parts(cls, parts: dict[str, np.ndarray], geoids: list[str], cell_size: float):
         index = cls.__new__(cls)
-        index._set_arrays(arrays, cell_size, arrays["geoids"].tolist())
-        offsets = index._ring_offsets.tolist()
-        poly_rings = index._poly_rings.tolist()
-        index.polygons = []
-        for p, (box, rank) in enumerate(zip(index._bbox.tolist(), index._rank.tolist())):
-            geoid = index._geoid_table[rank]
-            rings = tuple(
-                index._xy[offsets[r] : offsets[r + 1]]
-                for r in range(poly_rings[p], poly_rings[p + 1])
-            )
-            index.polygons.append(
-                TractPolygon(geoid, geoid[:COUNTY_PREFIX_LENGTH], rings, BoundingBox(*box))
-            )
+        index._set_parts(parts, geoids, cell_size)
         return index
 
-    def _set_arrays(self, arrays: dict[str, np.ndarray], cell_size: float, geoids: list[str]):
-        self.cell_size = cell_size
-        for name in _ARRAY_NAMES:
-            setattr(self, "_" + name, arrays[name])
+    def _set_parts(self, parts: dict[str, np.ndarray], geoids: list[str], cell_size: float):
+        if not cell_size > 0:
+            raise ValueError("cell_size must be positive")
+        self.cell_size = float(cell_size)
+        for name, array in {**parts, **_grid_arrays(parts["bbox"], self.cell_size)}.items():
+            setattr(self, "_" + name, array)
         self._xy.flags.writeable = False
         # Maps a rank back to its GEOID; the extra last entry stands for "no tract".
         self._geoid_table: list[str | None] = [*geoids, None]
+
+    @cached_property
+    def polygons(self) -> list[TractPolygon]:
+        """The indexed polygons, built on first use; their rings are read-only
+        views of _xy."""
+        rings = np.split(self._xy, self._ring_offsets[1:-1])
+        starts = self._poly_rings.tolist()
+        geoids = [self._geoid_table[rank] for rank in self._rank.tolist()]
+        return [
+            TractPolygon(geoid, geoid[:COUNTY_PREFIX_LENGTH], tuple(rings[a:b]), BoundingBox(*box))
+            for geoid, a, b, box in zip(geoids, starts, starts[1:], self._bbox.tolist())
+        ]
 
     # Built on first use, not with the rest of the index: built during a load
     # from the cache, they raised the peak RSS of analyze by about 0.5 MB.
@@ -360,8 +351,8 @@ def load_boundaries(
     SchemaError or GeometryError naming its index in ``features``.
 
     With ``cache_dir``, the compiled index of a file that loaded cleanly is
-    kept there, and a later load of the same bytes at the same cell size
-    reads it instead of decoding the JSON. A cache file that is missing,
+    kept there, and a later load of the same bytes, at any cell size, reads
+    it instead of decoding the JSON. A cache file that is missing,
     unreadable or not written for these bytes is a miss (and is replaced);
     a directory that cannot be written is left alone. Either way the result
     and the errors are those of a load without the cache.
@@ -372,13 +363,12 @@ def load_boundaries(
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
     if cache_dir is None:
         return _parse_boundaries(data, cell_size)
-    key = _cache_key(data, float(cell_size))
-    cache_file = Path(cache_dir) / f"{key}.npz"
-    arrays = _read_cache(cache_file, key)
-    if arrays is not None:
-        return TractIndex._from_arrays(arrays, float(cell_size))
-    index = _parse_boundaries(data, cell_size)
-    _write_cache(cache_file, key, index)
+    key = content_key(f"tract-index-v{_CACHE_VERSION}", data)
+    cache_file = Path(cache_dir) / key
+    index = _read_cache(cache_file, key, cell_size)
+    if index is None:
+        index = _parse_boundaries(data, cell_size)
+        _write_cache(cache_file, key, index)
     return index
 
 
@@ -440,43 +430,38 @@ def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
     return TractIndex(polygons, cell_size=cell_size)
 
 
-def _cache_key(data: bytes, cell_size: float) -> str:
-    return content_key(f"tract-index-v{_CACHE_VERSION}-cell{cell_size!r}", data)
+def _read_cache(path: Path, key: str, cell_size: float) -> TractIndex | None:
+    """The index over the parts of the cache file, or None (a miss) unless it
+    is a good cache file for this key (content_cache.read_entry) holding
+    well-formed parts whose grid builds."""
+
+    def decode(header: dict, body: memoryview) -> TractIndex:
+        geoids = header["geoids"]
+        parts, offset = {}, 0
+        for name in _PART_NAMES:
+            dtype, shape = header[name]
+            part = np.frombuffer(body, np.dtype(dtype), math.prod(shape), offset)
+            parts[name] = part.reshape(shape)
+            offset += part.nbytes
+        if offset != len(body) or not _well_formed(geoids, **parts):
+            raise ValueError("parts are not those of a compiled index")
+        return TractIndex._from_parts(parts, geoids, cell_size)
+
+    return read_entry(path, key, decode)
 
 
-def _read_cache(path: Path, key: str) -> dict[str, np.ndarray] | None:
-    """The arrays of the cache file, or None (a miss) unless it holds this
-    key and well-formed index arrays."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            if str(npz["key"][()]) != key:
-                return None
-            # Reading a member whole checks its zip CRC, so a flipped byte
-            # anywhere raises here.
-            arrays = {name: npz[name] for name in _ARRAY_NAMES}
-            return arrays if _well_formed(**arrays) else None
-    except Exception:  # whatever a bad file raises, it is only a miss
-        logger.debug("cache file %s is unusable; decoding the boundaries", path, exc_info=True)
-        return None
-
-
-def _well_formed(
-    xy, ring_offsets, poly_rings, bbox, rank, geoids,
-    cell_keys, cell_offsets, cell_polys, oversize, grid,
-) -> bool:
-    """Whether cached arrays have the dtypes, shapes and offsets of a compiled
-    index, so that no lookup can fall out of range (an index error here is a
-    miss too)."""
-    int_arrays = (ring_offsets, poly_rings, rank, cell_keys, cell_offsets, cell_polys, oversize)
+def _well_formed(geoids, xy, ring_offsets, poly_rings, bbox, rank) -> bool:
+    """Whether cached parts have the types, dtypes, shapes and offsets of a
+    compiled index, so that no lookup can fall out of range (an index error
+    here is a miss too)."""
     if not (
-        all(a.dtype == np.int64 and a.ndim == 1 for a in int_arrays)
+        all(a.dtype == np.int64 and a.ndim == 1 for a in (ring_offsets, poly_rings, rank))
         and xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
         and bbox.dtype == np.float64 and bbox.shape == (len(rank), 4)
-        and geoids.dtype.kind == "U" and geoids.ndim == 1
-        and grid.dtype == np.int64 and grid.shape == (4,)
+        and type(geoids) is list and all(type(geoid) is str for geoid in geoids)
+        and all(a < b for a, b in zip(geoids, geoids[1:]))
     ):
         return False
-    n_polys = len(rank)
     # Polygons per GEOID (a negative rank raises, which is a miss).
     per_geoid = np.bincount(rank, minlength=len(geoids))
 
@@ -486,24 +471,19 @@ def _well_formed(
     return bool(
         runs(ring_offsets, len(xy), 2)  # every ring has an edge
         and runs(poly_rings, len(ring_offsets) - 1, 1)
-        and len(poly_rings) == n_polys + 1
-        and runs(cell_offsets, len(cell_polys), 1)
-        and len(cell_offsets) == len(cell_keys) + 1
-        and (np.diff(cell_keys) > 0).all()
-        and (geoids[1:] > geoids[:-1]).all()
+        and len(poly_rings) == len(rank) + 1
         # Every rank names a GEOID and every GEOID has a polygon.
         and len(per_geoid) == len(geoids) and (per_geoid > 0).all()
-        and all(((0 <= a) & (a < n_polys)).all() for a in (cell_polys, oversize))
     )
 
 
 def _write_cache(path: Path, key: str, index: TractIndex) -> None:
-    """Store the index's arrays at path, whole or not at all; a location that
-    cannot be written is skipped."""
-    arrays = {name: getattr(index, "_" + name) for name in _ARRAY_NAMES}
-    if arrays["geoids"].tolist() != index.geoids():
-        return  # numpy strings drop trailing NULs; such a GEOID would not round-trip
-    write_atomically(path, lambda fh: np.savez(fh, key=np.array(key), **arrays))
+    """Store the index's parts at path, whole or not at all; a location that
+    cannot be written is skipped. The body is 8-byte aligned, so a hit's
+    parts are aligned views of the file's bytes."""
+    parts = {name: getattr(index, "_" + name) for name in _PART_NAMES}
+    header = {name: [part.dtype.str, part.shape] for name, part in parts.items()}
+    write_entry(path, key, {"geoids": index.geoids(), **header}, list(parts.values()), align=8)
 
 
 def _vertices(ring: Ring) -> list[list[float]]:

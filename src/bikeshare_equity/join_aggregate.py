@@ -351,7 +351,8 @@ def read_demographics_csv(source: str | Path | TextIO) -> list[DemographicsRow]:
         raise ParseError(
             f"demographics file is not UTF-8 text at byte {exc.start}", offset=exc.start
         ) from None
-    lines = csv.reader(io.StringIO(text))
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+    lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         return _demographics_rows(lines)
     except csv.Error as exc:

@@ -142,8 +142,8 @@ def _cholesky(a: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
     return lower
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
-    lower = _cholesky(a, column_names)
+def _substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of lower @ lower.T @ x = b: forward, then back substitution."""
     forward = np.zeros_like(b)
     for i in range(len(b)):
         forward[i] = (b[i] - lower[i, :i] @ forward[:i]) / lower[i, i]
@@ -154,10 +154,8 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, column_names: Sequence[str]) -> np.
 
 
 def _spd_inverse(a: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
-    n = a.shape[0]
-    identity = np.eye(n)
-    columns = [_solve_spd(a, identity[:, j], column_names) for j in range(n)]
-    inverse = np.column_stack(columns)
+    lower = _cholesky(a, column_names)
+    inverse = np.column_stack([_substitute(lower, unit) for unit in np.eye(a.shape[0])])
     return (inverse + inverse.T) / 2.0
 
 
@@ -196,7 +194,7 @@ def fit_poisson(
         working = eta + (y - mu) / mu
         xtwx = values.T @ (values * weights[:, None])
         xtwz = values.T @ (weights * working)
-        proposal = _solve_spd(xtwx, xtwz, X.column_names)
+        proposal = _substitute(_cholesky(xtwx, X.column_names), xtwz)
         step = proposal - beta
         alpha = 1.0
         accepted = False

@@ -10,31 +10,26 @@ snapshot content (``snapshot-v<N>-r<R>-<sha256 of the CSV bytes>``, where N
 is the cache file's layout version and R the CSV reader's,
 ``gbfs_client.OBSERVATION_READER_VERSION``), so a later read of the same
 file parses no CSV. A cache file holds the columns of a
-``gbfs_client.Observations``: a JSON header line (the key, the byte order,
-the row count ``n``, the ``entity_id`` list, and ``[value, count]``
-run-length pairs for ``system_id``, ``docking_type`` and ``observed_at``),
-then the lat column and the lon column as raw float64, then a big-endian
-CRC32 of everything before it. A read returns an Observations, cached or
-not, and builds no records.
+``gbfs_client.Observations`` in ``content_cache``'s frame: the header line
+holds the row count ``n``, the ``entity_id`` list, and ``[value, count]``
+run-length pairs for ``system_id``, ``docking_type`` and ``observed_at``;
+the body is the lat column and the lon column as raw float64. A read
+returns an Observations, cached or not, and builds no records.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
-import logging
 import os
-import sys
 import time
 import uuid
-import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
-from .content_cache import content_key, write_atomically
+from .content_cache import content_key, read_entry, write_entry
 from .errors import SnapshotNotFoundError, StorageError
 from .gbfs_client import (
     KIND_TEXT,
@@ -46,8 +41,6 @@ from .gbfs_client import (
     valid_observation_values,
     write_observations_csv,
 )
-
-logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
 
@@ -187,8 +180,6 @@ def _write_cache(path: Path, key: str, observations: Observations) -> None:
     """Store the columns at path, whole or not at all; a location that
     cannot be written is skipped."""
     header = {
-        "key": key,
-        "byteorder": sys.byteorder,
         "n": len(observations),
         "system_id": observations.system_id_runs,
         "entity_id": observations.entity_ids,
@@ -197,53 +188,38 @@ def _write_cache(path: Path, key: str, observations: Observations) -> None:
         ],
         "observed_at": observations.observed_at_runs,
     }
-    payload = b"".join([
-        json.dumps(header, separators=(",", ":")).encode("ascii"),
-        b"\n",
-        observations.lats.tobytes(),
-        observations.lons.tobytes(),
-    ])
-    crc = zlib.crc32(payload).to_bytes(4, "big")
-    write_atomically(path, lambda fh: fh.writelines((payload, crc)))
+    write_entry(path, key, header, (observations.lats, observations.lons))
 
 
 def _read_cache(path: Path, key: str) -> Observations | None:
-    """The columns of the cache file, or None (a miss) unless it holds this
-    key, its CRC matches, its run lengths and columns add up to n, and its
-    values pass the CSV reader's own rule
+    """The columns of the cache file, or None (a miss) unless it is a good
+    cache file for this key (content_cache.read_entry) whose run lengths and
+    columns add up to n and whose values pass the CSV reader's own rule
     (gbfs_client.valid_observation_values)."""
-    try:
-        blob = path.read_bytes()
-        view = memoryview(blob)
-        if zlib.crc32(view[:-4]) != int.from_bytes(view[-4:], "big"):
-            return None
-        end = blob.index(b"\n")
-        header = json.loads(blob[:end])
-        if header["key"] != key or header["byteorder"] != sys.byteorder:
-            return None
-        n = header["n"]
-        entity_ids = header["entity_id"]
-        runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]
-        if not (
-            type(n) is int
-            and len(view) - end - 5 == 16 * n
-            and all(_valid_runs(column, n) for column in runs)
-            and type(entity_ids) is list
-            and len(entity_ids) == n
-        ):
-            return None
-        systems, kinds, observed_ats = runs
-        kinds = [[TEXT_KIND[value], count] for value, count in kinds]
-        lats, lons = array("d"), array("d")
-        lats.frombytes(view[end + 1:end + 1 + 8 * n])
-        lons.frombytes(view[end + 1 + 8 * n:-4])
-        if not valid_observation_values(
-            _values(systems), entity_ids, lats, lons, _values(kinds), _values(observed_ats)
-        ):
-            return None
-    except Exception:  # whatever a bad file raises, it is only a miss
-        logger.debug("cache file %s is unusable; parsing the snapshot", path, exc_info=True)
-        return None
+    return read_entry(path, key, _decode_columns)
+
+
+def _decode_columns(header: dict, body: memoryview) -> Observations:
+    n = header["n"]
+    entity_ids = header["entity_id"]
+    runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]
+    if not (
+        type(n) is int
+        and len(body) == 16 * n
+        and all(_valid_runs(column, n) for column in runs)
+        and type(entity_ids) is list
+        and len(entity_ids) == n
+    ):
+        raise ValueError("columns do not add up to n")
+    systems, kinds, observed_ats = runs
+    kinds = [[TEXT_KIND[value], count] for value, count in kinds]
+    lats, lons = array("d"), array("d")
+    lats.frombytes(body[:8 * n])
+    lons.frombytes(body[8 * n:])
+    if not valid_observation_values(
+        _values(systems), entity_ids, lats, lons, _values(kinds), _values(observed_ats)
+    ):
+        raise ValueError("a value the CSV reader would not return")
     return Observations(systems, entity_ids, lats, lons, kinds, observed_ats)
 
 

@@ -1,38 +1,47 @@
-"""The compiled-boundary cache: a cached index equals a fresh parse array by
-array, and no cache file (bad, foreign, unwritable or missing) changes what
-load_boundaries or analyze return."""
+"""The boundary cache: a cached index equals a fresh parse array by array
+at any cell size, and no cache file (bad, foreign, old, unwritable or
+missing) changes what load_boundaries or analyze return."""
 
 import json
+import math
 import os
 import shutil
+import sys
+import zlib
 
 import numpy as np
 import pytest
 
 from bikeshare_equity import geo
 from bikeshare_equity.cli import main
+from bikeshare_equity.content_cache import content_key
 from bikeshare_equity.geo import assign_tracts, load_boundaries
-from helpers import build_synthetic_city, write_feature_collection
+from helpers import build_synthetic_city, square_feature, write_feature_collection
 from test_cli import analyze_argv
 from test_geo import SHAPE_SETS, assert_batch_matches_scan, boundary_probes, densify
 
 OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
+GRID_NAMES = ("cell_keys", "cell_offsets", "cell_polys", "oversize", "grid")
+
+
+def index_arrays(index):
+    """(name, array) for every array the index holds or derives."""
+    tables, *rings = index._ring_tables
+    arrays = [(name, getattr(index, "_" + name)) for name in geo._PART_NAMES + GRID_NAMES]
+    arrays += zip(("ring_table", "ring_row"), rings)
+    for table in tables:
+        arrays += zip(("ring_table_x", "ring_table_y"), table)
+    return arrays
 
 
 def assert_same_index(cached, fresh):
-    # The cached arrays, and those derived from them.
-    got_tables, *got_rings = cached._ring_tables
-    want_tables, *want_rings = fresh._ring_tables
-    arrays = [(name, getattr(cached, "_" + name), getattr(fresh, "_" + name))
-              for name in geo._ARRAY_NAMES]
-    arrays += zip(("ring_table", "ring_row"), got_rings, want_rings)
-    for got, want in zip(got_tables, want_tables, strict=True):
-        arrays += zip(("ring_table_x", "ring_table_y"), got, want)
-    for name, got, want in arrays:
+    for (name, got), (_, want) in zip(index_arrays(cached), index_arrays(fresh), strict=True):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+        assert got.flags.aligned, name
     assert cached.cell_size == fresh.cell_size
     assert cached.geoids() == fresh.geoids()
+    assert all(type(geoid) is str for geoid in cached.geoids())
     assert len(cached.polygons) == len(fresh.polygons)
     for got, want in zip(cached.polygons, fresh.polygons):
         assert (got.tract_geoid, got.county_geoid, got.bbox) == (
@@ -80,20 +89,51 @@ def test_cached_index_equals_fresh_parse_on_dense_city(tmp_path, monkeypatch):
     assert assign_tracts(lats, lons, cached) == assign_tracts(lats, lons, fresh)
 
 
-def test_cache_key_covers_content_and_cell_size(tmp_path, monkeypatch):
+def test_one_file_serves_every_cell_size(tmp_path, monkeypatch):
     path = write_feature_collection(tmp_path / "a.geojson", SHAPE_SETS["five_tracts"]())
     cache = tmp_path / "cache"
-    load_boundaries(path, 0.05, cache_dir=cache)
-    load_boundaries(path, 0.3, cache_dir=cache)
-    assert len(list(cache.iterdir())) == 2
+    missed = load_boundaries(path, 0.05, cache_dir=cache)
+    assert_same_index(missed, load_boundaries(path, 0.05))
+    # The second cell size reads the first one's file: a hit, no new file.
+    cached = load_hit(path, cache, monkeypatch, cell_size=0.3)
+    assert_same_index(cached, load_boundaries(path, 0.3))
+    assert_same_index(load_hit(path, cache, monkeypatch), missed)
+    (cache_file,) = cache.iterdir()
+    assert cache_file.name == content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes())
     # Same bytes under another name: a hit on the first file's entry.
     twin = tmp_path / "twin.geojson"
     twin.write_bytes(path.read_bytes())
     load_hit(twin, cache, monkeypatch)
-    # One changed byte: a miss, and a third entry.
+    # One changed byte: a miss, and a second entry.
     path.write_text(path.read_text().replace("53033000100", "53033000109"))
     assert "53033000109" in load_boundaries(path, cache_dir=cache).geoids()
-    assert len(list(cache.iterdir())) == 3
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_hit_builds_no_polygons(tmp_path, monkeypatch):
+    path = write_feature_collection(tmp_path / "a.geojson", SHAPE_SETS["holed_with_island"]())
+    fresh = load_boundaries(path, cache_dir=tmp_path / "cache")
+    lons, lats = zip(*boundary_probes(fresh))
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "TractPolygon", pytest.fail)
+        patch.setattr(geo, "BoundingBox", pytest.fail)
+        cached = load_hit(path, tmp_path / "cache", monkeypatch)
+        assert "polygons" not in vars(cached)
+        # The batch path builds none.
+        assert assign_tracts(lats, lons, cached) == assign_tracts(lats, lons, fresh)
+        assert "polygons" not in vars(cached)
+    assert cached.polygons is cached.polygons  # built once, on first use
+
+
+def test_any_geoid_string_round_trips(tmp_path, monkeypatch):
+    """The GEOIDs travel as JSON, so a trailing NUL (which numpy strings
+    drop), a non-ASCII letter or a lone surrogate comes back as it went."""
+    geoids = ["5303300010\x00", "5303300010\u00e9", "5303300010\udc80", "53033000100"]
+    features = [square_feature(geoid, float(i), 0.0) for i, geoid in enumerate(geoids)]
+    path = write_feature_collection(tmp_path / "odd.geojson", features)
+    fresh = load_boundaries(path, cache_dir=tmp_path / "cache")
+    assert fresh.geoids() == sorted(geoids)
+    assert_same_index(load_hit(path, tmp_path / "cache", monkeypatch), fresh)
 
 
 def test_library_default_writes_no_cache(tmp_path, monkeypatch):
@@ -133,13 +173,43 @@ def test_two_analyze_runs_on_one_store_are_byte_identical(tmp_path, city, monkey
     assert analyze(city, tmp_path / "third") == first
 
 
-def rewrite_npz(path, name, change):
-    """Rewrite a cache file with one array changed (to None: dropped)."""
-    with np.load(path) as npz:
-        arrays = {member: npz[member] for member in npz.files}
-    arrays[name] = change(arrays[name])
-    with open(path, "wb") as fh:
-        np.savez(fh, **{member: a for member, a in arrays.items() if a is not None})
+def rewrite(path, edit):
+    """Rewrite a cache file under a valid CRC: edit(header, parts) changes the
+    header and the parts, which are then written as the body in order."""
+    blob = path.read_bytes()
+    end = blob.index(b"\n")
+    header = json.loads(blob[:end])
+    body, parts, offset = blob[end + 1 : -4], {}, 0
+    for name in geo._PART_NAMES:
+        dtype, shape = header[name]
+        parts[name] = np.frombuffer(body, dtype, math.prod(shape), offset).reshape(shape)
+        offset += parts[name].nbytes
+    edit(header, parts)
+    payload = json.dumps(header).encode() + b"\n" + b"".join(a.tobytes() for a in parts.values())
+    path.write_bytes(payload + zlib.crc32(payload).to_bytes(4, "big"))
+
+
+def edit_header(change):
+    return lambda path: rewrite(path, lambda header, parts: change(header))
+
+
+def set_part(name, change):
+    """Replace one part, with its dtype and shape in the header."""
+    def edit(header, parts):
+        parts[name] = change(parts[name])
+        header[name] = [parts[name].dtype.str, list(parts[name].shape)]
+    return lambda path: rewrite(path, edit)
+
+
+def set_body(name, change):
+    """Replace one part in the body only: the header keeps its shape."""
+    return lambda path: rewrite(path, lambda header, parts: parts.update({name: change(parts[name])}))
+
+
+def with_first(array, value):
+    array = array.copy()
+    array.flat[0] = value
+    return array
 
 
 def flip_a_data_byte(path):
@@ -149,28 +219,40 @@ def flip_a_data_byte(path):
 
 
 VERSION = f"-v{geo._CACHE_VERSION}-"
+OTHER_ORDER = "big" if sys.byteorder == "little" else "little"
 
 SPOILERS = {
     "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
     "random bytes": lambda p: p.write_bytes(np.random.default_rng(0).bytes(p.stat().st_size)),
     "empty": lambda p: p.write_bytes(b""),
     "flipped data byte": flip_a_data_byte,
-    "wrong key": lambda p: rewrite_npz(
-        p, "key", lambda key: np.array(str(key).rsplit("-", 1)[0] + "-" + "0" * 64)
-    ),
-    "other version": lambda p: rewrite_npz(
-        p, "key", lambda key: np.array(str(key).replace(VERSION, "-v0-"))
-    ),
-    "missing array": lambda p: rewrite_npz(p, "cell_polys", lambda a: None),
-    "pickled array": lambda p: rewrite_npz(p, "rank", lambda a: np.array([object()] * len(a))),
-    "wrong dtype": lambda p: rewrite_npz(p, "ring_offsets", lambda a: a.astype(np.int32)),
-    "offset out of range": lambda p: rewrite_npz(
-        p, "ring_offsets", lambda a: a + np.arange(len(a))
-    ),
-    "rank out of range": lambda p: rewrite_npz(p, "rank", lambda a: a + 1),
-    "polygon out of range": lambda p: rewrite_npz(p, "cell_polys", lambda a: a + 1000),
+    "wrong key": edit_header(lambda h: h.update(key=h["key"][:-64] + "0" * 64)),
+    "other version": edit_header(lambda h: h.update(key=h["key"].replace(VERSION, "-v0-"))),
+    "other byte order": edit_header(lambda h: h.update(byteorder=OTHER_ORDER)),
+    "missing array": lambda p: rewrite(p, lambda h, parts: (h.pop("poly_rings"), parts.pop("poly_rings"))),
+    "object dtype": edit_header(lambda h: h["rank"].__setitem__(0, "|O")),
+    "wrong dtype": set_part("ring_offsets", lambda a: a.astype(np.int32)),
+    "shape not ints": edit_header(lambda h: h["xy"].__setitem__(1, [float(n) for n in h["xy"][1]])),
+    "offset out of range": set_part("ring_offsets", lambda a: a + np.arange(len(a))),
+    "rank out of range": set_part("rank", lambda a: a + 1),
+    "NaN bbox": set_part("bbox", lambda a: with_first(a, np.nan)),
+    "body shorter than its shapes": set_body("rank", lambda a: a[:-1]),
+    "body longer than its shapes": set_body("rank", lambda a: np.append(a, 0)),
+    "GEOIDs not sorted": edit_header(lambda h: h["geoids"].reverse()),
+    "GEOID not a str": edit_header(lambda h: h["geoids"].__setitem__(0, int(h["geoids"][0]))),
+    "GEOIDs not a list": edit_header(lambda h: h.update(geoids=",".join(h["geoids"]))),
     "a directory": lambda p: (p.unlink(), p.mkdir()),
 }
+
+
+def test_an_unchanged_rewrite_is_still_a_hit(tmp_path, city, monkeypatch):
+    """The crafted files below differ from a good one only where they say."""
+    expected = analyze(city, tmp_path / "clean")
+    (cache_file,) = cache_files(city)
+    rewrite(cache_file, lambda header, parts: None)
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "_parse_boundaries", pytest.fail)
+        assert analyze(city, tmp_path / "again") == expected
 
 
 @pytest.mark.parametrize("spoil", sorted(SPOILERS))
@@ -200,13 +282,35 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
     (old,) = cache_files(city)
     read = geo._read_cache
 
-    def read_current(path, key):
+    def read_current(path, key, cell_size):
         assert path != old, "read an old-version cache file"
-        return read(path, key)
+        return read(path, key, cell_size)
 
     monkeypatch.setattr(geo, "_read_cache", read_current)
     assert analyze(city, tmp_path / "v1") == expected
     assert len(cache_files(city)) == 2
+
+
+def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch):
+    """A tract-index-v1-cell<size>-<sha256>.npz file, as the first layout
+    named it, stays in cache/ unread, and a current file is written."""
+    data = city["boundaries"].read_bytes()
+    npz = city["store"] / "cache" / (content_key("tract-index-v1-cell0.05", data) + ".npz")
+    npz.parent.mkdir()
+    npz.write_bytes(b"PK\x03\x04 an old zip archive")
+    reads = []
+    read = geo._read_cache
+    monkeypatch.setattr(
+        geo, "_read_cache", lambda path, *args: reads.append(path) or read(path, *args)
+    )
+    expected = analyze(city, tmp_path / "first")
+    current = city["store"] / "cache" / content_key(f"tract-index-v{geo._CACHE_VERSION}", data)
+    assert cache_files(city) == sorted([npz, current])
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "_parse_boundaries", pytest.fail)
+        assert analyze(city, tmp_path / "second") == expected
+    assert reads == [current, current]
+    assert npz.read_bytes() == b"PK\x03\x04 an old zip archive"
 
 
 def test_failed_boundary_load_writes_no_cache(tmp_path, city, capsys):

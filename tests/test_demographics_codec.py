@@ -75,6 +75,27 @@ def test_layout_edge_cases_read_as_the_reference_reads_them():
         assert read_demographics_csv(io.StringIO(text)) == ref_read_demographics_csv(text), text
 
 
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
+    text = HEADER + "53033000001,0.5,0.2,0.3,120.5,77.0\n"
+    expected = [DemographicsRow("53033000001", 0.5, 0.2, 0.3, 120.5, 77.0)]
+    path = tmp_path / "demographics.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert read_demographics_csv(path) == expected
+    assert read_demographics_csv(io.StringIO("\ufeff" + text)) == expected
+    # Only one leading mark is dropped: a second one is part of the header.
+    with pytest.raises(SchemaError, match="missing column.s.: tract_geoid$"):
+        read_demographics_csv(io.StringIO("\ufeff\ufeff" + text))
+
+    city = build_synthetic_city(tmp_path / "city", n_cols=4, n_rows=3)
+    plain = city["demographics"].read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert main(analyze_argv(city, path, tmp_path / "bom")) == 0
+    assert main(analyze_argv(city, city["demographics"], tmp_path / "plain")) == 0
+    for name in ("table1.csv", "table2.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "content, error, message",
     [
@@ -151,9 +172,10 @@ def test_analyze_on_fuzzed_demographics_exits_cleanly(fuzz_city, data):
             assert rc == 0 or (rc == 1 and LATER_STAGE.match(err)), err
         # Where the reference reader read the file, the new one agrees; where
         # it failed, the new one fails too (csv.Error, AttributeError and
-        # UnicodeDecodeError escaped it).
+        # UnicodeDecodeError escaped it). The reference reads the text after
+        # a leading byte-order mark, which the new reader drops.
         try:
-            ref = outcome(ref_read_demographics_csv, path.read_text(encoding="utf-8"))
+            ref = outcome(ref_read_demographics_csv, path.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError:
             ref = UnicodeDecodeError
     if isinstance(ref, list):

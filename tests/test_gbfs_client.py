@@ -622,6 +622,8 @@ def http_fixture_server():
     _FixtureHandler.fail_once = set()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def test_discover_feeds_over_http(http_fixture_server):
