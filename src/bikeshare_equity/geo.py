@@ -19,21 +19,26 @@ budget times the number of polygons, however large a tract is.
 Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
 arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
 The compiled index is a handful of flat arrays (vertices, ring and polygon
-offsets, bounding boxes, GEOID ranks, the grid). ``load_boundaries`` can keep
-all but the grid in a cache directory, one ``content_cache`` file per
-boundary-file content, so a later load of the same file at any cell size
-decodes no JSON and builds no TractPolygon.
+offsets, bounding boxes, GEOID ranks, edge bands, the grid).
+``load_boundaries`` can keep all but the grid in a cache directory, one
+``content_cache`` file per boundary-file content, so a later load of the
+same file at any cell size decodes no JSON and builds no TractPolygon.
 
 Batch assignment (``assign_tracts``) runs the same tests with numpy, on
 whole columns of points rather than one polygon at a time. Each point pairs
 with the polygons its grid cell lists (and every oversize polygon) whose
-bounding box holds it; each pair expands to one row per ring of its polygon;
-the rows are tested against per-ring vertex tables, padded to a common
-width within each power-of-two size class, one bounded block at a time; the
-first hole hit decides a point inside an outer ring, and ``np.minimum.at``
-picks each point's smallest GEOID rank. The float64 expressions are the
-scalar test's in the same order, so it agrees with ``point_in_polygon`` bit
-for bit; the scalar functions stay as the reference oracle.
+bounding box holds it; each pair expands to one row per ring of its polygon.
+Each ring is split into horizontal bands of equal height, about
+``_BAND_EDGES`` edges a band, and lists every edge in each band its latitude
+range touches: an edge that can change a point's answer straddles the
+point's horizontal line or ends on it, so it is in the band of the point's
+latitude (the y-interval idea behind GEOS's IndexedPointInAreaLocator). A
+row tests only that band's edges, padded to a common width within each
+power-of-two size class, one bounded block at a time; the first hole hit
+decides a point inside an outer ring, and ``np.minimum.at`` picks each
+point's smallest GEOID rank. The float64 expressions are the scalar test's
+in the same order, so it agrees with ``point_in_polygon`` bit for bit; the
+scalar functions stay as the reference oracle.
 """
 
 from __future__ import annotations
@@ -71,13 +76,17 @@ _BLOCK_ELEMENTS = 1 << 14
 # more goes on the oversize list.
 _CELL_BUDGET = 4096
 
+# A ring of E edges is split into ceil(E / _BAND_EDGES) horizontal bands, so
+# a ring of at most this many edges is one band.
+_BAND_EDGES = 8
+
 # The arrays a cache file stores (TractIndex attributes with a leading
 # underscore); every load builds the grid from them.
-_PART_NAMES = ("xy", "ring_offsets", "poly_rings", "bbox", "rank")
+_PART_NAMES = ("xy", "ring_offsets", "poly_rings", "bbox", "rank", "band_offsets", "band_edges")
 
 # Part of every cache key: a change to the cache file's layout or meaning
 # must bump it, so files written before the change are never read.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,12 @@ class TractIndex:
     - ``_bbox``: per polygon, (min_lon, min_lat, max_lon, max_lat).
     - ``_rank``: per polygon, the position of its GEOID in ``geoids()``, the
       sorted GEOIDs.
+    - The edge bands of the batch test: ring r of E edges is split into
+      ceil(E / _BAND_EDGES) bands of equal height over its latitude range
+      (see _ring_band_grid); band k lists the edges
+      ``_band_edges[_band_offsets[k]:_band_offsets[k + 1]]``, each edge by the
+      index in ``_xy`` of its first vertex. An edge is in every band its
+      latitude range touches, in edge order.
     - The grid: cell i, whose key is ``_cell_keys[i]`` (sorted), lists the
       polygons ``_cell_polys[_cell_offsets[i]:_cell_offsets[i + 1]]``. The
       cell (x, y) covers lon [x, x + 1) and lat [y, y + 1) times the cell
@@ -125,8 +140,8 @@ class TractIndex:
       over the cell budget are in ``_oversize`` instead.
 
     The parts (``_PART_NAMES``) come from the polygons given or from a cache
-    file; one initialiser builds the grid over them. The padded ring tables
-    of the batch test (``_ring_tables``) and ``polygons`` are built on use.
+    file; one initialiser builds the grid over them. Each ring's band height
+    (``_band_grid``) and ``polygons`` are built on use.
     """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
@@ -135,14 +150,19 @@ class TractIndex:
         geoids = sorted({poly.tract_geoid for poly in polygons})
         rank = {geoid: r for r, geoid in enumerate(geoids)}
         boxes = [poly.bbox for poly in polygons]
+        xy = np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2))
+        ring_offsets = _offsets([len(ring) for ring in rings])
+        band_offsets, band_edges = _edge_bands(xy, ring_offsets)
         parts = {
-            "xy": np.concatenate(rings, dtype=np.float64) if rings else np.empty((0, 2)),
-            "ring_offsets": _offsets([len(ring) for ring in rings]),
+            "xy": xy,
+            "ring_offsets": ring_offsets,
             "poly_rings": _offsets([len(poly.rings) for poly in polygons]),
             "bbox": np.array(
                 [(b.min_lon, b.min_lat, b.max_lon, b.max_lat) for b in boxes], dtype=np.float64
             ).reshape(-1, 4),
             "rank": np.array([rank[poly.tract_geoid] for poly in polygons], dtype=np.int64),
+            "band_offsets": band_offsets,
+            "band_edges": band_edges,
         }
         self._set_parts(parts, geoids, cell_size)
 
@@ -174,12 +194,10 @@ class TractIndex:
             for geoid, a, b, box in zip(geoids, starts, starts[1:], self._bbox.tolist())
         ]
 
-    # Built on first use, not with the rest of the index: built during a load
-    # from the cache, they raised the peak RSS of analyze by about 0.5 MB.
     @cached_property
-    def _ring_tables(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-        """The padded ring vertex tables of the batch test; see _pad_rings."""
-        return _pad_rings(self._xy, self._ring_offsets)
+    def _band_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each ring's bands; see _ring_band_grid."""
+        return _ring_band_grid(self._xy, self._ring_offsets)
 
     def candidates(self, lat: float, lon: float) -> list[TractPolygon]:
         """Polygons listed by the point's grid cell, and the oversize polygons,
@@ -197,33 +215,62 @@ def _offsets(sizes: list[int]) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
-def _pad_rings(
-    xy: np.ndarray, ring_offsets: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """The rings' vertices as padded tables for the batch test: (tables,
-    ring_table, ring_row).
+def _ring_bands(ring_offsets: np.ndarray) -> np.ndarray:
+    """Band boundaries [0, b0, b0 + b1, ...]: ring r owns bands [result[r],
+    result[r + 1]), ceil(edges / _BAND_EDGES) of them."""
+    return _offsets(-(-(np.diff(ring_offsets) - 1) // _BAND_EDGES))
 
-    Rings with 2**(c - 1) < edges <= 2**c share class c's pair of (rings,
-    width + 1) tables of lons and lats, width being the class's most edges,
-    so one long ring cannot widen the table of short ones. A shorter ring's
-    row repeats its closing vertex to the full width. Ring r is row
-    ring_row[r] of tables[ring_table[r]].
-    """
+
+def _ring_band_grid(
+    xy: np.ndarray, ring_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, ylo, h): ring r owns bands [first[r], first[r + 1]), of height
+    h[r] upward from ylo[r], its lowest latitude. The bands of a ring with no
+    height (a flat ring) are 1 high, so all its edges are in its first."""
+    first = _ring_bands(ring_offsets)
+    y = xy[:, 1]
     starts = ring_offsets[:-1]
-    edges = np.diff(ring_offsets) - 1
-    classes = np.frexp(np.maximum(edges - 1, 0).astype(np.float64))[1]  # ceil(log2(edges))
-    tables = []
-    ring_table = np.empty(len(edges), dtype=np.int64)
-    ring_row = np.empty(len(edges), dtype=np.int64)
-    # Not np.unique: it imports numpy.ma, a few milliseconds and megabytes.
-    for t, c in enumerate(np.flatnonzero(np.bincount(classes)).tolist()):
-        rings = np.flatnonzero(classes == c)
-        ring_table[rings] = t
-        ring_row[rings] = np.arange(len(rings))
-        vertices = np.minimum(np.arange(edges[rings].max() + 1), edges[rings, None])
-        vertices += starts[rings, None]
-        tables.append((xy[:, 0][vertices], xy[:, 1][vertices]))
-    return tables, ring_table, ring_row
+    ylo = np.minimum.reduceat(y, starts)
+    h = (np.maximum.reduceat(y, starts) - ylo) / np.diff(first)
+    h[~(h > 0)] = 1.0
+    return first, ylo, h
+
+
+def _band(values: np.ndarray, rings: np.ndarray, grid: tuple) -> np.ndarray:
+    """The band of latitude values[i] in ring rings[i], as a position in the
+    index's bands: band clip(floor((v - ylo) / h), 0, bands - 1) of the ring.
+    Monotone in v, so an edge whose latitude range holds v is listed in v's
+    band (_edge_bands lists it from the band of its lower end to that of its
+    upper end, by this same function)."""
+    first, ylo, h = grid
+    start = first[rings]
+    last = first[rings + 1] - start - 1
+    # A tiny h may overflow the quotient to inf, which clips to the last band.
+    with np.errstate(over="ignore"):
+        band = np.floor((values - ylo[rings]) / h[rings])
+    return start + np.fmin(np.fmax(band, 0.0), last).astype(np.int64)
+
+
+def _edge_bands(xy: np.ndarray, ring_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(band_offsets, band_edges) of TractIndex: each edge listed in every
+    band from the band of its lower end to that of its upper end."""
+    grid = _ring_band_grid(xy, ring_offsets)
+    rings = np.repeat(np.arange(len(ring_offsets) - 1), np.diff(ring_offsets) - 1)
+    # Edge k of the index starts at vertex k + r of ring r: each ring before
+    # it has one closing vertex that starts no edge.
+    edges = np.arange(len(rings)) + rings
+    y = xy[:, 1]
+    y1, y2 = y[edges], y[1:][edges]
+    low = _band(np.minimum(y1, y2), rings, grid)
+    count = _band(np.maximum(y1, y2), rings, grid) - low + 1
+    bands = _runs(low, count)
+    # One key per (band, edge) entry, band * vertices + edge: sorted, each
+    # band lists its edges in ring order. Exact while bands * vertices < 2**63.
+    vertices = max(len(xy), 1)
+    keys = bands * vertices
+    keys += np.repeat(edges, count)
+    keys.sort()
+    return _offsets(np.bincount(bands, minlength=grid[0][-1])), keys % vertices
 
 
 def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
@@ -357,22 +404,39 @@ def load_boundaries(
     a directory that cannot be written is left alone. Either way the result
     and the errors are those of a load without the cache.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
     if cache_dir is None:
-        return _parse_boundaries(data, cell_size)
-    key = content_key(f"tract-index-v{_CACHE_VERSION}", data)
-    cache_file = Path(cache_dir) / key
-    index = _read_cache(cache_file, key, cell_size)
+        return _parse_boundaries(_read_boundary_file(path), cell_size)
+    # Only the key is kept of the bytes, so a hit never holds them and the
+    # cache file in memory at once.
+    key = _cache_key(_read_boundary_file(path))
+    index = _read_cache(Path(cache_dir) / key, key, cell_size)
     if index is None:
+        data = _read_boundary_file(path)
         index = _parse_boundaries(data, cell_size)
-        _write_cache(cache_file, key, index)
+        # Stored under the key of the bytes parsed, should the file have
+        # changed since it was hashed.
+        key = _cache_key(data)
+        _write_cache(Path(cache_dir) / key, key, index)
     return index
 
 
+def _read_boundary_file(path: str | Path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
+
+
+def _cache_key(data: bytes) -> str:
+    return content_key(f"tract-index-v{_CACHE_VERSION}", data)
+
+
 def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
+    # The decoded document is freed before the index (and its bands) is built.
+    return TractIndex(_parse_polygons(data), cell_size=cell_size)
+
+
+def _parse_polygons(data: bytes) -> list[TractPolygon]:
     try:
         raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -427,7 +491,7 @@ def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
             )
         for part in parts:
             polygons.append(_build_polygon(geoid, part, feature_index))
-    return TractIndex(polygons, cell_size=cell_size)
+    return polygons
 
 
 def _read_cache(path: Path, key: str, cell_size: float) -> TractIndex | None:
@@ -450,12 +514,17 @@ def _read_cache(path: Path, key: str, cell_size: float) -> TractIndex | None:
     return read_entry(path, key, decode)
 
 
-def _well_formed(geoids, xy, ring_offsets, poly_rings, bbox, rank) -> bool:
+def _well_formed(
+    geoids, xy, ring_offsets, poly_rings, bbox, rank, band_offsets, band_edges
+) -> bool:
     """Whether cached parts have the types, dtypes, shapes and offsets of a
     compiled index, so that no lookup can fall out of range (an index error
     here is a miss too)."""
     if not (
-        all(a.dtype == np.int64 and a.ndim == 1 for a in (ring_offsets, poly_rings, rank))
+        all(
+            a.dtype == np.int64 and a.ndim == 1
+            for a in (ring_offsets, poly_rings, rank, band_offsets, band_edges)
+        )
         and xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
         and bbox.dtype == np.float64 and bbox.shape == (len(rank), 4)
         and type(geoids) is list and all(type(geoid) is str for geoid in geoids)
@@ -468,12 +537,25 @@ def _well_formed(geoids, xy, ring_offsets, poly_rings, bbox, rank) -> bool:
     def runs(offsets, total, least):
         return offsets[0] == 0 and offsets[-1] == total and (np.diff(offsets) >= least).all()
 
-    return bool(
+    if not (
         runs(ring_offsets, len(xy), 2)  # every ring has an edge
         and runs(poly_rings, len(ring_offsets) - 1, 1)
         and len(poly_rings) == len(rank) + 1
         # Every rank names a GEOID and every GEOID has a polygon.
         and len(per_geoid) == len(geoids) and (per_geoid > 0).all()
+        # Within lon/lat degree bounds (NaN fails), so the band arithmetic stays finite.
+        and xy.min(initial=0.0) >= -180.0 and xy.max(initial=0.0) <= 180.0
+        and len(band_offsets) == _ring_bands(ring_offsets)[-1] + 1
+        and runs(band_offsets, len(band_edges), 0)
+    ):
+        return False
+    # Every listed edge is an edge of its band's ring: from the ring's first
+    # vertex up to the one before its closing vertex.
+    entries = band_offsets[_ring_bands(ring_offsets)]  # ring r lists [entries[r], entries[r + 1])
+    listed = np.flatnonzero(np.diff(entries))
+    return bool(
+        (np.minimum.reduceat(band_edges, entries[listed]) >= ring_offsets[listed]).all()
+        and (np.maximum.reduceat(band_edges, entries[listed]) < ring_offsets[listed + 1] - 1).all()
     )
 
 
@@ -536,51 +618,49 @@ def point_in_polygon(lat: float, lon: float, poly: TractPolygon) -> bool:
 
 
 def _ring_block(
-    lon: np.ndarray, lat: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    lon: np.ndarray, lat: np.ndarray, edges: np.ndarray, n_edges: np.ndarray, xy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: whether the point (lon[row], lat[row]) lies on an edge of the
-    ring whose vertices are that row of xs, ys (as _on_ring_edge), and whether
-    it makes an odd number of ray crossings (as _in_ring).
+    """Per row: whether the point (lon[row], lat[row]) lies on one of the
+    edges listed by the first n_edges[row] entries of that row of edges (as
+    _on_ring_edge), and whether its ray crosses an odd number of them (as
+    _in_ring). An edge e runs from vertex e of xy to vertex e + 1; entries
+    past n_edges[row] are padding and are ignored.
 
-    Each edge k -> k + 1 is _in_ring's edge from j = k to i = k + 1, and the
-    float64 expressions are the scalar ones in the same order, so both answers
-    are bit-identical to the scalar functions'. They are evaluated only for
-    the edges near the point's horizontal line: those that straddle it, or
-    have an end on it. That is a superset of the edges whose box holds the
-    point, and of those the ray can cross. A padding edge (the closing vertex
-    repeated) has zero length: it straddles no line, and a point is on it only
-    at the closing vertex, which is on the ring's first edge too.
+    Each edge is _in_ring's edge from j = e to i = e + 1, and the float64
+    expressions are the scalar ones in the same order, so both answers are
+    bit-identical to the scalar functions' when the listed edges include
+    every edge of the ring near the point's horizontal line: those that
+    straddle it, or have an end on it. That is a superset of the edges whose
+    box holds the point, and of those the ray can cross; only they are
+    evaluated.
     """
-    edges = xs.shape[1] - 1
+    x, y = xy[:, 0], xy[:, 1]
     line = lat[:, None]
-    above = ys > line
-    level = ys == line
-    straddles = above[:, 1:] != above[:, :-1]
-    near = straddles | level[:, 1:]
-    near |= level[:, :-1]
-    # Flat positions of the near edges; edge k of a row starts at its vertex k.
+    y1, y2 = y[edges], y[1:][edges]
+    # Near: an end on each side of the line or on it, so the product of the
+    # ends' heights above the line is not positive. (A product that
+    # underflows to zero admits an edge that is not near, which is harmless.)
+    near = (y1 - line) * (y2 - line) <= 0.0
+    # Flat positions of the near edges, padding left out.
     i = np.flatnonzero(near)
-    row = i // edges
-    start = i + row
-    x, y = xs.reshape(-1), ys.reshape(-1)
-    x1, y1 = x[start], y[start]
-    start += 1
-    x2, y2 = x[start], y[start]
+    row = i // edges.shape[1]
+    keep = i - row * edges.shape[1] < n_edges[row]
+    i, row = i[keep], row[keep]
+    start = edges.reshape(-1)[i]
+    x1, y1 = x[start], y1.reshape(-1)[i]
+    x2, y2 = x[1:][start], y2.reshape(-1)[i]
     px, py = lon[row], lat[row]
     in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
     in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))
     cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    # Narrowed in place: near edges become the edges the point is on, and
-    # straddling edges the ones its ray crosses.
-    on_edge = near
-    on_edge.reshape(-1)[i] = in_box & (cross == 0.0)
+    on_edge = np.zeros(len(lat), dtype=bool)
+    on_edge[row[in_box & (cross == 0.0)]] = True
     # An edge with an end on the line but not straddling it may divide by
     # zero (a horizontal edge); the straddle test masks its quotient out.
     with np.errstate(divide="ignore", invalid="ignore"):
         ray_x = (x1 - x2) * (py - y2) / (y1 - y2) + x2
-    crosses = straddles
-    crosses.reshape(-1)[i] &= px < ray_x
-    return on_edge.any(axis=1), np.logical_xor.reduce(crosses, axis=1)
+    crosses = ((y1 > py) != (y2 > py)) & (px < ray_x)
+    return on_edge, np.bincount(row[crosses], minlength=len(lat)) % 2 == 1
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -631,22 +711,30 @@ def _contains(
     n_rings = index._poly_rings[polys + 1] - first
     rings = _runs(first, n_rings)
     row_points = np.repeat(points, n_rings)
+    lon, lat = lons[row_points], lats[row_points]
+    # Each row tests the edges of its ring's band that holds its latitude.
+    bands = _band(lat, rings, index._band_grid)
+    starts = index._band_offsets[bands]
+    n_edges = index._band_offsets[bands + 1] - starts
     on_edge = np.empty(len(rings), dtype=bool)
     crossed = np.empty(len(rings), dtype=bool)
-    tables, ring_table, ring_row = index._ring_tables
-    ring_table, ring_row = ring_table[rings], ring_row[rings]
-    for t, (xs, ys) in enumerate(tables):
-        rows = np.flatnonzero(ring_table == t)
-        table_rows, lon, lat = ring_row[rows], lons[row_points[rows]], lats[row_points[rows]]
-        table_on_edge = np.empty(len(rows), dtype=bool)
-        table_crossed = np.empty(len(rows), dtype=bool)
-        step = max(1, _BLOCK_ELEMENTS // (xs.shape[1] - 1))
+    # Rows whose bands have 2**(c - 1) < edges <= 2**c are tested together,
+    # padded to the most edges among them, so one long band cannot widen the
+    # blocks of short ones.
+    classes = np.frexp(np.maximum(n_edges - 1, 0).astype(np.float64))[1]  # ceil(log2(edges))
+    # Not np.unique: it imports numpy.ma, a few milliseconds and megabytes.
+    for c in np.flatnonzero(np.bincount(classes)).tolist():
+        rows = np.flatnonzero(classes == c)
+        # At least one slot: a flat ring's upper bands list no edge.
+        slots = np.arange(max(1, n_edges[rows].max()))
+        step = max(1, _BLOCK_ELEMENTS // len(slots))
         for s in range(0, len(rows), step):
-            block = slice(s, s + step)
-            table_on_edge[block], table_crossed[block] = _ring_block(
-                lon[block], lat[block], xs[table_rows[block]], ys[table_rows[block]]
+            block = rows[s : s + step]
+            # Padding slots repeat the next band's edges, or the last edge.
+            edges = index._band_edges.take(starts[block, None] + slots, mode="clip")
+            on_edge[block], crossed[block] = _ring_block(
+                lon[block], lat[block], edges, n_edges[block], index._xy
             )
-        on_edge[rows], crossed[rows] = table_on_edge, table_crossed
     outer = np.cumsum(n_rings) - n_rings
     inside = on_edge[outer] | crossed[outer]
     if len(rings) > len(polys):
@@ -695,9 +783,9 @@ def assign_tracts(
     no tract. The points are tested as columns, _POINT_CHUNK at a time, not
     polygon by polygon: each point pairs with the polygons its grid cell
     lists (and every oversize polygon) whose bounding box holds it, each
-    pair expands to one row per ring, the rows are tested against the rings'
-    padded vertex tables a block at a time, and each point keeps its
-    container with the smallest GEOID.
+    pair expands to one row per ring, each row is tested against the edges
+    of the ring's band that holds the point's latitude, a block of rows at
+    a time, and each point keeps its container with the smallest GEOID.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)

@@ -26,12 +26,8 @@ GRID_NAMES = ("cell_keys", "cell_offsets", "cell_polys", "oversize", "grid")
 
 def index_arrays(index):
     """(name, array) for every array the index holds or derives."""
-    tables, *rings = index._ring_tables
     arrays = [(name, getattr(index, "_" + name)) for name in geo._PART_NAMES + GRID_NAMES]
-    arrays += zip(("ring_table", "ring_row"), rings)
-    for table in tables:
-        arrays += zip(("ring_table_x", "ring_table_y"), table)
-    return arrays
+    return arrays + list(zip(("band_first", "band_ylo", "band_height"), index._band_grid))
 
 
 def assert_same_index(cached, fresh):
@@ -236,6 +232,15 @@ SPOILERS = {
     "offset out of range": set_part("ring_offsets", lambda a: a + np.arange(len(a))),
     "rank out of range": set_part("rank", lambda a: a + 1),
     "NaN bbox": set_part("bbox", lambda a: with_first(a, np.nan)),
+    "vertex out of lon/lat range": set_part("xy", lambda a: with_first(a, 1e300)),
+    "band edge id negative": set_part("band_edges", lambda a: with_first(a, -1)),
+    "band edge id past the vertices": set_part("band_edges", lambda a: with_first(a, 10**9)),
+    # Vertex 4 closes the first ring (a square): its "edge" would run into the next ring.
+    "band edge id a closing vertex": set_part("band_edges", lambda a: with_first(a, 4)),
+    "band edge id of another ring": set_part("band_edges", lambda a: with_first(a, a[-1])),
+    "band offsets decreasing": set_part("band_offsets", lambda a: a[[0, 2, 1, *range(3, len(a))]]),
+    "band offsets short of the edges": set_part("band_offsets", lambda a: a[:-1]),
+    "band edges wrong dtype": set_part("band_edges", lambda a: a.astype(np.int32)),
     "body shorter than its shapes": set_body("rank", lambda a: a[:-1]),
     "body longer than its shapes": set_body("rank", lambda a: np.append(a, 0)),
     "GEOIDs not sorted": edit_header(lambda h: h["geoids"].reverse()),
@@ -275,11 +280,17 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
     assert parses == [1]
 
 
-def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
-    monkeypatch.setattr(geo, "_CACHE_VERSION", 0)
-    expected = analyze(city, tmp_path / "v0")
+@pytest.mark.parametrize("version", [0, 2])
+def test_old_version_file_is_never_read(tmp_path, city, monkeypatch, version):
+    """A file under an earlier version's name (2: the layout before the edge
+    bands) stays in cache/ unread, and a current file is written."""
+    monkeypatch.setattr(geo, "_CACHE_VERSION", version)
+    expected = analyze(city, tmp_path / "old")
     monkeypatch.undo()
     (old,) = cache_files(city)
+    if version == 2:
+        rewrite(old, lambda header, parts: [(header.pop(name), parts.pop(name))
+                                            for name in ("band_offsets", "band_edges")])
     read = geo._read_cache
 
     def read_current(path, key, cell_size):
@@ -287,7 +298,7 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
         return read(path, key, cell_size)
 
     monkeypatch.setattr(geo, "_read_cache", read_current)
-    assert analyze(city, tmp_path / "v1") == expected
+    assert analyze(city, tmp_path / "current") == expected
     assert len(cache_files(city)) == 2
 
 

@@ -1017,3 +1017,142 @@ def test_count_by_tract_memory_is_bounded(tmp_path):
     assert peak < 8 * 2**20, peak
     assert counts[0].count_free + diagnostics.unassigned == 10000
     assert counts[0].count_free > 9900
+
+
+def test_long_ring_work_per_point_is_bounded(tmp_path, monkeypatch):
+    """Each (point, ring) row tests only the edges of the band its latitude
+    falls in. On the 20,000-vertex zigzag of the memory test, where every
+    edge would be 20,000 per point, the (row, edge) elements evaluated
+    average a few bands' worth per point; counted, not timed."""
+    ring = zigzag_ring(0.0, 0.0, 19996, 1 / 16384)
+    index = load_fixture(tmp_path, [ring_feature(ring)])
+    rng = np.random.default_rng(79)
+    lons = rng.uniform(0.0, 19996 / 16384, 10000)
+    lats = rng.uniform(0.0, 1.0 + 1 / 16384, 10000)
+    elements = []
+    ring_block = geo._ring_block
+
+    def counted(lon, lat, edges, *args):
+        elements.append(edges.size)
+        return ring_block(lon, lat, edges, *args)
+
+    monkeypatch.setattr(geo, "_ring_block", counted)
+    ranks = geo.assign_ranks(lats, lons, index)
+    assert sum(elements) / len(lats) <= 4 * geo._BAND_EDGES
+    # The points nearest the zigzag, and a sample of the rest, against the
+    # exhaustive scan.
+    sample = [*np.argsort(lats)[-5:].tolist(), *range(3)]
+    (poly,) = index.polygons
+    assert [ranks[k] == 0 for k in sample] == [
+        point_in_polygon(lats[k], lons[k], poly) for k in sample
+    ]
+
+
+def staircase_ring(west, south):
+    """25 edges over 2 degrees of latitude, so 4 bands half a degree high at
+    8 edges a band: the east side steps up in half-degree stairs whose treads
+    lie on the band lines, and the west side zigzags down in eighths, with a
+    vertex on every band line."""
+    stairs = [[8.0, 0.0], [8.0, 0.5], [7.0, 0.5], [7.0, 1.0], [6.0, 1.0], [6.0, 1.5],
+              [5.0, 1.5], [5.0, 2.0], [0.0, 2.0]]
+    zigzag = [[-0.125 * (k % 2), 2.0 - k / 8] for k in range(1, 17)]
+    return [[west + x, south + y] for x, y in [[0.0, 0.0], *stairs, *zigzag]]
+
+
+def flat_ring(west, lat, edges):
+    """A ring with no height: out along a line of latitude and back."""
+    out = [[west + k / 8, lat] for k in range(edges // 2 + 1)]
+    return out + out[-2::-1]
+
+
+def band_features():
+    """Rings split into several bands, with band lines on exact floats:
+    horizontal edges and vertices on band lines (the staircase), edges that
+    span every band (the zigzag's west and east sides), a hole whose
+    latitude range misses the bands of points above and below it, and rings
+    with no height, alone and as a hole."""
+    return [
+        ring_feature(staircase_ring(0.0, 0.0), "53033002000"),
+        ring_feature(zigzag_ring(10.0, 0.0, 28, 1 / 16), "53033002001"),
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "53033002002"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                square_ring(20.0, 0.0, 4.0), zigzag_ring(21.0, 1.0, 20, 1 / 16)[::-1],
+            ]},
+        },
+        ring_feature(flat_ring(30.0, 0.5, 12), "53033002003"),
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "53033002004"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                square_ring(40.0, 0.0, 1.0), flat_ring(40.25, 0.5, 10),
+            ]},
+        },
+    ]
+
+
+def band_lines(index):
+    """(lat, west, east) of every band line (ylo + b * h) of every ring, and
+    of the line halfway up each band, with the ring's longitude range."""
+    first, ylo, h = index._band_grid
+    lines = []
+    for r, (start, end) in enumerate(zip(index._ring_offsets, index._ring_offsets[1:])):
+        lons = index._xy[start:end, 0]
+        for b in range(2 * (first[r + 1] - first[r]) + 1):
+            lines.append((float(ylo[r] + b / 2 * h[r]), float(lons.min()), float(lons.max())))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def band_battery(tmp_path_factory):
+    """The index, its probes and the exhaustive scan's answers: the boundary
+    probes, and points every sixteenth of a degree along each band line and
+    each line halfway up a band, a quarter degree past the ring at either
+    end, with the nearest floats above and below them."""
+    index = load_fixture(tmp_path_factory.mktemp("bands"), band_features())
+    first, _, h = index._band_grid
+    bands = np.diff(first)
+    assert (bands > 1).sum() == 5  # all but the two squares have several
+    assert bands[0] == 4 and h[0] == 0.5  # the staircase
+    assert h[4] == h[6] == 1.0  # the rings with no height
+    # The zigzag's west side (its last edge) is listed in every band.
+    west_side = index._ring_offsets[2] - 2
+    for band in range(first[1], first[2]):
+        start, end = index._band_offsets[band : band + 2]
+        assert west_side in index._band_edges[start:end]
+    probes = set(boundary_probes(index))
+    for lat, west, east in band_lines(index):
+        for lon in np.arange(west - 0.25, east + 0.25 + 1 / 32, 1 / 16).tolist():
+            for dlat in (-np.inf, 0.0, np.inf):
+                probes.add((lon, float(np.nextafter(lat, dlat))))
+    probes = sorted(probes)
+    expected = [exhaustive_tract(index, lat, lon) for lon, lat in probes]
+    return index, probes, expected
+
+
+@pytest.mark.parametrize("block", [geo._BLOCK_ELEMENTS, 1, 2500])
+def test_band_edges_match_scan(band_battery, monkeypatch, block):
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", block)
+    index, probes, expected = band_battery
+    got = assign_tracts([lat for _, lat in probes], [lon for lon, _ in probes], index)
+    assert [(p, g) for p, g, e in zip(probes, got, expected) if g != e] == []
+    assert set(expected) == {*index.geoids(), None}
+
+
+@pytest.mark.parametrize("block", [geo._BLOCK_ELEMENTS, 1, 2500])
+def test_band_edges_match_winding_oracle(band_battery, monkeypatch, block):
+    """Off the boundaries (seeded random points over each shape), the
+    smallest GEOID whose polygon holds the point by winding number."""
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", block)
+    index = band_battery[0]
+    rng = np.random.default_rng(80)
+    points = []
+    for west, east in ((-0.5, 8.5), (9.5, 12.5), (19.5, 24.5), (29.5, 31.5), (39.5, 41.5)):
+        points += zip(rng.uniform(west, east, 400).tolist(), rng.uniform(-0.5, 4.5, 400).tolist())
+    got = assign_tracts([lat for _, lat in points], [lon for lon, _ in points], index)
+    for (lon, lat), geoid in zip(points, got):
+        holders = [p.tract_geoid for p in index.polygons
+                   if p.bbox.contains(lon, lat) and winding_number_inside(lon, lat, p.rings)]
+        assert geoid == min(holders, default=None), (lon, lat)
+    assert {"53033002000", "53033002001", "53033002002", "53033002004", None} <= set(got)
