@@ -33,6 +33,18 @@ def content_key(prefix: str, data: bytes) -> str:
     return f"{prefix}-{hashlib.sha256(data).hexdigest()}"
 
 
+def file_content_key(prefix: str, path: str | Path) -> str:
+    """content_key of the file's bytes, hashed a chunk at a time so that the
+    whole file is never in memory. Raises OSError when it cannot be read."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return f"{prefix}-{digest.hexdigest()}"
+
+
 def write_atomically(path: Path, write: Callable[[BinaryIO], None]) -> None:
     """Call write with a new binary file, then move that file to path; on an
     OSError (a read-only or missing location, a full disk) nothing is left

@@ -48,11 +48,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .content_cache import content_key, read_entry, write_entry
+from .content_cache import content_key, file_content_key, read_entry, write_entry
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
 
@@ -405,30 +405,28 @@ def load_boundaries(
     and the errors are those of a load without the cache.
     """
     if cache_dir is None:
-        return _parse_boundaries(_read_boundary_file(path), cell_size)
-    # Only the key is kept of the bytes, so a hit never holds them and the
-    # cache file in memory at once.
-    key = _cache_key(_read_boundary_file(path))
+        return _parse_boundaries(_read_boundary_file(path, Path.read_bytes), cell_size)
+    # A hit needs only the key, hashed a chunk at a time: the file's bytes and
+    # the cache file are never in memory together.
+    prefix = f"tract-index-v{_CACHE_VERSION}"
+    key = _read_boundary_file(path, lambda p: file_content_key(prefix, p))
     index = _read_cache(Path(cache_dir) / key, key, cell_size)
     if index is None:
-        data = _read_boundary_file(path)
+        data = _read_boundary_file(path, Path.read_bytes)
         index = _parse_boundaries(data, cell_size)
-        # Stored under the key of the bytes parsed, should the file have
-        # changed since it was hashed.
-        key = _cache_key(data)
+        # Under the key of the bytes parsed, should the file have changed
+        # since it was hashed.
+        key = content_key(prefix, data)
         _write_cache(Path(cache_dir) / key, key, index)
     return index
 
 
-def _read_boundary_file(path: str | Path) -> bytes:
+def _read_boundary_file(path: str | Path, read: Callable[[Path], Any]) -> Any:
+    """read(path) with an OSError raised as a ParseError."""
     try:
-        return Path(path).read_bytes()
+        return read(Path(path))
     except OSError as exc:
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
-
-
-def _cache_key(data: bytes) -> str:
-    return content_key(f"tract-index-v{_CACHE_VERSION}", data)
 
 
 def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
@@ -636,19 +634,19 @@ def _ring_block(
     """
     x, y = xy[:, 0], xy[:, 1]
     line = lat[:, None]
-    y1, y2 = y[edges], y[1:][edges]
     # Near: an end on each side of the line or on it, so the product of the
     # ends' heights above the line is not positive. (A product that
     # underflows to zero admits an edge that is not near, which is harmless.)
-    near = (y1 - line) * (y2 - line) <= 0.0
+    heights = y[edges] - line
+    heights *= y[1:][edges] - line
     # Flat positions of the near edges, padding left out.
-    i = np.flatnonzero(near)
+    i = np.flatnonzero(heights <= 0.0)
     row = i // edges.shape[1]
     keep = i - row * edges.shape[1] < n_edges[row]
     i, row = i[keep], row[keep]
     start = edges.reshape(-1)[i]
-    x1, y1 = x[start], y1.reshape(-1)[i]
-    x2, y2 = x[1:][start], y2.reshape(-1)[i]
+    x1, y1 = x[start], y[start]
+    x2, y2 = x[1:][start], y[1:][start]
     px, py = lon[row], lat[row]
     in_box = (np.minimum(x1, x2) <= px) & (px <= np.maximum(x1, x2))
     in_box &= (np.minimum(y1, y2) <= py) & (py <= np.maximum(y1, y2))

@@ -106,6 +106,26 @@ def test_one_file_serves_every_cell_size(tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 2
 
 
+def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch):
+    """A file edited after it was hashed (a miss) and before it was parsed
+    is cached under its new bytes' key, never under the old bytes' key."""
+    path = write_feature_collection(tmp_path / "a.geojson", SHAPE_SETS["five_tracts"]())
+    hash_file = geo.file_content_key
+
+    def hash_then_edit(prefix, file):
+        key = hash_file(prefix, file)
+        path.write_text(path.read_text().replace("53033000100", "53033000109"))
+        return key
+
+    monkeypatch.setattr(geo, "file_content_key", hash_then_edit)
+    index = load_boundaries(path, cache_dir=tmp_path / "cache")
+    monkeypatch.undo()
+    assert "53033000109" in index.geoids()
+    (cache_file,) = (tmp_path / "cache").iterdir()
+    assert cache_file.name == content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes())
+    assert_same_index(load_hit(path, tmp_path / "cache", monkeypatch), index)
+
+
 def test_hit_builds_no_polygons(tmp_path, monkeypatch):
     path = write_feature_collection(tmp_path / "a.geojson", SHAPE_SETS["holed_with_island"]())
     fresh = load_boundaries(path, cache_dir=tmp_path / "cache")

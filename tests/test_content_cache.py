@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bikeshare_equity import snapshot_store
-from bikeshare_equity.content_cache import read_entry, write_entry
+from bikeshare_equity.content_cache import content_key, file_content_key, read_entry, write_entry
 from bikeshare_equity.gbfs_client import DockingType
 from helpers import observation
 
@@ -150,3 +150,10 @@ def test_snapshot_cache_file_keeps_its_layout(tmp_path):
     }, separators=(",", ":")).encode("ascii") + b"\n"
     payload = line + array("d", [45.5, -45.0, 0.0, -122.25, 179.5, -0.0]).tobytes()
     assert path.read_bytes() == payload + zlib.crc32(payload).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200_000])
+def test_file_content_key_is_the_content_key_of_its_bytes(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "input").write_bytes(data)
+    assert file_content_key("thing-v1", tmp_path / "input") == content_key("thing-v1", data)
