@@ -300,26 +300,30 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
     assert parses == [1]
 
 
-@pytest.mark.parametrize("version", [0, 2])
-def test_old_version_file_is_never_read(tmp_path, city, monkeypatch, version):
-    """A file under an earlier version's name (2: the layout before the edge
-    bands) stays in cache/ unread, and a current file is written."""
-    monkeypatch.setattr(geo, "_CACHE_VERSION", version)
-    expected = analyze(city, tmp_path / "old")
-    monkeypatch.undo()
-    (old,) = cache_files(city)
-    if version == 2:
-        rewrite(old, lambda header, parts: [(header.pop(name), parts.pop(name))
-                                            for name in ("band_offsets", "band_edges")])
+def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
+    """Files under earlier versions' names (0, and 2: the layout before the
+    edge bands) stay in cache/ unread, and a current file is written."""
+    for version in (0, 2):
+        monkeypatch.setattr(geo, "_CACHE_VERSION", version)
+        expected = analyze(city, tmp_path / f"v{version}")
+        monkeypatch.undo()
+    old = cache_files(city)
+    (v2,) = [path for path in old if "-v2-" in path.name]
+
+    def drop_bands(header, parts):
+        for name in ("band_offsets", "band_edges"):
+            del header[name], parts[name]
+
+    rewrite(v2, drop_bands)
     read = geo._read_cache
 
     def read_current(path, key, cell_size):
-        assert path != old, "read an old-version cache file"
+        assert path not in old, "read an old-version cache file"
         return read(path, key, cell_size)
 
     monkeypatch.setattr(geo, "_read_cache", read_current)
     assert analyze(city, tmp_path / "current") == expected
-    assert len(cache_files(city)) == 2
+    assert len(cache_files(city)) == 3
 
 
 def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch):
