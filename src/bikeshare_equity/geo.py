@@ -547,13 +547,14 @@ def _well_formed(
         and runs(band_offsets, len(band_edges), 0)
     ):
         return False
-    # Every listed edge is an edge of its band's ring: from the ring's first
-    # vertex up to the one before its closing vertex.
-    entries = band_offsets[_ring_bands(ring_offsets)]  # ring r lists [entries[r], entries[r + 1])
-    listed = np.flatnonzero(np.diff(entries))
+    # Ring r lists band_edges[entries[r]:entries[r + 1]]: at least one entry
+    # per edge of the ring (every edge is in a band), each an edge of the
+    # ring, from its first vertex up to the one before its closing vertex.
+    entries = band_offsets[_ring_bands(ring_offsets)]
     return bool(
-        (np.minimum.reduceat(band_edges, entries[listed]) >= ring_offsets[listed]).all()
-        and (np.maximum.reduceat(band_edges, entries[listed]) < ring_offsets[listed + 1] - 1).all()
+        (np.diff(entries) >= np.diff(ring_offsets) - 1).all()
+        and (np.minimum.reduceat(band_edges, entries[:-1]) >= ring_offsets[:-1]).all()
+        and (np.maximum.reduceat(band_edges, entries[:-1]) < ring_offsets[1:] - 1).all()
     )
 
 

@@ -228,6 +228,13 @@ def with_first(array, value):
     return array
 
 
+def empty_bands(header, parts):
+    """Every band lists no edge: offsets all 0, no entries."""
+    parts["band_offsets"] = np.zeros_like(parts["band_offsets"])
+    parts["band_edges"] = parts["band_edges"][:0]
+    header["band_edges"] = [parts["band_edges"].dtype.str, [0]]
+
+
 def flip_a_data_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -261,6 +268,7 @@ SPOILERS = {
     "band offsets decreasing": set_part("band_offsets", lambda a: a[[0, 2, 1, *range(3, len(a))]]),
     "band offsets short of the edges": set_part("band_offsets", lambda a: a[:-1]),
     "band edges wrong dtype": set_part("band_edges", lambda a: a.astype(np.int32)),
+    "no band lists an edge": lambda p: rewrite(p, empty_bands),
     "body shorter than its shapes": set_body("rank", lambda a: a[:-1]),
     "body longer than its shapes": set_body("rank", lambda a: np.append(a, 0)),
     "GEOIDs not sorted": edit_header(lambda h: h["geoids"].reverse()),
