@@ -1,9 +1,10 @@
 """The one mechanism behind the store's caches of parsed input files.
 
-A cache file is named by a key: a prefix naming the format and its version,
-then the sha256 of the input file's bytes, so an edited input never meets a
-file written for its old bytes. A cache file is written whole or not at all
-(a temporary file, then ``os.replace``), and a location that cannot be
+``load`` runs the whole protocol; each cache supplies its parse, encode and
+decode. A cache file is named by a key: a prefix naming the format and its
+version, then the sha256 of the input file's bytes, so an edited input never
+meets a file written for its old bytes. A cache file is written whole or not
+at all (a temporary file, then ``os.replace``), and a location that cannot be
 written is skipped: the cache only ever saves work, it never fails a load.
 
 Every cache file has one frame: a JSON header line (the key, the writer's
@@ -90,3 +91,29 @@ def read_entry(path: Path, key: str, decode: Callable[[dict, memoryview], Any]) 
     except Exception:  # whatever a bad file raises, it is only a miss
         logger.debug("cache file %s is unusable", path, exc_info=True)
         return None
+
+
+def load(
+    path: str | Path, cache_dir: str | Path | None, prefix: str, parse: Callable[[bytes], Any],
+    encode: Callable[[Any], tuple[dict, Sequence]], decode: Callable[[dict, memoryview], Any],
+    *, align: int = 1
+) -> Any:
+    """parse(the bytes of the file at path), or with cache_dir, decode of the
+    cache file for those bytes (read_entry). On a miss, encode(result) is
+    written (write_entry) under the key of the bytes parsed, should the file
+    have changed since it was hashed; a parse that raises writes nothing. An
+    OSError reading the file propagates."""
+    if cache_dir is None:
+        return parse(Path(path).read_bytes())
+    # A hit hashes a chunk at a time: the input's bytes and the cache file
+    # are never in memory together.
+    key = file_content_key(prefix, path)
+    result = read_entry(Path(cache_dir) / key, key, decode)
+    if result is None:
+        data = Path(path).read_bytes()
+        result = parse(data)
+        key = content_key(prefix, data)
+        del data
+        header, body = encode(result)
+        write_entry(Path(cache_dir) / key, key, header, body, align=align)
+    return result

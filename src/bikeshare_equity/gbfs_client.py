@@ -38,7 +38,7 @@ MAX_RETRIES = 2
 # Initial delay before the first retry; doubled after each failed attempt.
 RETRY_BACKOFF_SECONDS = 1.0
 
-DEFAULT_MAX_IN_FLIGHT = 8
+MAX_IN_FLIGHT = 8
 # Sources fetched over the network; anything else is read from local files.
 REMOTE_SCHEMES = ("http://", "https://")
 
@@ -124,7 +124,7 @@ def http_timeout() -> float:
     return DEFAULT_TIMEOUT
 
 
-def fetch_document(source: str, timeout: float | None = None) -> bytes:
+def fetch_document(source: str) -> bytes:
     """Fetch raw bytes from an http(s) URL, a file:// URL, or a local path.
 
     HTTP fetches retry server-side failures up to MAX_RETRIES times with a
@@ -138,8 +138,7 @@ def fetch_document(source: str, timeout: float | None = None) -> bytes:
         # Imported here so that commands working on local files never load it.
         import requests
 
-        if timeout is None:
-            timeout = http_timeout()
+        timeout = http_timeout()
         delay = RETRY_BACKOFF_SECONDS
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
@@ -285,13 +284,13 @@ def _locate_feeds(doc: dict) -> tuple[str, list]:
     raise SchemaError("discovery document missing feeds array")
 
 
-def discover_feeds(entry: SystemEntry, timeout: float | None = None) -> FeedManifest:
+def discover_feeds(entry: SystemEntry) -> FeedManifest:
     """Fetch a system's gbfs.json and map every advertised feed name to its URL.
 
     When several languages are advertised the first one listed is used;
     coordinates do not depend on language.
     """
-    raw = fetch_document(entry.discovery_url, timeout=timeout)
+    raw = fetch_document(entry.discovery_url)
     doc = _load_json(raw)
     language, feed_list = _locate_feeds(doc)
     if not feed_list:
@@ -422,13 +421,12 @@ def _harvest_system(
     entry: SystemEntry,
     observed_at: int,
     docked_mode: str,
-    timeout: float | None,
 ) -> tuple[list[BikeObservation], list[FeedFailure], int]:
     """One system's harvest, which never raises: an unexpected exception (a
     defect, or a feed shape no check foresaw) becomes a FeedFailure naming its
     type, so one broken system cannot abort the others."""
     try:
-        return _harvest_feeds(entry, observed_at, docked_mode, timeout)
+        return _harvest_feeds(entry, observed_at, docked_mode)
     except Exception as exc:
         logger.debug("harvest of %s failed", entry.system_id, exc_info=True)
         return [], [FeedFailure(entry.system_id, "harvest", f"{type(exc).__name__}: {exc}")], 0
@@ -438,14 +436,13 @@ def _harvest_feeds(
     entry: SystemEntry,
     observed_at: int,
     docked_mode: str,
-    timeout: float | None,
 ) -> tuple[list[BikeObservation], list[FeedFailure], int]:
     system_id = entry.system_id
     failures: list[FeedFailure] = []
     observations: list[BikeObservation] = []
     dropped = 0
     try:
-        manifest = discover_feeds(entry, timeout=timeout)
+        manifest = discover_feeds(entry)
     except (TransportError, SchemaError, ParseError) as exc:
         return [], [FeedFailure(system_id, "gbfs", str(exc))], 0
 
@@ -464,7 +461,7 @@ def _harvest_feeds(
         else:
             try:
                 available = parse_station_status(
-                    fetch_document(status_url, timeout=timeout), system_id
+                    fetch_document(status_url), system_id
                 )
             except (TransportError, SchemaError, ParseError) as exc:
                 failures.append(FeedFailure(system_id, STATION_STATUS_FEED, str(exc)))
@@ -476,7 +473,7 @@ def _harvest_feeds(
     if station_url is not None:
         try:
             rows, feed_dropped = _entity_rows(
-                fetch_document(station_url, timeout=timeout), system_id, _STATIONS
+                fetch_document(station_url), system_id, _STATIONS
             )
             dropped += feed_dropped
             if available is None:
@@ -499,7 +496,7 @@ def _harvest_feeds(
     if bike_url is not None:
         try:
             rows, feed_dropped = _entity_rows(
-                fetch_document(bike_url, timeout=timeout), system_id, _BIKES
+                fetch_document(bike_url), system_id, _BIKES
             )
             dropped += feed_dropped
             # Reserved or disabled bikes are not spatially accessible supply.
@@ -519,8 +516,6 @@ def harvest(
     clock: Callable[[], float] = time.time,
     *,
     docked_mode: str = "stations",
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    timeout: float | None = None,
 ) -> tuple[list[BikeObservation], HarvestDiagnostics]:
     """Fetch and parse every system's feeds into one observation list.
 
@@ -531,7 +526,7 @@ def harvest(
     are recorded in the returned diagnostics.
 
     Systems with an http(s) discovery URL are fetched concurrently, at most
-    max_in_flight at a time, to overlap network waits. The others are read
+    MAX_IN_FLIGHT at a time, to overlap network waits. The others are read
     one after another on the calling thread while those run: a local read has
     no wait to hide, and threads would only contend for the interpreter lock.
     Results are merged in system_id order, so output is deterministic
@@ -545,15 +540,13 @@ def harvest(
     observed_at = int(clock())
     remote = [entry for entry in ordered if entry.discovery_url.startswith(REMOTE_SCHEMES)]
     # The pool starts its threads on submit, so a local-only catalog starts none.
-    with ThreadPoolExecutor(max_workers=max(1, min(max_in_flight, len(remote)))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(MAX_IN_FLIGHT, len(remote)))) as pool:
         futures = {
-            entry.system_id: pool.submit(
-                _harvest_system, entry, observed_at, docked_mode, timeout
-            )
+            entry.system_id: pool.submit(_harvest_system, entry, observed_at, docked_mode)
             for entry in remote
         }
         results = {
-            entry.system_id: _harvest_system(entry, observed_at, docked_mode, timeout)
+            entry.system_id: _harvest_system(entry, observed_at, docked_mode)
             for entry in ordered
             if entry.system_id not in futures
         }

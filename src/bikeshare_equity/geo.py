@@ -21,8 +21,9 @@ arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
 The compiled index is a handful of flat arrays (vertices, ring and polygon
 offsets, bounding boxes, GEOID ranks, edge bands, the grid).
 ``load_boundaries`` can keep all but the grid in a cache directory, one
-``content_cache`` file per boundary-file content, so a later load of the
-same file at any cell size decodes no JSON and builds no TractPolygon.
+file per boundary-file content, so a later load of the same file at any
+cell size decodes no JSON and builds no TractPolygon (``content_cache.load``,
+given this module's parse, ``_encode`` and ``_decode``).
 
 Batch assignment (``assign_tracts``) runs the same tests with numpy, on
 whole columns of points rather than one polygon at a time. Each point pairs
@@ -33,8 +34,8 @@ Each ring is split into horizontal bands of equal height, about
 range touches: an edge that can change a point's answer straddles the
 point's horizontal line or ends on it, so it is in the band of the point's
 latitude (the y-interval idea behind GEOS's IndexedPointInAreaLocator). A
-row tests only that band's edges, padded to a common width within each
-power-of-two size class, one bounded block at a time; the first hole hit
+row tests only that band's edges. Rows are tested widest band first, in
+bounded blocks each padded to the width of its first row; the first hole hit
 decides a point inside an outer ring, and ``np.minimum.at`` picks each
 point's smallest GEOID rank. The float64 expressions are the scalar test's
 in the same order, so it agrees with ``point_in_polygon`` bit for bit; the
@@ -48,11 +49,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .content_cache import content_key, file_content_key, read_entry, write_entry
+from . import content_cache
 from .errors import GeometryError, ParseError, SchemaError
 from .gbfs_client import BikeObservation
 
@@ -404,27 +405,12 @@ def load_boundaries(
     a directory that cannot be written is left alone. Either way the result
     and the errors are those of a load without the cache.
     """
-    if cache_dir is None:
-        return _parse_boundaries(_read_boundary_file(path, Path.read_bytes), cell_size)
-    # A hit needs only the key, hashed a chunk at a time: the file's bytes and
-    # the cache file are never in memory together.
-    prefix = f"tract-index-v{_CACHE_VERSION}"
-    key = _read_boundary_file(path, lambda p: file_content_key(prefix, p))
-    index = _read_cache(Path(cache_dir) / key, key, cell_size)
-    if index is None:
-        data = _read_boundary_file(path, Path.read_bytes)
-        index = _parse_boundaries(data, cell_size)
-        # Under the key of the bytes parsed, should the file have changed
-        # since it was hashed.
-        key = content_key(prefix, data)
-        _write_cache(Path(cache_dir) / key, key, index)
-    return index
-
-
-def _read_boundary_file(path: str | Path, read: Callable[[Path], Any]) -> Any:
-    """read(path) with an OSError raised as a ParseError."""
     try:
-        return read(Path(path))
+        return content_cache.load(
+            path, cache_dir, f"tract-index-v{_CACHE_VERSION}",
+            lambda data: _parse_boundaries(data, cell_size), _encode,
+            lambda header, body: _decode(header, body, cell_size), align=8,
+        )
     except OSError as exc:
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
 
@@ -492,24 +478,19 @@ def _parse_polygons(data: bytes) -> list[TractPolygon]:
     return polygons
 
 
-def _read_cache(path: Path, key: str, cell_size: float) -> TractIndex | None:
-    """The index over the parts of the cache file, or None (a miss) unless it
-    is a good cache file for this key (content_cache.read_entry) holding
-    well-formed parts whose grid builds."""
-
-    def decode(header: dict, body: memoryview) -> TractIndex:
-        geoids = header["geoids"]
-        parts, offset = {}, 0
-        for name in _PART_NAMES:
-            dtype, shape = header[name]
-            part = np.frombuffer(body, np.dtype(dtype), math.prod(shape), offset)
-            parts[name] = part.reshape(shape)
-            offset += part.nbytes
-        if offset != len(body) or not _well_formed(geoids, **parts):
-            raise ValueError("parts are not those of a compiled index")
-        return TractIndex._from_parts(parts, geoids, cell_size)
-
-    return read_entry(path, key, decode)
+def _decode(header: dict, body: memoryview, cell_size: float) -> TractIndex:
+    """The index over a cache file's parts; raises (a miss) unless they are
+    well-formed and their grid builds."""
+    geoids = header["geoids"]
+    parts, offset = {}, 0
+    for name in _PART_NAMES:
+        dtype, shape = header[name]
+        part = np.frombuffer(body, np.dtype(dtype), math.prod(shape), offset)
+        parts[name] = part.reshape(shape)
+        offset += part.nbytes
+    if offset != len(body) or not _well_formed(geoids, **parts):
+        raise ValueError("parts are not those of a compiled index")
+    return TractIndex._from_parts(parts, geoids, cell_size)
 
 
 def _well_formed(
@@ -558,13 +539,13 @@ def _well_formed(
     )
 
 
-def _write_cache(path: Path, key: str, index: TractIndex) -> None:
-    """Store the index's parts at path, whole or not at all; a location that
-    cannot be written is skipped. The body is 8-byte aligned, so a hit's
-    parts are aligned views of the file's bytes."""
+def _encode(index: TractIndex) -> tuple[dict, list[np.ndarray]]:
+    """The cache file's header (GEOIDs, each part's dtype and shape) and body
+    (the parts), written 8-byte aligned so a hit's parts are aligned views of
+    the file's bytes."""
     parts = {name: getattr(index, "_" + name) for name in _PART_NAMES}
     header = {name: [part.dtype.str, part.shape] for name, part in parts.items()}
-    write_entry(path, key, {"geoids": index.geoids(), **header}, list(parts.values()), align=8)
+    return {"geoids": index.geoids(), **header}, list(parts.values())
 
 
 def _vertices(ring: Ring) -> list[list[float]]:
@@ -717,23 +698,20 @@ def _contains(
     n_edges = index._band_offsets[bands + 1] - starts
     on_edge = np.empty(len(rings), dtype=bool)
     crossed = np.empty(len(rings), dtype=bool)
-    # Rows whose bands have 2**(c - 1) < edges <= 2**c are tested together,
-    # padded to the most edges among them, so one long band cannot widen the
-    # blocks of short ones.
-    classes = np.frexp(np.maximum(n_edges - 1, 0).astype(np.float64))[1]  # ceil(log2(edges))
-    # Not np.unique: it imports numpy.ma, a few milliseconds and megabytes.
-    for c in np.flatnonzero(np.bincount(classes)).tolist():
-        rows = np.flatnonzero(classes == c)
+    # Rows are tested widest band first, each block padded to the width of
+    # its first row, so one long band cannot widen the blocks of short ones.
+    order = np.argsort(-n_edges, kind="stable")
+    s = 0
+    while s < len(order):
         # At least one slot: a flat ring's upper bands list no edge.
-        slots = np.arange(max(1, n_edges[rows].max()))
-        step = max(1, _BLOCK_ELEMENTS // len(slots))
-        for s in range(0, len(rows), step):
-            block = rows[s : s + step]
-            # Padding slots repeat the next band's edges, or the last edge.
-            edges = index._band_edges.take(starts[block, None] + slots, mode="clip")
-            on_edge[block], crossed[block] = _ring_block(
-                lon[block], lat[block], edges, n_edges[block], index._xy
-            )
+        slots = np.arange(max(1, n_edges[order[s]]))
+        block = order[s : s + max(1, _BLOCK_ELEMENTS // len(slots))]
+        s += len(block)
+        # Padding slots repeat the next band's edges, or the last edge.
+        edges = index._band_edges.take(starts[block, None] + slots, mode="clip")
+        on_edge[block], crossed[block] = _ring_block(
+            lon[block], lat[block], edges, n_edges[block], index._xy
+        )
     outer = np.cumsum(n_rings) - n_rings
     inside = on_edge[outer] | crossed[outer]
     if len(rings) > len(polys):

@@ -9,7 +9,8 @@ Reads can keep each parsed snapshot in a cache directory, one file per
 snapshot content (``snapshot-v<N>-r<R>-<sha256 of the CSV bytes>``, where N
 is the cache file's layout version and R the CSV reader's,
 ``gbfs_client.OBSERVATION_READER_VERSION``), so a later read of the same
-file parses no CSV. A cache file holds the columns of a
+file parses no CSV (``content_cache.load``, given this module's parse,
+``_encode`` and ``_decode``). A cache file holds the columns of a
 ``gbfs_client.Observations`` in ``content_cache``'s frame: the header line
 holds the row count ``n``, the ``entity_id`` list, and ``[value, count]``
 run-length pairs for ``system_id``, ``docking_type`` and ``observed_at``;
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
-from .content_cache import content_key, read_entry, write_entry
+from . import content_cache
 from .errors import SnapshotNotFoundError, StorageError
 from .gbfs_client import (
     KIND_TEXT,
@@ -156,19 +157,12 @@ def _read_snapshot_file(
 ) -> Observations:
     path = store / row.filename
     try:
-        data = path.read_bytes()
+        return content_cache.load(
+            path, cache_dir, f"snapshot-v{_CACHE_VERSION}-r{OBSERVATION_READER_VERSION}",
+            _parse_csv, _encode, _decode,
+        )
     except OSError as exc:
         raise StorageError(f"manifest names missing snapshot file {path}") from exc
-    if cache_dir is None:
-        return _parse_csv(data)
-    key = content_key(f"snapshot-v{_CACHE_VERSION}-r{OBSERVATION_READER_VERSION}", data)
-    cache_file = Path(cache_dir) / key
-    observations = _read_cache(cache_file, key)
-    if observations is None:
-        observations = _parse_csv(data)
-        del data
-        _write_cache(cache_file, key, observations)
-    return observations
 
 
 def _parse_csv(data: bytes) -> Observations:
@@ -176,9 +170,9 @@ def _parse_csv(data: bytes) -> Observations:
         return read_observations_csv(fh)
 
 
-def _write_cache(path: Path, key: str, observations: Observations) -> None:
-    """Store the columns at path, whole or not at all; a location that
-    cannot be written is skipped."""
+def _encode(observations: Observations) -> tuple[dict, tuple[array, array]]:
+    """The cache file's header (n and the id and run-length columns) and body
+    (the lat and lon columns)."""
     header = {
         "n": len(observations),
         "system_id": observations.system_id_runs,
@@ -188,18 +182,13 @@ def _write_cache(path: Path, key: str, observations: Observations) -> None:
         ],
         "observed_at": observations.observed_at_runs,
     }
-    write_entry(path, key, header, (observations.lats, observations.lons))
+    return header, (observations.lats, observations.lons)
 
 
-def _read_cache(path: Path, key: str) -> Observations | None:
-    """The columns of the cache file, or None (a miss) unless it is a good
-    cache file for this key (content_cache.read_entry) whose run lengths and
-    columns add up to n and whose values pass the CSV reader's own rule
+def _decode(header: dict, body: memoryview) -> Observations:
+    """The columns of a cache file; raises (a miss) unless its run lengths
+    and columns add up to n and its values pass the CSV reader's own rule
     (gbfs_client.valid_observation_values)."""
-    return read_entry(path, key, _decode_columns)
-
-
-def _decode_columns(header: dict, body: memoryview) -> Observations:
     n = header["n"]
     entity_ids = header["entity_id"]
     runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]

@@ -66,11 +66,11 @@ def fuzz_catalog(tmp_path_factory):
     return write_catalog(root / "catalog.csv", systems).read_bytes()
 
 
-def local_only(source, timeout=None):
+def local_only(source):
     """fetch_document without the network: a mutated URL may turn remote."""
     if str(source).startswith(gbfs_client.REMOTE_SCHEMES):
         raise TransportError(f"no network in this test: {source}")
-    return FETCH_DOCUMENT(source, timeout)
+    return FETCH_DOCUMENT(source)
 
 
 FETCH_DOCUMENT = gbfs_client.fetch_document

@@ -1,5 +1,6 @@
 """The one cache-file frame: write_entry's file reads back through read_entry
-as written, and every fault in the file reads as None (a miss)."""
+as written, and every fault in the file reads as None (a miss); and the one
+cached-load protocol, load, on top of it."""
 
 import json
 import sys
@@ -9,8 +10,14 @@ from array import array
 import numpy as np
 import pytest
 
-from bikeshare_equity import snapshot_store
-from bikeshare_equity.content_cache import content_key, file_content_key, read_entry, write_entry
+from bikeshare_equity import content_cache, snapshot_store
+from bikeshare_equity.content_cache import (
+    content_key,
+    file_content_key,
+    load,
+    read_entry,
+    write_entry,
+)
 from bikeshare_equity.gbfs_client import DockingType
 from helpers import observation
 
@@ -157,3 +164,69 @@ def test_file_content_key_is_the_content_key_of_its_bytes(tmp_path, size):
     data = np.random.default_rng(size).bytes(size)
     (tmp_path / "input").write_bytes(data)
     assert file_content_key("thing-v1", tmp_path / "input") == content_key("thing-v1", data)
+
+
+# ---------------------------------------------------------------------------
+# load: the whole protocol, given a cache's parse, encode and decode
+# ---------------------------------------------------------------------------
+
+
+def parse_words(data):
+    return data.decode("ascii").split(",")
+
+
+def encode_words(words):
+    return {"words": words}, [b"body"]
+
+
+def decode_words(header, body):
+    assert bytes(body) == b"body"
+    return header["words"]
+
+
+def load_words(path, cache_dir, parse=parse_words):
+    return load(path, cache_dir, "words-v1", parse, encode_words, decode_words)
+
+
+@pytest.fixture
+def words(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"a,b,c")
+    return path
+
+
+def test_load_without_a_cache_dir_parses_and_writes_nothing(tmp_path, words, monkeypatch):
+    monkeypatch.setattr(content_cache, "write_entry", pytest.fail)
+    monkeypatch.setattr(content_cache, "read_entry", pytest.fail)
+    assert load_words(words, None) == ["a", "b", "c"]
+    assert list(tmp_path.iterdir()) == [words]
+
+
+def test_load_miss_writes_the_entry_and_a_hit_never_parses(tmp_path, words):
+    cache = tmp_path / "cache"
+    assert load_words(words, cache) == ["a", "b", "c"]
+    (entry,) = cache.iterdir()
+    assert entry.name == content_key("words-v1", b"a,b,c")
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert list(cache.iterdir()) == [entry]
+
+
+def test_load_parse_error_propagates_and_writes_nothing(tmp_path, words):
+    def refuse(data):
+        raise ValueError("not words")
+
+    with pytest.raises(ValueError, match="not words"):
+        load_words(words, tmp_path / "cache", parse=refuse)
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("make", ["missing", "a directory"])
+def test_load_of_an_unreadable_input_raises_oserror(tmp_path, cached, make):
+    path = tmp_path / "input"
+    if make == "a directory":
+        path.mkdir()
+    with pytest.raises(OSError):
+        load_words(path, tmp_path / "cache" if cached else None, parse=pytest.fail)
+    assert not (tmp_path / "cache").exists()
+

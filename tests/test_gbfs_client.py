@@ -460,11 +460,11 @@ class FakeNetwork:
         self.barrier = threading.Barrier(parties, timeout=5)
         monkeypatch.setattr(gbfs_client, "fetch_document", self)
 
-    def __call__(self, source, timeout=None):
+    def __call__(self, source):
         with self.lock:
             self.threads[source] = threading.get_ident()
         if not source.startswith(REMOTE):
-            return self.fetch(source, timeout)
+            return self.fetch(source)
         with self.lock:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
@@ -473,7 +473,7 @@ class FakeNetwork:
                 self.barrier.wait()
             else:
                 time.sleep(0.001)  # a little latency, so fetches of other systems overlap
-            return self.fetch("file://" + source[len(REMOTE):], timeout)
+            return self.fetch("file://" + source[len(REMOTE):])
         finally:
             with self.lock:
                 self.in_flight -= 1
@@ -486,7 +486,8 @@ def station(i):
 def test_harvest_overlaps_remote_systems_up_to_max_in_flight(tmp_path, monkeypatch):
     network = FakeNetwork(monkeypatch, parties=3)
     entries = [remote_system(tmp_path, f"r{i}", stations=[station(i)]) for i in range(6)]
-    observations, diag = harvest(entries, clock=lambda: 1, max_in_flight=3)
+    monkeypatch.setattr(gbfs_client, "MAX_IN_FLIGHT", 3)
+    observations, diag = harvest(entries, clock=lambda: 1)
     assert diag.failures == []
     assert [o.entity_id for o in observations] == [f"st{i}" for i in range(6)]
     assert network.peak == 3
@@ -496,7 +497,8 @@ def test_harvest_overlaps_remote_systems_up_to_max_in_flight(tmp_path, monkeypat
 def test_harvest_reads_local_systems_on_the_calling_thread(tmp_path, monkeypatch):
     network = FakeNetwork(monkeypatch)
     entries = [make_system(tmp_path, f"l{i}", stations=[station(i)], bikes=[]) for i in range(4)]
-    observations, diag = harvest(entries, clock=lambda: 1, max_in_flight=3)
+    monkeypatch.setattr(gbfs_client, "MAX_IN_FLIGHT", 3)
+    observations, diag = harvest(entries, clock=lambda: 1)
     assert diag.failures == []
     assert len(observations) == 4
     assert len(network.threads) == 12  # discovery and two feeds per system
@@ -520,14 +522,15 @@ def test_harvest_of_mixed_catalog_matches_a_serial_run(tmp_path, monkeypatch):
     network = FakeNetwork(monkeypatch)
     expected_obs, expected_failures, expected_dropped = [], [], 0
     for entry in sorted(entries, key=lambda e: e.system_id):
-        obs, failures, dropped = gbfs_client._harvest_system(entry, 9, "stations", None)
+        obs, failures, dropped = gbfs_client._harvest_system(entry, 9, "stations")
         expected_obs += obs
         expected_failures += failures
         expected_dropped += dropped
 
     network.threads.clear()
     network.barrier = threading.Barrier(2, timeout=5)
-    observations, diag = harvest(entries, clock=lambda: 9, max_in_flight=2)
+    monkeypatch.setattr(gbfs_client, "MAX_IN_FLIGHT", 2)
+    observations, diag = harvest(entries, clock=lambda: 9)
     assert observations == expected_obs
     assert diag.failures == expected_failures
     assert diag.dropped_entities == expected_dropped == 5

@@ -275,7 +275,7 @@ def assert_harvest_agrees(root, station_raw, bike_raw):
     entry = make_system(root, "sys", stations=[], bikes=[])
     (root / "sys_station_information.json").write_bytes(station_raw)
     (root / "sys_free_bike_status.json").write_bytes(bike_raw)
-    observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT, max_in_flight=1)
+    observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT)
     expected, failures, dropped = ref_system_harvest("sys", station_raw, bike_raw, OBSERVED_AT)
     assert observations == expected
     assert all(type(obs) is BikeObservation for obs in observations)

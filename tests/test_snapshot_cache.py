@@ -13,7 +13,11 @@ import pytest
 
 from bikeshare_equity import content_cache, snapshot_store
 from bikeshare_equity.cli import main
-from bikeshare_equity.gbfs_client import BikeObservation, DockingType
+from bikeshare_equity.gbfs_client import (
+    OBSERVATION_READER_VERSION,
+    BikeObservation,
+    DockingType,
+)
 from bikeshare_equity.snapshot_store import append_snapshot, load_snapshot
 from helpers import build_synthetic_city, observation
 from test_cli import analyze_argv
@@ -73,9 +77,33 @@ def test_cached_records_equal_the_uncached_read(city, parses):
             assert (getattr(a, column) is getattr(b, column)) == same, column
 
 
+def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch, parses):
+    """A snapshot file edited after it was hashed (a miss) and before it was
+    read is cached under its new bytes' key, never under the old bytes' key."""
+    store = tmp_path / "store"
+    append_snapshot([observation("sys", "e1", 45.0, -122.0)], store)
+    (snapshot,) = store.glob("snapshot_*.csv")
+    hash_file = content_cache.file_content_key
+
+    def hash_then_edit(prefix, file):
+        key = hash_file(prefix, file)
+        snapshot.write_text(snapshot.read_text().replace("e1", "e9"))
+        return key
+
+    monkeypatch.setattr(content_cache, "file_content_key", hash_then_edit)
+    (got,) = load_snapshot(store, cache_dir=store / "cache")
+    monkeypatch.setattr(content_cache, "file_content_key", hash_file)
+    assert got.entity_id == "e9"
+    (cache_file,) = snapshot_caches(store)
+    prefix = f"snapshot-v{snapshot_store._CACHE_VERSION}-r{OBSERVATION_READER_VERSION}"
+    assert cache_file.name == content_cache.content_key(prefix, snapshot.read_bytes())
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == [got]
+    assert parses == [1]
+
+
 def test_library_default_writes_no_cache(tmp_path, monkeypatch):
     append_snapshot([observation("sys", "e1", 45.0, -122.0)], tmp_path)
-    monkeypatch.setattr(snapshot_store, "_write_cache", pytest.fail)
+    monkeypatch.setattr(content_cache, "write_entry", pytest.fail)
     load_snapshot(tmp_path)
     assert not (tmp_path / "cache").exists()
 
@@ -259,13 +287,13 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses, version, pref
     monkeypatch.undo()
     (old,) = snapshot_caches(store)
     assert old.name.startswith(prefix)
-    read = snapshot_store._read_cache
+    read = content_cache.read_entry
 
-    def read_current(path, key):
+    def read_current(path, key, decode):
         assert path != old, "read an old-version cache file"
-        return read(path, key)
+        return read(path, key, decode)
 
-    monkeypatch.setattr(snapshot_store, "_read_cache", read_current)
+    monkeypatch.setattr(content_cache, "read_entry", read_current)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert len(snapshot_caches(store)) == 2
 
@@ -281,12 +309,14 @@ def test_unwritable_cache_location_gets_no_writes(tmp_path, city, monkeypatch):
     cache = store / "cache"
     cache.mkdir()
 
-    def refuse(*args, **kwargs):
-        raise PermissionError("read-only file system")
+    def refuse_writes(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wxa+"):
+            raise PermissionError("read-only file system")
+        return open(file, mode, *args, **kwargs)
 
     # Shadows the built-in open in content_cache, as a read-only cache
-    # directory would, whoever the user is.
-    monkeypatch.setattr(content_cache, "open", refuse, raising=False)
+    # directory would, whoever the user is; the input is still hashed.
+    monkeypatch.setattr(content_cache, "open", refuse_writes, raising=False)
     assert list(load_snapshot(store, cache_dir=cache)) == expected
     assert list(load_snapshot(store, cache_dir=cache)) == expected
     assert list(cache.iterdir()) == []
