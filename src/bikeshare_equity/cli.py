@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import BikeshareEquityError, StageError, StorageError
 from .gbfs_client import (
@@ -276,8 +278,98 @@ def cmd_analyze(config: PipelineConfig) -> int:
     return 0
 
 
-_MARKER = '<circle class="marker %s" cx="%.2f" cy="%.2f" r="2.5"/>'
-_MARKER_CLASS = {DockingType.DOCKED: "docked", DockingType.FREE: "free"}
+class _Fixed2:
+    """A float64 column as the text '%.2f' gives each of its values, to be
+    written into byte columns of a text matrix.
+
+    Each value is rounded to integer hundredths from the float64 product
+    |v|*100, which lies within 6e-8 of the exact product while |v| < 1e7;
+    where its fractional part is at least 1e-6 away from one half, the
+    product rounds as the exact value does. The other values (a near-tie, a
+    magnitude of 1e7 or more, a NaN or an infinity) take their whole text
+    from Python's own '%.2f', so every value reads as '%.2f' writes it.
+    """
+
+    __slots__ = ("negative", "hundredths", "rows", "texts", "width")
+
+    def __init__(self, values: np.ndarray):
+        magnitude = np.abs(values)
+        small = magnitude < 1e7  # False for a NaN
+        # The large and non-finite values are zeroed first, so no cast below
+        # meets one.
+        scaled = np.where(small, magnitude, 0.0) * 100.0
+        exact = small & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
+        self.negative = np.signbit(values)  # '-0.00' for -0.0 and tiny negatives
+        self.hundredths = np.rint(scaled).astype(np.int32)  # at most 1e9
+        self.rows = np.flatnonzero(~exact)
+        self.texts = [("%.2f" % value).encode() for value in values[self.rows].tolist()]
+        digits = len(str(self.hundredths.max(initial=0) // 100))
+        # A sign slot, the integer digits, the point and two decimals.
+        self.width = max([digits + 4, *map(len, self.texts)])
+
+    def write(self, text: np.ndarray, keep: np.ndarray) -> None:
+        """Fill text, a (rows, width) view of uint8 columns, right-aligned,
+        and set keep, a view of bool columns as wide, to the bytes that
+        belong: one sign slot on the left, digits, '.', two decimals."""
+        hundredths = self.hundredths
+        units = hundredths // 100
+        text[:, 0] = ord("-")
+        keep[:, 0] = self.negative
+        keep[:, 1:-4] = False
+        text[:, -4] = 48 + units % 10
+        keep[:, -4:] = True
+        column, power, top = -5, 10, int(units.max(initial=0))
+        while power <= top:  # no leading zeros
+            text[:, column] = 48 + units // power % 10
+            keep[:, column] = units >= power
+            column, power = column - 1, power * 10
+        text[:, -3] = ord(".")
+        text[:, -2] = 48 + hundredths // 10 % 10
+        text[:, -1] = 48 + hundredths % 10
+        for row, value_text in zip(self.rows.tolist(), self.texts):
+            keep[row] = False
+            keep[row, -len(value_text):] = True
+            text[row, -len(value_text):] = np.frombuffer(value_text, np.uint8)
+
+
+def _min_max(values: np.ndarray) -> tuple[float, float]:
+    """min(values) and max(values) as Python's min and max find them: a NaN
+    counts only as the first value."""
+    if math.isnan(values[0]):
+        return float(values[0]), float(values[0])
+    return float(np.fmin.reduce(values)), float(np.fmax.reduce(values))
+
+
+# Marker lines are written a block of rows at a time: a block's byte matrix,
+# mask and compacted text stay about 64 kB each, however many observations
+# there are. On harvest_fleet's 10.9k markers, one matrix for every row raised
+# a map process's peak RSS by about 1 MB, and ran no faster.
+_MARKER_BLOCK = 1024
+
+
+def _marker_lines(is_docked: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """One '<circle class="marker ..."/>' line per row, each ending in a
+    newline, as ASCII bytes. Every line is written into the same (rows,
+    width) byte matrix, column by column, with a mask of the bytes it keeps
+    (a free class leaves two spare bytes, a number its unused digit and sign
+    slots); the kept bytes, in row order, are the text. The matrix and the
+    mask are freed on return, before the caller decodes the text."""
+    x, y = _Fixed2(xs), _Fixed2(ys)
+    lead, cx, cy = b'<circle class="marker ', b'" cx="', b'" cy="'
+    # Every row starts as the template line: a free class, blank numbers.
+    template = b"".join(
+        [lead, b"free  ", cx, bytes(x.width), cy, bytes(y.width), b'" r="2.5"/>\n']
+    )
+    text = np.tile(np.frombuffer(template, np.uint8), (len(xs), 1))
+    keep = np.ones(text.shape, bool)
+    start = len(lead)
+    text[is_docked, start:start + 6] = np.frombuffer(b"docked", np.uint8)
+    keep[:, start + 4:start + 6] = is_docked[:, None]
+    start += 6 + len(cx)
+    x.write(text[:, start:start + x.width], keep[:, start:start + x.width])
+    start += x.width + len(cy)
+    y.write(text[:, start:start + y.width], keep[:, start:start + y.width])
+    return text[keep]
 
 
 def render_map_svg(
@@ -287,14 +379,17 @@ def render_map_svg(
 
     Docked and free observations get distinct marker classes; a legend and a
     count caption are always drawn, and an empty snapshot still produces axes.
-    The markers are formatted from the observations' columns.
+    The markers are formatted from the observations' columns, as whole
+    columns; each coordinate reads as '%.2f' writes it.
     """
     observations = as_observations(observations)
-    lats, lons, kinds = observations.lats, observations.lons, observations.docking_type_runs
+    kinds = observations.docking_type_runs
+    lons = np.frombuffer(observations.lons)
+    lats = np.frombuffer(observations.lats)
     margin = 40.0
     if observations:
-        min_lon, max_lon = min(lons), max(lons)
-        min_lat, max_lat = min(lats), max(lats)
+        min_lon, max_lon = _min_max(lons)
+        min_lat, max_lat = _min_max(lats)
     else:
         # Continental-US default frame so an empty plot still shows axes.
         min_lon, max_lon, min_lat, max_lat = -125.0, -66.0, 24.0, 50.0
@@ -338,11 +433,19 @@ def render_map_svg(
         f'<text x="4" y="{height - margin:.2f}">lat {min_lat:.2f}</text>',
         f'<text x="4" y="{plot_top + 4:.2f}">lat {max_lat:.2f}</text>',
     ]
-    # x_of and y_of inlined: per marker, a call costs more than the arithmetic.
-    classes = chain.from_iterable(repeat(_MARKER_CLASS[kind], count) for kind, count in kinds)
-    xs = (margin + (lon - min_lon) * scale for lon in lons)
-    ys = (height - margin - (lat - min_lat) * scale for lat in lats)
-    lines.extend(map(_MARKER.__mod__, zip(classes, xs, ys)))
+    if observations:
+        is_docked = np.repeat(
+            [kind == DockingType.DOCKED for kind, _ in kinds], [count for _, count in kinds]
+        )
+        # Over whole columns, x_of and y_of run the same float64 operations in
+        # the same order, so they give the same values. Python's float
+        # arithmetic reaches inf and nan silently, and so does this.
+        with np.errstate(all="ignore"):
+            xs, ys = x_of(lons), y_of(lats)
+        for start in range(0, len(xs), _MARKER_BLOCK):
+            rows = slice(start, start + _MARKER_BLOCK)
+            # The block's lines less the last newline, which join puts back.
+            lines.append(str(_marker_lines(is_docked[rows], xs[rows], ys[rows])[:-1], "ascii"))
     legend_x = width - margin - 120
     lines.extend(
         [
@@ -355,9 +458,15 @@ def render_map_svg(
             f'<text x="{margin:.2f}" y="{margin / 2:.2f}">'
             f"{len(observations)} observations ({n_docked} docked, {n_free} free)</text>",
             "</svg>",
+            "",  # so that join ends the document in a newline
         ]
     )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
+
+
+# map.svg is encoded and written this many characters at a time: encoding the
+# whole document at once would hold a second copy of it.
+_MAP_WRITE_CHUNK = 1 << 16
 
 
 def cmd_map(config: PipelineConfig) -> int:
@@ -374,7 +483,9 @@ def cmd_map(config: PipelineConfig) -> int:
     svg = render_map_svg(observations)
     path = out_dir / "map.svg"
     with _writing_outputs(out_dir):
-        path.write_text(svg, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(svg), _MAP_WRITE_CHUNK):
+                fh.write(svg[start:start + _MAP_WRITE_CHUNK])
     if not observations:
         print("warning: snapshot is empty; map has no markers", file=sys.stderr)
     print(f"wrote {path} with {len(observations)} markers")
