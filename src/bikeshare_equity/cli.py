@@ -228,13 +228,13 @@ def cmd_analyze(config: PipelineConfig) -> int:
     demo_table = _stage(
         "read_demographics", lambda: read_demographics_csv(config.demographics_path)
     )
-    records, join_diag = _stage(
+    joined, join_diag = _stage(
         "join_demographics", lambda: join_demographics(retained, demo_table)
     )
-    if not records:
+    if not joined:
         raise StageError("join_demographics", "no tracts matched the demographics table")
-    records, scaling = _stage("scale_predictors", lambda: scale_predictors(records))
-    frame = _stage("build_model_frame", lambda: build_model_frame(records))
+    scaled, scaling = _stage("scale_predictors", lambda: scale_predictors(joined))
+    frame = _stage("build_model_frame", lambda: build_model_frame(scaled))
     fit = _stage("fit_poisson", lambda: fit_poisson(frame.design, frame.response))
     if not fit.converged:
         raise StageError("fit_poisson", f"did not converge after {fit.iterations} iterations")
@@ -246,7 +246,7 @@ def cmd_analyze(config: PipelineConfig) -> int:
         "unassigned_observations": count_diag.unassigned,
         "tracts_in_boundaries": len(counts),
         "tracts_retained": len(retained),
-        "tracts_joined": len(records),
+        "tracts_joined": len(joined),
         "demographics_unmatched": join_diag.unmatched,
         "scaling": {
             name: {"min": low, "max": high} for name, (low, high) in scaling.items()
@@ -272,7 +272,7 @@ def cmd_analyze(config: PipelineConfig) -> int:
             fh.write("\n")
     print(report_to_text(report))
     print(
-        f"analyzed {len(observations)} observations over {len(records)} tracts; "
+        f"analyzed {len(observations)} observations over {len(joined)} tracts; "
         f"reports in {out_dir}"
     )
     return 0

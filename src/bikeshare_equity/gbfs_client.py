@@ -861,8 +861,13 @@ def valid_observation_values(
 
 
 def _within(degrees: Sequence[float], limit: float) -> bool:
-    """Whether every value is finite and in [-limit, limit]. min and max are
-    only trustworthy without NaN; a NaN makes the sum NaN."""
-    return not degrees or (
-        -limit <= min(degrees) and max(degrees) <= limit and math.isfinite(sum(degrees))
+    """Whether every value is finite and in [-limit, limit]. An array("d")
+    is read in place, as a float64 view."""
+    # Imported here: only a cached snapshot read needs it, and harvest never
+    # reads one.
+    import numpy as np
+
+    values = np.asarray(degrees, dtype=np.float64)
+    return not values.size or bool(
+        np.isfinite(values).all() and -limit <= values.min() and values.max() <= limit
     )

@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -116,9 +119,67 @@ class SystemSummary:
     q75: float
 
 
+@dataclass(eq=False)
+class TractTable(Sequence):
+    """Tracts as columns: the GEOIDs, the docked and free counts as an (n, 2)
+    int array and the five predictors as an (n, 5) float64 array; a table of
+    counts has no predictors, one of demographics no counts (None). It is a
+    read-only sequence of TractRecords (TractCounts, DemographicsRows) built
+    on access, with no __eq__: compare list(table). The stages build none.
+    """
+
+    geoids: list[str]
+    counts: np.ndarray | None
+    predictors: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.geoids)
+
+    def __getitem__(self, index: int) -> TractRecord | TractCount | DemographicsRow:
+        position = operator.index(index)
+        geoid = self.geoids[position]
+        if self.counts is None:
+            return DemographicsRow(geoid, *self.predictors[position].tolist())
+        docked, free = self.counts[position].tolist()
+        if self.predictors is None:
+            return TractCount(geoid, docked, free)
+        return TractRecord(
+            geoid, geoid[:COUNTY_PREFIX_LENGTH], docked, free,
+            DemographicsRow(geoid, *self.predictors[position].tolist()),
+        )
+
+    def take(self, positions: list[int]) -> TractTable:
+        """The rows at these positions, in their order."""
+        return TractTable(
+            [self.geoids[position] for position in positions],
+            None if self.counts is None else self.counts[positions],
+            None if self.predictors is None else self.predictors[positions],
+        )
+
+
+def as_tract_table(records: Iterable) -> TractTable:
+    """records itself if it is a TractTable, else the columns of its records
+    (TractCounts, TractRecords or DemographicsRows, of one kind), read once."""
+    if isinstance(records, TractTable):
+        return records
+    records = list(records)
+    first = records[0] if records else None
+    predictors = operator.attrgetter(*PREDICTOR_NAMES)
+    return TractTable(
+        [record.tract_geoid for record in records],
+        None if isinstance(first, DemographicsRow) else np.array(
+            [(record.count_docked, record.count_free) for record in records], dtype=int
+        ).reshape(-1, 2),
+        None if isinstance(first, TractCount) else np.array(
+            [predictors(getattr(record, "demographics", record)) for record in records],
+            dtype=np.float64,
+        ).reshape(-1, len(PREDICTOR_NAMES)),
+    )
+
+
 def count_by_tract(
     observations: Iterable[BikeObservation], index: TractIndex
-) -> tuple[list[TractCount], CountDiagnostics]:
+) -> tuple[TractTable, CountDiagnostics]:
     """Per-tract docked/free observation counts over every tract in the index.
 
     Tracts receiving no observations appear zero-filled; observations falling
@@ -139,31 +200,28 @@ def count_by_tract(
     # rank len(geoids), the observations in no tract.
     geoids = index.geoids()
     tally = np.bincount(ranks * 2 + is_free, minlength=2 * len(geoids) + 2).reshape(-1, 2)
-    counts = [
-        TractCount(geoid, docked, free)
-        for geoid, (docked, free) in zip(geoids, tally[:-1].tolist())
-    ]
-    return counts, CountDiagnostics(unassigned=int(tally[-1].sum()))
+    return TractTable(geoids, tally[:-1], None), CountDiagnostics(unassigned=int(tally[-1].sum()))
 
 
-def filter_zero_counties(records: list) -> list:
+def filter_zero_counties(records: Iterable) -> TractTable:
     """Keep tracts whose county has at least one tract with any bikes.
 
     Zero-count tracts inside an active county are retained; whole counties
-    with no bikes anywhere are dropped. Works on TractCount or TractRecord
-    rows, and is idempotent.
+    with no bikes anywhere are dropped. Works on a table with counts (or
+    TractCount or TractRecord rows), and is idempotent.
     """
-    active = {
-        record.county_geoid
-        for record in records
-        if record.count_docked + record.count_free > 0
-    }
-    return [record for record in records if record.county_geoid in active]
+    table = as_tract_table(records)
+    busy = table.counts.sum(axis=1) > 0
+    active = {geoid[:COUNTY_PREFIX_LENGTH] for geoid in compress(table.geoids, busy)}
+    return table.take([
+        position for position, geoid in enumerate(table.geoids)
+        if geoid[:COUNTY_PREFIX_LENGTH] in active
+    ])
 
 
 def join_demographics(
     counts: Iterable[TractCount], demo_table: Iterable[DemographicsRow]
-) -> tuple[list[TractRecord], JoinDiagnostics]:
+) -> tuple[TractTable, JoinDiagnostics]:
     """Inner-join counts with demographics on tract_geoid.
 
     Count rows without a demographics match are dropped and tallied;
@@ -172,97 +230,71 @@ def join_demographics(
     Raises:
         SchemaError: duplicate tract_geoid in the demographics table.
     """
-    by_geoid: dict[str, DemographicsRow] = {}
-    for row in demo_table:
-        if row.tract_geoid in by_geoid:
-            raise SchemaError(f"duplicate tract_geoid in demographics: {row.tract_geoid}")
-        by_geoid[row.tract_geoid] = row
-    records: list[TractRecord] = []
-    diagnostics = JoinDiagnostics()
-    for count in counts:
-        demo = by_geoid.get(count.tract_geoid)
-        if demo is None:
-            diagnostics.unmatched += 1
-            continue
-        records.append(
-            TractRecord(
-                tract_geoid=count.tract_geoid,
-                county_geoid=count.county_geoid,
-                count_docked=count.count_docked,
-                count_free=count.count_free,
-                demographics=demo,
-            )
-        )
-    return records, diagnostics
+    counts, demo = as_tract_table(counts), as_tract_table(demo_table)
+    row_of: dict[str, int] = {}
+    for row, geoid in enumerate(demo.geoids):
+        if row_of.setdefault(geoid, row) != row:
+            raise SchemaError(f"duplicate tract_geoid in demographics: {geoid}")
+    joined = counts.take(
+        [position for position, geoid in enumerate(counts.geoids) if geoid in row_of]
+    )
+    joined.predictors = demo.predictors[[row_of[geoid] for geoid in joined.geoids]]
+    return joined, JoinDiagnostics(unmatched=len(counts) - len(joined))
 
 
 def scale_predictors(
-    records: Sequence[TractRecord],
-) -> tuple[list[TractRecord], dict[str, tuple[float, float]]]:
+    records: Iterable[TractRecord],
+) -> tuple[TractTable, dict[str, tuple[float, float]]]:
     """Min-max scale each predictor to [0, 1] over the given records.
 
-    Returns the rescaled records plus {predictor: (min, max)} metadata so any
+    Returns the rescaled table plus {predictor: (min, max)} metadata so any
     coefficient can later be unscaled. Run this after the zero-county filter so
     dropped tracts cannot leak into the scaling.
 
     Raises:
         ScalingError: a predictor is constant over the records.
     """
-    if not records:
+    table = as_tract_table(records)
+    if not table:
         raise ScalingError("no records to scale")
-    bounds: dict[str, tuple[float, float]] = {}
-    for name in PREDICTOR_NAMES:
-        values = [record.demographics.predictor(name) for record in records]
-        low, high = min(values), max(values)
-        if low == high:
+    values = table.predictors
+    # Each bound is the first value in record order equal to the column's
+    # extreme, as Python's min and max give it: 0.0 and -0.0 are equal, but
+    # their reprs differ and the bounds go into the run manifest.
+    columns = np.arange(values.shape[1])
+    low = values[np.argmax(values == values.min(axis=0), axis=0), columns]
+    high = values[np.argmax(values == values.max(axis=0), axis=0), columns]
+    bounds = dict(zip(PREDICTOR_NAMES, zip(low.tolist(), high.tolist())))
+    for name, (low_value, high_value) in bounds.items():
+        if low_value == high_value:
             raise ScalingError(
-                f"predictor {name} is constant ({low!r}) over the retained tracts"
+                f"predictor {name} is constant ({low_value!r}) over the retained tracts"
             )
-        bounds[name] = (low, high)
-    scaled: list[TractRecord] = []
-    for record in records:
-        rescaled = {
-            name: (record.demographics.predictor(name) - bounds[name][0])
-            / (bounds[name][1] - bounds[name][0])
-            for name in PREDICTOR_NAMES
-        }
-        scaled.append(
-            TractRecord(
-                tract_geoid=record.tract_geoid,
-                county_geoid=record.county_geoid,
-                count_docked=record.count_docked,
-                count_free=record.count_free,
-                demographics=DemographicsRow(record.tract_geoid, **rescaled),
-            )
-        )
-    return scaled, bounds
+    return TractTable(table.geoids, table.counts, (values - low) / (high - low)), bounds
 
 
-def build_model_frame(records: Sequence[TractRecord]) -> ModelFrame:
+def build_model_frame(records: Iterable[TractRecord]) -> ModelFrame:
     """Long-format frame: per tract a free row (indicator 0) and a docked row
     (indicator 1), with the 12 fixed design columns including interactions.
 
     Raises:
         EmptyFrameError: no records supplied.
     """
-    if not records:
+    table = as_tract_table(records)
+    if not table:
         raise EmptyFrameError("cannot build a model frame from zero tract records")
-    geoids: list[str] = []
-    response: list[int] = []
-    rows: list[list[float]] = []
-    for record in sorted(records, key=lambda record: record.tract_geoid):
-        predictors = [record.demographics.predictor(name) for name in PREDICTOR_NAMES]
-        for indicator, count in ((0.0, record.count_free), (1.0, record.count_docked)):
-            rows.append(
-                [1.0, *predictors, indicator, *(value * indicator for value in predictors)]
-            )
-            response.append(count)
-            geoids.append(record.tract_geoid)
-    design = DesignMatrix(np.array(rows, dtype=float), DESIGN_COLUMNS)
+    # A stable sort: tracts with equal GEOIDs keep their order.
+    table = table.take(sorted(range(len(table)), key=table.geoids.__getitem__))
+    k = len(PREDICTOR_NAMES)
+    values = np.empty((2 * len(table), len(DESIGN_COLUMNS)))
+    values[:, 0] = 1.0
+    values[:, 1:1 + k] = np.repeat(table.predictors, 2, axis=0)
+    values[:, 1 + k] = np.tile([0.0, 1.0], len(table))
+    values[:, 2 + k:] = values[:, 1:1 + k] * values[:, 1 + k:2 + k]
     return ModelFrame(
-        tract_geoids=tuple(geoids),
-        response=np.array(response, dtype=int),
-        design=design,
+        tract_geoids=tuple(chain.from_iterable(zip(table.geoids, table.geoids))),
+        response=table.counts[:, ::-1].ravel(),  # free, then docked
+        design=DesignMatrix(values, DESIGN_COLUMNS),
     )
 
 
@@ -332,12 +364,15 @@ def summarize_systems(observations: Iterable[BikeObservation]) -> list[SystemSum
     return summaries
 
 
-def read_demographics_csv(source: str | Path | TextIO) -> list[DemographicsRow]:
-    """Load the demographics table from CSV.
+def read_demographics_csv(source: str | Path | TextIO) -> TractTable:
+    """Load the demographics table from CSV: columns are found by header name
+    (the last of a repeated name), blank lines are skipped. Fields are parsed
+    with float() as the lines are read, and their ranges are checked on the
+    columns, so the error raised is always the first bad line's.
 
     Raises:
-        SchemaError: missing header columns, or a row with a missing or
-            unparseable value (the message names its line).
+        SchemaError: missing header columns, or a row with a missing,
+            unparseable or out-of-range value (the message names its line).
         ParseError: the file cannot be read, is not UTF-8 text, or is not CSV.
     """
     try:
@@ -353,40 +388,46 @@ def read_demographics_csv(source: str | Path | TextIO) -> list[DemographicsRow]:
         ) from None
     # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
     lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    geoids, rows, line_numbers = [], [], []
+    error = None
     try:
-        return _demographics_rows(lines)
+        position = {name: index for index, name in enumerate(next(lines, []))}
+        missing = [column for column in DEMOGRAPHICS_COLUMNS if column not in position]
+        if missing:
+            raise SchemaError(f"demographics header missing column(s): {', '.join(missing)}")
+        indices = [position[column] for column in DEMOGRAPHICS_COLUMNS]
+        width = max(indices) + 1
+        pick = operator.itemgetter(*indices)
+        for fields in lines:
+            if not fields:
+                continue
+            if len(fields) < width:
+                absent = [column for column, index in zip(DEMOGRAPHICS_COLUMNS, indices)
+                          if index >= len(fields)]
+                raise ValueError(f"no {', '.join(absent)} field")
+            geoid, *predictors = pick(fields)
+            rows.append(list(map(float, predictors)))
+            geoids.append(geoid.strip())
+            line_numbers.append(lines.line_num)
+    except ValueError as exc:
+        error = SchemaError(f"demographics line {lines.line_num}: {exc}")
     except csv.Error as exc:
-        raise ParseError(f"demographics line {lines.line_num}: {exc}") from None
-
-
-def _demographics_rows(lines) -> list[DemographicsRow]:
-    """Rows of a csv.reader over the table: columns are found by header name
-    (the last of a repeated name), blank lines are skipped."""
-    header = next(lines, [])
-    position = {name: index for index, name in enumerate(header)}
-    missing = [column for column in DEMOGRAPHICS_COLUMNS if column not in position]
-    if missing:
-        raise SchemaError(
-            f"demographics header missing column(s): {', '.join(missing)}"
-        )
-    indices = [position[column] for column in DEMOGRAPHICS_COLUMNS]
-    width = max(indices) + 1
-    rows: list[DemographicsRow] = []
-    for fields in lines:
-        if not fields:
-            continue
-        if len(fields) < width:
-            absent = [column for column, index in zip(DEMOGRAPHICS_COLUMNS, indices)
-                      if index >= len(fields)]
-            raise SchemaError(
-                f"demographics line {lines.line_num}: no {', '.join(absent)} field"
-            )
-        geoid, *predictors = (fields[index] for index in indices)
+        error = ParseError(f"demographics line {lines.line_num}: {exc}")
+    values = np.array(rows, dtype=np.float64).reshape(-1, len(PREDICTOR_NAMES))
+    fractions, densities = values[:, :3], values[:, 3:]
+    in_range = np.hstack([(fractions >= 0.0) & (fractions <= 1.0),
+                          np.isfinite(densities) & (densities >= 0.0)]).all(axis=1)
+    if not in_range.all():
+        # The first such line comes before any line that failed to parse;
+        # DemographicsRow checks the same ranges and names the first bad field.
+        row = int(np.argmin(in_range))
         try:
-            rows.append(DemographicsRow(geoid.strip(), *map(float, predictors)))
+            DemographicsRow(geoids[row], *rows[row])
         except ValueError as exc:
-            raise SchemaError(f"demographics line {lines.line_num}: {exc}") from exc
-    return rows
+            raise SchemaError(f"demographics line {line_numbers[row]}: {exc}") from exc
+    if error is not None:
+        raise error
+    return TractTable(geoids, None, values)
 
 
 def write_model_frame_csv(frame: ModelFrame, fh: TextIO) -> None:

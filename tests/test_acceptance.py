@@ -244,8 +244,8 @@ def test_criterion_6_zero_county_filter_property():
             rows.append(TractCount(f"{county}{t:06d}", docked, free))
         kept = filter_zero_counties(rows)
         active = {r.county_geoid for r in rows if r.count_docked + r.count_free > 0}
-        assert kept == [r for r in rows if r.county_geoid in active]
-        assert filter_zero_counties(kept) == kept
+        assert list(kept) == [r for r in rows if r.county_geoid in active]
+        assert list(filter_zero_counties(kept)) == list(kept)
     print("ACCEPTANCE 6 PASS - zero-county filter retains exactly active counties, idempotently")
 
 

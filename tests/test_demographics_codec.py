@@ -72,7 +72,7 @@ def test_layout_edge_cases_read_as_the_reference_reads_them():
         HEADER.replace("\n", "\r\n") + row.replace("\n", "\r\n"),
         HEADER,
     ):
-        assert read_demographics_csv(io.StringIO(text)) == ref_read_demographics_csv(text), text
+        assert list(read_demographics_csv(io.StringIO(text))) == ref_read_demographics_csv(text), text
 
 
 def test_byte_order_mark_is_dropped(tmp_path, capsys):
@@ -81,8 +81,8 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys):
     expected = [DemographicsRow("53033000001", 0.5, 0.2, 0.3, 120.5, 77.0)]
     path = tmp_path / "demographics.csv"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    assert read_demographics_csv(path) == expected
-    assert read_demographics_csv(io.StringIO("\ufeff" + text)) == expected
+    assert list(read_demographics_csv(path)) == expected
+    assert list(read_demographics_csv(io.StringIO("\ufeff" + text))) == expected
     # Only one leading mark is dropped: a second one is part of the header.
     with pytest.raises(SchemaError, match="missing column.s.: tract_geoid$"):
         read_demographics_csv(io.StringIO("\ufeff\ufeff" + text))
@@ -125,6 +125,48 @@ def test_malformed_demographics_fail_read_and_stage(tmp_path, capsys, content, e
     rc = main(analyze_argv(city, path, tmp_path / "out"))
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: stage read_demographics: {message}")
+
+
+ROW = "53033000001,0.5,0.2,0.3,120.5,77.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (HEADER + "53033000001,0.5,0.2,0.3,120.5,-1.0\n53033000002,0.5,x,0.3,1.0,1.0\n",
+         SchemaError, "demographics line 2: job_density must be a non-negative number, got -1.0"),
+        (HEADER + ROW + "53033000002,0.5,0.2,1.5,1.0,1.0\n53033000003,0.5\n", SchemaError,
+         "demographics line 3: pct_nonwhite must lie in [0, 1], got 1.5"),
+        (HEADER + "53033000002,nan,0.2,0.3,1.0,1.0\n\n" + "x" * 140_000 + "\n", SchemaError,
+         "demographics line 2: pct_college must lie in [0, 1], got nan"),
+        (HEADER + ROW + "53033000002,0.5,y,0.3,1.0,z\n", SchemaError,
+         "demographics line 3: could not convert string to float: 'y'"),
+        ("job_density,pop_density,pct_nonwhite,pct_poverty,pct_college,tract_geoid\n"
+         "-2.0,1.0,0.3,2.0,-0.5,53033000001\n", SchemaError,
+         "demographics line 2: pct_college must lie in [0, 1], got -0.5"),
+        (HEADER + "53033000001,1.5,0.2,0.3,1.0,oops\n", SchemaError,
+         "demographics line 2: could not convert string to float: 'oops'"),
+        (HEADER + "\n\n" + ROW + "\n53033000002,0.5,0.2,0.3,inf,1.0\n", SchemaError,
+         "demographics line 6: pop_density must be a non-negative number, got inf"),
+        (HEADER + '"53033\n000001",0.5,0.2,0.3,1.0,1.0\n' + "53033000002,0.5,0.2,0.3,1.0,-0.0\n"
+         + "53033000003,0.5,0.2,1.01,1.0,1.0\n", SchemaError,
+         "demographics line 5: pct_nonwhite must lie in [0, 1], got 1.01"),
+        (HEADER + '"53033\n000001",0.5,0.2,0.3,1.0,1.0\n\n53033000002,0.5,0.2\n', SchemaError,
+         "demographics line 5: no pct_nonwhite, pop_density, job_density field"),
+    ],
+    ids=["range before parse", "range before short row", "range before oversized field",
+         "two unparseable fields", "two out-of-range fields", "unparseable before range on a line",
+         "after blank lines", "after a multi-line field", "short row after a multi-line field"],
+)
+def test_the_first_bad_line_in_file_order_is_reported(text, error, message):
+    """Fields are parsed as lines are read, but ranges are checked on whole
+    columns; either way the error is the first bad line's. Within a line,
+    an unparseable field wins (each field is parsed before any is checked),
+    and of two alike the first in column order does. Line numbers are the
+    reader's: a blank line counts, and a quoted field may span lines."""
+    with pytest.raises(error) as raised:
+        read_demographics_csv(io.StringIO(text))
+    assert str(raised.value) == message
 
 
 def test_missing_demographics_file_fails_stage_read_demographics(tmp_path, capsys):
@@ -179,6 +221,6 @@ def test_analyze_on_fuzzed_demographics_exits_cleanly(fuzz_city, data):
         except UnicodeDecodeError:
             ref = UnicodeDecodeError
     if isinstance(ref, list):
-        assert rows == ref
+        assert list(rows) == ref
     else:
         assert rows is None

@@ -120,12 +120,12 @@ def test_filter_zero_counties_rule():
 
 def test_filter_zero_counties_all_zero():
     rows = [TractCount("10001000001", 0, 0), TractCount("10003000001", 0, 0)]
-    assert filter_zero_counties(rows) == []
+    assert list(filter_zero_counties(rows)) == []
 
 
 def test_filter_zero_counties_single_active_tract():
     rows = [TractCount("10001000001", 1, 0)]
-    assert filter_zero_counties(rows) == rows
+    assert list(filter_zero_counties(rows)) == rows
 
 
 def test_filter_zero_counties_idempotent_on_random_tables():
@@ -141,11 +141,11 @@ def test_filter_zero_counties_idempotent_on_random_tables():
         ]
         once = filter_zero_counties(rows)
         twice = filter_zero_counties(once)
-        assert once == twice
+        assert list(once) == list(twice)
         active = {
             r.county_geoid for r in rows if r.count_docked + r.count_free > 0
         }
-        assert [r for r in rows if r.county_geoid in active] == once
+        assert [r for r in rows if r.county_geoid in active] == list(once)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_join_order_invariant_with_filter():
     demo = [demo_row(c.tract_geoid) for c in counts]
     filtered_first, _ = join_demographics(filter_zero_counties(counts), demo)
     joined_first, _ = join_demographics(counts, demo)
-    assert filtered_first == filter_zero_counties(joined_first)
+    assert list(filtered_first) == list(filter_zero_counties(joined_first))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def test_read_demographics_csv(tmp_path):
         "10001000001,0.5,0.2,0.3,120.5,77.0\n"
     )
     rows = read_demographics_csv(path)
-    assert rows == [DemographicsRow("10001000001", 0.5, 0.2, 0.3, 120.5, 77.0)]
+    assert list(rows) == [DemographicsRow("10001000001", 0.5, 0.2, 0.3, 120.5, 77.0)]
 
 
 def test_read_demographics_missing_column(tmp_path):
