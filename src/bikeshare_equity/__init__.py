@@ -22,8 +22,6 @@ from .errors import (
     TransportError,
 )
 from .gbfs_client import (
-    BikeObservation,
-    DockingType,
     FeedManifest,
     SystemEntry,
     discover_feeds,
@@ -60,6 +58,12 @@ from .poisson_glm import (
     significance_stars,
     wald_tests,
 )
-from .snapshot_store import SnapshotReceipt, append_snapshot, load_snapshot
+from .snapshot_store import (
+    BikeObservation,
+    DockingType,
+    SnapshotReceipt,
+    append_snapshot,
+    load_snapshot,
+)
 
 __version__ = "0.1.0"

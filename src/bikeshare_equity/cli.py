@@ -22,13 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BikeshareEquityError, StageError, StorageError
-from .gbfs_client import (
-    BikeObservation,
-    DockingType,
-    as_observations,
-    fetch_system_catalog,
-    harvest,
-)
+from .gbfs_client import fetch_system_catalog, harvest
 from .geo import load_boundaries
 from .join_aggregate import (
     build_model_frame,
@@ -40,7 +34,13 @@ from .join_aggregate import (
     summarize_systems,
 )
 from .poisson_glm import fit_poisson, render_report, report_to_csv, report_to_text
-from .snapshot_store import append_snapshot, load_snapshot
+from .snapshot_store import (
+    BikeObservation,
+    DockingType,
+    append_snapshot,
+    as_observations,
+    load_snapshot,
+)
 
 DOCKED_MODES = ("stations", "available_bikes")
 # The store's subdirectory for cached parses of its snapshots and of the

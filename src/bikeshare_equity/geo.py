@@ -55,7 +55,7 @@ import numpy as np
 
 from . import content_cache
 from .errors import GeometryError, ParseError, SchemaError
-from .gbfs_client import BikeObservation
+from .snapshot_store import BikeObservation
 
 DEFAULT_CELL_SIZE = 0.05
 
@@ -199,12 +199,6 @@ class TractIndex:
     def _band_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each ring's bands; see _ring_band_grid."""
         return _ring_band_grid(self._xy, self._ring_offsets)
-
-    def candidates(self, lat: float, lon: float) -> list[TractPolygon]:
-        """Polygons listed by the point's grid cell, and the oversize polygons,
-        whose bounding box holds it; a superset of containers."""
-        _, polys = _pairs(np.array([lat], dtype=np.float64), np.array([lon], dtype=np.float64), self)
-        return [self.polygons[i] for i in sorted(set(polys.tolist()))]
 
     def geoids(self) -> list[str]:
         """Sorted unique tract GEOIDs covered by the index."""

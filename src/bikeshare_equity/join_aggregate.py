@@ -23,9 +23,9 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
-from .gbfs_client import BikeObservation, DockingType, as_observations
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
+from .snapshot_store import BikeObservation, DockingType, as_observations
 
 PREDICTOR_NAMES = (
     "pct_college",

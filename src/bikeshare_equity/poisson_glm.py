@@ -154,9 +154,9 @@ def _substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spd_inverse(a: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
-    lower = _cholesky(a, column_names)
-    inverse = np.column_stack([_substitute(lower, unit) for unit in np.eye(a.shape[0])])
-    return (inverse + inverse.T) / 2.0
+    """a's inverse, (L L')^-1 = L^-1' L^-1 from the Cholesky factor L."""
+    inverse = np.linalg.inv(_cholesky(a, column_names))
+    return inverse.T @ inverse
 
 
 def fit_poisson(

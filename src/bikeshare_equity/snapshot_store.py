@@ -1,4 +1,12 @@
-"""Append-only snapshot store for harvested observations.
+"""The snapshot format, and the append-only store of snapshots in it.
+
+A harvest is kept as one snapshot: a CSV file with the header
+``OBSERVATION_COLUMNS`` (system_id, entity_id, lat, lon, docking_type,
+observed_at) and one row per ``BikeObservation``. ``write_observations_csv``
+writes it and ``read_observations_csv`` reads it back as ``Observations``:
+the columns of the records, which the pipeline's stages read whole, and a
+sequence of BikeObservations built on access. ``valid_observation_values``
+is the rule for what a read can return.
 
 Each append writes one immutable CSV file (written under a temporary name,
 then hard-linked to its final name, so readers never see a partial snapshot
@@ -6,49 +14,376 @@ and concurrent writers never share an id) and records it in a manifest file
 with one line per snapshot: ``snapshot_id,observed_at,row_count,filename``.
 
 Reads can keep each parsed snapshot in a cache directory, one file per
-snapshot content (``snapshot-v<N>-r<R>-<sha256 of the CSV bytes>``, where N
-is the cache file's layout version and R the CSV reader's,
-``gbfs_client.OBSERVATION_READER_VERSION``), so a later read of the same
-file parses no CSV (``content_cache.load``, given this module's parse,
-``_encode`` and ``_decode``). A cache file holds the columns of a
-``gbfs_client.Observations`` in ``content_cache``'s frame: the header line
-holds the row count ``n``, the ``entity_id`` list, and ``[value, count]``
-run-length pairs for ``system_id``, ``docking_type`` and ``observed_at``;
-the body is the lat column and the lon column as raw float64. A read
-returns an Observations, cached or not, and builds no records.
+snapshot content (``snapshot-v<N>-<sha256 of the CSV bytes>``, where N is
+``_CACHE_VERSION``), so a later read of the same file parses no CSV
+(``content_cache.load``, given this module's parse, ``_encode`` and
+``_decode``). A cache file holds the columns of an Observations in
+``content_cache``'s frame: the header line holds the row count ``n``, the
+``entity_id`` list, and ``[value, count]`` run-length pairs for
+``system_id``, ``docking_type`` and ``observed_at``; the body is the lat
+column and the lon column as raw float64. A read returns an Observations,
+cached or not, and builds no records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import math
+import operator
 import os
 import time
 import uuid
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from enum import Enum
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, Union
 
 from . import content_cache
-from .errors import SnapshotNotFoundError, StorageError
-from .gbfs_client import (
-    KIND_TEXT,
-    OBSERVATION_READER_VERSION,
-    TEXT_KIND,
-    BikeObservation,
-    Observations,
-    read_observations_csv,
-    valid_observation_values,
-    write_observations_csv,
+from .errors import ParseError, SchemaError, SnapshotNotFoundError, StorageError
+
+OBSERVATION_COLUMNS = (
+    "system_id",
+    "entity_id",
+    "lat",
+    "lon",
+    "docking_type",
+    "observed_at",
 )
+
+
+class DockingType(str, Enum):
+    DOCKED = "docked"
+    FREE = "free"
+
+
+class BikeObservation(NamedTuple):
+    """One harvested entity at one time point; a tuple, so building one is a
+    single C-level call (a harvest builds thousands)."""
+
+    system_id: str
+    entity_id: str
+    lat: float
+    lon: float
+    docking_type: DockingType
+    observed_at: int
+
+
+# A DockingType's text in the snapshot CSV, and back.
+KIND_TEXT = {kind: kind.value for kind in DockingType}
+TEXT_KIND = {kind.value: kind for kind in DockingType}
+
+
+# Rows per fh.write: about 70 kB of text, enough that the joins and writes
+# cost little per row. 4,096-row chunks (about 0.3 MB each) wrote no faster
+# and raised a harvest's peak RSS by 1 MB on CPython 3.11/glibc; these raise
+# it by 0.1 MB.
+_WRITE_CHUNK = 1 << 10
+# A text field holding any of these is written quoted, each '"' doubled: csv's
+# QUOTE_MINIMAL as Python 3.13's csv.writer applies it with "\n" line ends.
+# (Earlier versions leave a lone "\r" bare, and no reader splits that back.)
+_QUOTED_CHARS = (",", '"', "\n", "\r")
+
+
+def observation_columns(observations: Iterable[BikeObservation]) -> tuple[tuple, ...]:
+    """The six columns of the records, in OBSERVATION_COLUMNS order, taken
+    with one zip over the tuples (six empty tuples for no records)."""
+    return tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
+
+
+def _run_lengths(values: Iterable) -> list[list]:
+    """[value, count] runs of equal consecutive values; each run keeps the
+    object of its first value."""
+    return [[value, len(list(run))] for value, run in groupby(values)]
+
+
+def _expand(runs: Iterable) -> Iterator:
+    """The values of [value, count] runs, one object per run repeated."""
+    return chain.from_iterable(repeat(value, count) for value, count in runs)
+
+
+def _run_value(runs: Iterable, position: int):
+    """The value at a row position of [value, count] runs."""
+    for value, count in runs:
+        position -= count
+        if position < 0:
+            return value
+    raise IndexError("run-length column shorter than the observations")
+
+
+class Observations(Sequence):
+    """A snapshot's observations as columns, as a snapshot cache file holds
+    them: the entity_ids, and the lats and lons as float64 arrays, one value
+    per row, and ``[value, count]`` runs of equal consecutive system_id,
+    docking_type and observed_at values, whose counts sum to the row count.
+    The arrays hold no float objects, which a column of 10k rows would
+    otherwise keep for as long as it lives.
+
+    It is a read-only sequence of BikeObservations: len, int indexing
+    (negative too) and iteration build each record on demand. An index
+    walks the runs, so reading every record is an iteration's job. The
+    pipeline's stages read the columns, and build no records.
+    """
+
+    __slots__ = (
+        "system_id_runs", "entity_ids", "lats", "lons", "docking_type_runs", "observed_at_runs",
+    )
+
+    def __init__(
+        self,
+        system_id_runs: list,
+        entity_ids: Sequence[str],
+        lats: array,
+        lons: array,
+        docking_type_runs: list,
+        observed_at_runs: list,
+    ):
+        self.system_id_runs = system_id_runs
+        self.entity_ids = entity_ids
+        self.lats = lats
+        self.lons = lons
+        self.docking_type_runs = docking_type_runs
+        self.observed_at_runs = observed_at_runs
+
+    @classmethod
+    def from_columns(
+        cls, system_ids: Iterable, entity_ids: Sequence[str], lats: Iterable[float],
+        lons: Iterable[float], docking_types: Iterable, observed_ats: Iterable,
+    ) -> Observations:
+        """From six columns with one value per row, in OBSERVATION_COLUMNS
+        order; system_ids, docking_types and observed_ats become runs, and
+        lats and lons float64 arrays."""
+        return cls(
+            _run_lengths(system_ids), entity_ids, array("d", lats), array("d", lons),
+            _run_lengths(docking_types), _run_lengths(observed_ats),
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[BikeObservation]) -> Observations:
+        """The columns of records, which are read once."""
+        return cls.from_columns(*observation_columns(records))
+
+    def columns(self) -> tuple[Iterable, ...]:
+        """The six columns with one value per row, in OBSERVATION_COLUMNS
+        order; the run-length ones are expanded as they are iterated."""
+        return (
+            _expand(self.system_id_runs), self.entity_ids, self.lats, self.lons,
+            _expand(self.docking_type_runs), _expand(self.observed_at_runs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.entity_ids)
+
+    def __iter__(self) -> Iterator[BikeObservation]:
+        # tuple.__new__ builds each record without the NamedTuple's
+        # Python-level __new__; the records are the same BikeObservations.
+        return map(tuple.__new__, repeat(BikeObservation), zip(*self.columns()))
+
+    def __getitem__(self, index: int) -> BikeObservation:
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("observation index out of range")
+        return tuple.__new__(BikeObservation, (
+            _run_value(self.system_id_runs, position),
+            self.entity_ids[position],
+            self.lats[position],
+            self.lons[position],
+            _run_value(self.docking_type_runs, position),
+            _run_value(self.observed_at_runs, position),
+        ))
+
+
+def as_observations(observations: Iterable[BikeObservation]) -> Observations:
+    """observations itself if it is an Observations, else the columns of its
+    records, read once (so a generator will do)."""
+    if isinstance(observations, Observations):
+        return observations
+    return Observations.from_records(observations)
+
+
+def _quote_field(text: str) -> str:
+    if any(char in text for char in _QUOTED_CHARS):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _text_fields(column: tuple[str, ...]) -> Iterable[str]:
+    """A column of ids as CSV fields. One search over the joined column
+    decides; only a column that holds a character needing quotes is quoted
+    value by value."""
+    try:
+        joined = "".join(column)
+    except TypeError:  # None or a number, in records built by the caller
+        column = ["" if value is None else str(value) for value in column]
+        joined = "".join(column)
+    if any(char in joined for char in _QUOTED_CHARS):
+        return map(_quote_field, column)
+    return column
+
+
+def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
+    """Write observations in the canonical CSV layout; returns the row count.
+
+    The records are split into columns, each column is converted with one
+    map() call and each row is one str.join, so no Python code runs per row
+    unless an id needs quoting or is not a str (None is written as an empty
+    field, anything else as its str(), as csv.writer does). The rows go to fh
+    in chunks of _WRITE_CHUNK.
+    """
+    system_ids, entity_ids, lats, lons, kinds, observed_ats = observation_columns(observations)
+    rows = map(
+        ",".join,
+        zip(
+            _text_fields(system_ids),
+            _text_fields(entity_ids),
+            map(repr, map(float, lats)),
+            map(repr, map(float, lons)),
+            map(KIND_TEXT.__getitem__, kinds),
+            map(str, observed_ats),
+        ),
+    )
+    fh.write(",".join(OBSERVATION_COLUMNS) + "\n")
+    while chunk := list(islice(rows, _WRITE_CHUNK)):
+        chunk.append("")  # the last row's line end
+        fh.write("\n".join(chunk))
+    return len(system_ids)
+
+
+def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
+    """csv.reader over fh, raising unreadable input as ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"observation CSV line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"observation CSV is not UTF-8 text: {exc}") from None
+
+
+def read_observations_csv(fh: TextIO) -> Observations:
+    """Read observations from the canonical CSV layout, as columns.
+
+    Columns are found by header name, so their order is free and extra
+    columns are ignored; when a name repeats, its last column is read. Blank
+    lines are skipped, and a field missing from a short row reads as absent.
+    Every row holds str ids, float degrees, a DockingType and an int.
+
+    Raises:
+        SchemaError: a required column is missing, a row is short of its
+            system_id or entity_id field, or a docking_type is unknown (the
+            message names the data row, as below).
+        ParseError: a lat or lon that is not a finite number of degrees in
+            range, or an observed_at that is not an integer (the message names
+            the data row, counted from 1 after the header, blank lines not
+            counted); text that is not UTF-8 or not CSV.
+
+    The columns pass valid_observation_values. A change to what this
+    accepts or returns must change that rule with it and bump
+    _CACHE_VERSION.
+    """
+    reader = _csv_rows(fh)
+    header = next(reader, [])
+    position = {name: index for index, name in enumerate(header)}
+    missing = [column for column in OBSERVATION_COLUMNS if column not in position]
+    if missing:
+        raise SchemaError(f"observation CSV missing column(s): {', '.join(missing)}")
+    fields = operator.itemgetter(*(position[column] for column in OBSERVATION_COLUMNS))
+    width = len(header)
+    id_positions = [(column, position[column]) for column in OBSERVATION_COLUMNS[:2]]
+    system_ids, entity_ids, kinds, observed_ats = [], [], [], []
+    lats, lons = array("d"), array("d")
+    row_number = 0
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < width:
+            absent = [column for column, index in id_positions if index >= len(row)]
+            if absent:
+                raise SchemaError(
+                    f"observation CSV row {row_number}: no {', '.join(absent)} field"
+                )
+            row += [None] * (width - len(row))
+        system_id, entity_id, lat_text, lon_text, kind_text, observed_text = fields(row)
+        kind = TEXT_KIND.get(kind_text)
+        if kind is None:
+            raise SchemaError(
+                f"observation CSV row {row_number}: unknown docking_type {kind_text!r}"
+            )
+        try:
+            lat = float(lat_text)
+            lon = float(lon_text)
+        except (TypeError, ValueError):
+            lat = lon = math.nan
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails too
+            if math.isfinite(lat) and math.isfinite(lon):
+                problem = "are outside [-90, 90] x [-180, 180] degrees"
+            else:
+                problem = "are not both finite numbers"
+            raise ParseError(
+                f"observation CSV row {row_number}: lat, lon "
+                f"({lat_text!r}, {lon_text!r}) {problem}"
+            )
+        try:
+            observed_at = int(observed_text)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"observation CSV row {row_number}: observed_at "
+                f"{observed_text!r} is not an integer"
+            ) from None
+        system_ids.append(system_id)
+        entity_ids.append(entity_id)
+        lats.append(lat)
+        lons.append(lon)
+        kinds.append(kind)
+        observed_ats.append(observed_at)
+    return Observations.from_columns(system_ids, entity_ids, lats, lons, kinds, observed_ats)
+
+
+def valid_observation_values(
+    system_ids: Iterable, entity_ids: Iterable, lats: Sequence[float], lons: Sequence[float],
+    kinds: Iterable, observed_ats: Iterable,
+) -> bool:
+    """Whether each column holds only values that read_observations_csv can
+    put in it: str ids, lats in [-90, 90] and lons in [-180, 180] (finite),
+    DockingTypes, and int observed_ats (a bool is not one). lats and lons
+    are sequences of floats; only their values are checked. The columns may have
+    any lengths, so a column of distinct values stands for a longer one. A
+    cached read serves no column that fails this."""
+    return (
+        set(map(type, chain(system_ids, entity_ids))) <= {str}
+        and set(map(type, kinds)) <= {DockingType}
+        and set(map(type, observed_ats)) <= {int}
+        and _within(lats, 90.0)
+        and _within(lons, 180.0)
+    )
+
+
+def _within(degrees: Sequence[float], limit: float) -> bool:
+    """Whether every value is finite and in [-limit, limit]. An array("d")
+    is read in place, as a float64 view."""
+    # Imported here: only a cached snapshot read needs it, and this module is
+    # on the harvest path, which never reads one.
+    import numpy as np
+
+    values = np.asarray(degrees, dtype=np.float64)
+    return not values.size or bool(
+        np.isfinite(values).all() and -limit <= values.min() and values.max() <= limit
+    )
+
 
 MANIFEST_NAME = "manifest.csv"
 
-# Part of every snapshot cache key, with the reader's version: a change to
-# the cache file's layout or meaning must bump it, so files written before
-# the change are never read.
-_CACHE_VERSION = 1
+# Part of every snapshot cache key: a change to the cache file's layout, or
+# to the inputs read_observations_csv accepts or the columns it returns for
+# them, must bump it, so no file written before the change is ever read.
+_CACHE_VERSION = 2
 
 Selector = Union[str, int, tuple]
 
@@ -158,7 +493,7 @@ def _read_snapshot_file(
     path = store / row.filename
     try:
         return content_cache.load(
-            path, cache_dir, f"snapshot-v{_CACHE_VERSION}-r{OBSERVATION_READER_VERSION}",
+            path, cache_dir, f"snapshot-v{_CACHE_VERSION}",
             _parse_csv, _encode, _decode,
         )
     except OSError as exc:
@@ -188,7 +523,7 @@ def _encode(observations: Observations) -> tuple[dict, tuple[array, array]]:
 def _decode(header: dict, body: memoryview) -> Observations:
     """The columns of a cache file; raises (a miss) unless its run lengths
     and columns add up to n and its values pass the CSV reader's own rule
-    (gbfs_client.valid_observation_values)."""
+    (valid_observation_values)."""
     n = header["n"]
     entity_ids = header["entity_id"]
     runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]
@@ -236,9 +571,9 @@ def load_snapshot(
     cache_dir: str | Path | None = None,
 ) -> Observations:
     """Load observations for a selector: "latest", a snapshot id, or a
-    (start, end) inclusive observed_at range. The result is a
-    ``gbfs_client.Observations``: a sequence of BikeObservations built on
-    access from the columns it holds.
+    (start, end) inclusive observed_at range. The result is an
+    Observations: a sequence of BikeObservations built on access from the
+    columns it holds.
 
     A range spanning several snapshots is deduplicated by
     (system_id, entity_id, docking_type), keeping the newest observed_at; a

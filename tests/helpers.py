@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from bikeshare_equity.gbfs_client import BikeObservation, DockingType, SystemEntry
-from bikeshare_equity.snapshot_store import append_snapshot
+from bikeshare_equity.gbfs_client import SystemEntry
+from bikeshare_equity.snapshot_store import BikeObservation, DockingType, append_snapshot
 
 OBSERVED_AT = 1_700_000_000
 

@@ -14,8 +14,6 @@ import pytest
 from bikeshare_equity.cli import main
 from bikeshare_equity.errors import SchemaError
 from bikeshare_equity.gbfs_client import (
-    BikeObservation,
-    DockingType,
     FeedFailure,
     discover_feeds,
     fetch_system_catalog,
@@ -39,6 +37,7 @@ from bikeshare_equity.poisson_glm import (
     log_likelihood,
     score,
 )
+from bikeshare_equity.snapshot_store import BikeObservation, DockingType
 from helpers import (
     CITY_BETA,
     build_synthetic_city,

@@ -12,8 +12,7 @@ from bikeshare_equity.cli import (
     parse_snapshot_selector,
     render_map_svg,
 )
-from bikeshare_equity.gbfs_client import DockingType
-from bikeshare_equity.snapshot_store import append_snapshot, load_snapshot
+from bikeshare_equity.snapshot_store import DockingType, append_snapshot, load_snapshot
 from helpers import build_synthetic_city, make_system, observation, write_catalog
 
 

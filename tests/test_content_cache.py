@@ -18,7 +18,7 @@ from bikeshare_equity.content_cache import (
     read_entry,
     write_entry,
 )
-from bikeshare_equity.gbfs_client import DockingType
+from bikeshare_equity.snapshot_store import DockingType
 from helpers import observation
 
 KEY = "thing-v1-" + "ab" * 32

@@ -9,9 +9,6 @@ import pytest
 from bikeshare_equity import gbfs_client
 from bikeshare_equity.errors import ParseError, SchemaError, TransportError
 from bikeshare_equity.gbfs_client import (
-    OBSERVATION_COLUMNS,
-    BikeObservation,
-    DockingType,
     SystemEntry,
     _BIKES,
     _STATIONS,
@@ -20,6 +17,11 @@ from bikeshare_equity.gbfs_client import (
     fetch_system_catalog,
     harvest,
     parse_station_status,
+)
+from bikeshare_equity.snapshot_store import (
+    OBSERVATION_COLUMNS,
+    BikeObservation,
+    DockingType,
     read_observations_csv,
     write_observations_csv,
 )
@@ -299,11 +301,11 @@ def test_parse_deterministic_bytes():
     first = _entity_rows(payload, "sys", _STATIONS)[0]
     second = _entity_rows(payload, "sys", _STATIONS)[0]
     obs = [
-        gbfs_client.BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
+        BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
         for station_id, lat, lon in first
     ]
     obs2 = [
-        gbfs_client.BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
+        BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
         for station_id, lat, lon in second
     ]
     assert csv_text(obs) == csv_text(obs2)
@@ -556,8 +558,8 @@ def test_bike_observation_is_an_immutable_named_tuple():
 
 def test_observation_csv_round_trip(tmp_path):
     observations = [
-        gbfs_client.BikeObservation("sys", "e1", 45.5, -122.6, DockingType.DOCKED, 1700000000),
-        gbfs_client.BikeObservation("sys", "e2", 40.123456789, -100.987654321, DockingType.FREE, 1700000001),
+        BikeObservation("sys", "e1", 45.5, -122.6, DockingType.DOCKED, 1700000000),
+        BikeObservation("sys", "e2", 40.123456789, -100.987654321, DockingType.FREE, 1700000001),
     ]
     text = csv_text(observations)
     header = text.splitlines()[0]

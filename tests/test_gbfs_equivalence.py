@@ -26,16 +26,14 @@ from bikeshare_equity.errors import ParseError, SchemaError, TransportError
 from bikeshare_equity.gbfs_client import (
     FREE_BIKE_FEED,
     STATION_FEED,
-    BikeObservation,
-    DockingType,
     FeedFailure,
     _BIKES,
     _STATIONS,
     _entity_rows,
     _load_json,
     harvest,
-    write_observations_csv,
 )
+from bikeshare_equity.snapshot_store import BikeObservation, DockingType, write_observations_csv
 from helpers import OBSERVED_AT, bike_doc, make_system, station_doc
 
 # ---------------------------------------------------------------------------

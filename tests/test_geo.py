@@ -290,16 +290,23 @@ def test_grid_matches_exhaustive_scan(tmp_path):
     assert disagreements == 0
 
 
+def assert_pairs_cover_containers(index, probes):
+    """geo._pairs lists every (point, container) pair of the (lon, lat)
+    probes: its pairs are a superset of the containers."""
+    lats = np.array([lat for _, lat in probes], dtype=np.float64)
+    lons = np.array([lon for lon, _ in probes], dtype=np.float64)
+    pairs = set(zip(*(column.tolist() for column in geo._pairs(lats, lons, index))))
+    for point, (lon, lat) in enumerate(probes):
+        for position, poly in enumerate(index.polygons):
+            if point_in_polygon(lat, lon, poly):
+                assert (point, position) in pairs
+
+
 def test_candidates_are_superset_of_containers(tmp_path):
     index = load_fixture(tmp_path, five_tract_features(), cell_size=0.3)
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        lon = float(rng.uniform(-1.0, 9.0))
-        lat = float(rng.uniform(-1.0, 5.0))
-        candidate_ids = {id(poly) for poly in index.candidates(lat, lon)}
-        for poly in index.polygons:
-            if point_in_polygon(lat, lon, poly):
-                assert id(poly) in candidate_ids
+    probes = [(float(rng.uniform(-1.0, 9.0)), float(rng.uniform(-1.0, 5.0))) for _ in range(300)]
+    assert_pairs_cover_containers(index, probes)
 
 
 def test_index_rejects_bad_cell_size():
@@ -851,9 +858,7 @@ def test_oversize_tract_matches_scan(tmp_path, cell_size):
     assert_batch_matches_scan(
         index, list(zip(rng.uniform(-101, -78, 2000).tolist(), rng.uniform(29, 52, 2000).tolist()))
     )
-    for lon, lat in probes:
-        candidates = {id(poly) for poly in index.candidates(lat, lon)}
-        assert all(id(p) in candidates for p in index.polygons if point_in_polygon(lat, lon, p))
+    assert_pairs_cover_containers(index, probes)
 
 
 def test_globe_spanning_tract_registers_no_cells(tmp_path):

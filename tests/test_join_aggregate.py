@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bikeshare_equity.errors import EmptyFrameError, ScalingError, SchemaError
-from bikeshare_equity.gbfs_client import DockingType
+from bikeshare_equity.snapshot_store import DockingType
 from bikeshare_equity.geo import load_boundaries
 from bikeshare_equity.join_aggregate import (
     DESIGN_COLUMNS,

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikeshare_equity.cli import _Fixed2, main, render_map_svg
-from bikeshare_equity.gbfs_client import DockingType, Observations
-from bikeshare_equity.snapshot_store import load_snapshot
+from bikeshare_equity.snapshot_store import DockingType, Observations, load_snapshot
 from helpers import build_synthetic_city, observation
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""gbfs_client.Observations: the columns every snapshot read returns, as a
+"""snapshot_store.Observations: the columns every snapshot read returns, as a
 sequence of BikeObservations built on demand."""
 
 import pytest
 
-from bikeshare_equity.gbfs_client import (
+from bikeshare_equity.snapshot_store import (
     BikeObservation,
     DockingType,
     Observations,

@@ -170,6 +170,20 @@ def test_covariance_symmetric_positive_diagonal():
     np.testing.assert_allclose(fit.standard_errors, np.sqrt(np.diag(cov)))
 
 
+def test_covariance_is_the_inverse_of_the_information():
+    """The covariance, from the inverse of X'WX's Cholesky factor, equals a
+    solve of X'WX for the identity up to rounding: the two sum in other
+    orders, so entries may differ by a few hundred ulps of the largest."""
+    for seed in range(12, 24):
+        X_values, y = random_poisson_instance(seed, max_cols=12)
+        fit = fit_poisson(design(X_values), y)
+        mu = np.exp(X_values @ fit.coefficients)
+        information = X_values.T @ (X_values * mu[:, None])
+        reference = np.linalg.solve(information, np.eye(len(information)))
+        atol = 1e-13 * np.abs(reference).max()
+        np.testing.assert_allclose(fit.covariance, reference, rtol=0, atol=atol)
+
+
 def test_column_scaling_covariance():
     rng = np.random.default_rng(77)
     n = 400

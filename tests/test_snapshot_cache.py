@@ -13,12 +13,12 @@ import pytest
 
 from bikeshare_equity import content_cache, snapshot_store
 from bikeshare_equity.cli import main
-from bikeshare_equity.gbfs_client import (
-    OBSERVATION_READER_VERSION,
+from bikeshare_equity.snapshot_store import (
     BikeObservation,
     DockingType,
+    append_snapshot,
+    load_snapshot,
 )
-from bikeshare_equity.snapshot_store import append_snapshot, load_snapshot
 from helpers import build_synthetic_city, observation
 from test_cli import analyze_argv
 
@@ -95,7 +95,7 @@ def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch,
     monkeypatch.setattr(content_cache, "file_content_key", hash_file)
     assert got.entity_id == "e9"
     (cache_file,) = snapshot_caches(store)
-    prefix = f"snapshot-v{snapshot_store._CACHE_VERSION}-r{OBSERVATION_READER_VERSION}"
+    prefix = f"snapshot-v{snapshot_store._CACHE_VERSION}"
     assert cache_file.name == content_cache.content_key(prefix, snapshot.read_bytes())
     assert list(load_snapshot(store, cache_dir=store / "cache")) == [got]
     assert parses == [1]
@@ -276,17 +276,13 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, parses, spoil):
     assert parses == [1]
 
 
-@pytest.mark.parametrize("version, prefix", [
-    ("_CACHE_VERSION", "snapshot-v0-r"),  # the cache file's layout
-    ("OBSERVATION_READER_VERSION", f"snapshot-v{snapshot_store._CACHE_VERSION}-r0-"),
-])
-def test_old_version_file_is_never_read(city, monkeypatch, parses, version, prefix):
+def test_old_version_file_is_never_read(city, monkeypatch, parses):
     store = city["store"]
-    monkeypatch.setattr(snapshot_store, version, 0)
+    monkeypatch.setattr(snapshot_store, "_CACHE_VERSION", 0)
     expected = list(load_snapshot(store, cache_dir=store / "cache"))
     monkeypatch.undo()
     (old,) = snapshot_caches(store)
-    assert old.name.startswith(prefix)
+    assert old.name.startswith("snapshot-v0-")
     read = content_cache.read_entry
 
     def read_current(path, key, decode):
@@ -295,6 +291,37 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses, version, pref
 
     monkeypatch.setattr(content_cache, "read_entry", read_current)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
+    assert len(snapshot_caches(store)) == 2
+
+
+def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, monkeypatch, parses):
+    """A ``snapshot-v1-r1-*`` file, named by the cache and reader versions
+    that _CACHE_VERSION 2 replaced, is never read and never deleted, and map
+    and analyze write what they write without it."""
+    store = city["store"]
+    expected = analyze(city, tmp_path / "a0")
+    expected_svg = map_svg(store, tmp_path / "m0")
+    for path in snapshot_caches(store):
+        path.unlink()
+    (snapshot,) = store.glob("snapshot_*.csv")
+    data = snapshot.read_bytes()
+    # The layout is unchanged since version 1: only the name is not.
+    key = content_cache.content_key("snapshot-v1-r1", data)
+    old = store / "cache" / key
+    content_cache.write_entry(old, key, *snapshot_store._encode(snapshot_store._parse_csv(data)))
+    old_bytes = old.read_bytes()
+    read = content_cache.read_entry
+
+    def read_current(path, key, decode):
+        assert path != old, "read a snapshot-v1-r1 cache file"
+        return read(path, key, decode)
+
+    monkeypatch.setattr(content_cache, "read_entry", read_current)
+    parses.clear()
+    assert analyze(city, tmp_path / "a1") == expected
+    assert map_svg(store, tmp_path / "m1") == expected_svg
+    assert parses == [1]
+    assert old.read_bytes() == old_bytes
     assert len(snapshot_caches(store)) == 2
 
 

@@ -20,20 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikeshare_equity import gbfs_client, snapshot_store
+from bikeshare_equity import snapshot_store
 from bikeshare_equity.cli import main
 from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
-from bikeshare_equity.gbfs_client import (
+from bikeshare_equity.snapshot_store import (
     OBSERVATION_COLUMNS,
     BikeObservation,
     DockingType,
     Observations,
+    load_snapshot,
     observation_columns,
     read_observations_csv,
     valid_observation_values,
     write_observations_csv,
 )
-from bikeshare_equity.snapshot_store import load_snapshot
 
 # ---------------------------------------------------------------------------
 # Reference: the reader as it was before positional column access.
@@ -333,7 +333,7 @@ def test_map_on_fuzzed_snapshot_exits_cleanly(tmp_path_factory, content):
 # ---------------------------------------------------------------------------
 
 
-CHUNK = gbfs_client._WRITE_CHUNK
+CHUNK = snapshot_store._WRITE_CHUNK
 
 
 def ref_csv_writer_text(observations):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bikeshare_equity.errors import SnapshotNotFoundError, StorageError
-from bikeshare_equity.gbfs_client import DockingType
-from bikeshare_equity.snapshot_store import append_snapshot, load_snapshot
+from bikeshare_equity.snapshot_store import DockingType, append_snapshot, load_snapshot
 from helpers import observation
 
 
@@ -294,8 +293,7 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
 CONCURRENT_WRITER = """
 import sys, time
 from pathlib import Path
-from bikeshare_equity.gbfs_client import BikeObservation, DockingType
-from bikeshare_equity.snapshot_store import append_snapshot
+from bikeshare_equity.snapshot_store import BikeObservation, DockingType, append_snapshot
 
 store, writer = Path(sys.argv[1]), sys.argv[2]
 while not (store / "go").exists():
