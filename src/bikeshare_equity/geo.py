@@ -19,7 +19,8 @@ budget times the number of polygons, however large a tract is.
 Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
 arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
 The compiled index is a handful of flat arrays (vertices, ring and polygon
-offsets, bounding boxes, GEOID ranks, edge bands, the grid).
+offsets, bounding boxes, GEOID ranks, edge bands, the answer table, the
+grid).
 ``load_boundaries`` can keep all but the grid in a cache directory, one
 file per boundary-file content, so a later load of the same file at any
 cell size decodes no JSON and builds no TractPolygon (``content_cache.load``,
@@ -40,6 +41,30 @@ decides a point inside an outer ring, and ``np.minimum.at`` picks each
 point's smallest GEOID rank. The float64 expressions are the scalar test's
 in the same order, so it agrees with ``point_in_polygon`` bit for bit; the
 scalar functions stay as the reference oracle.
+
+Most points never reach that test: ``assign_ranks`` first reads each point's
+entry in an answer table, a grid of square sub-cells over the union of the
+polygons' bounding boxes whose side is a power of two in degrees (the finest
+that keeps the table within ``_TABLE_BUDGET`` entries per polygon). An entry
+is the rank of the tract that contains its whole sub-cell, ``len(geoids)``
+where no tract does, or -1 where the bounding box of some ring edge,
+widened by ``_MARGIN`` of a sub-cell, touches the sub-cell (so do the sides
+of a polygon's bounding box that cuts its outer ring). Only the points that read -1 (NaN coordinates and
+points off the table among them) go through the ring test. The table's
+answers are the ring test's:
+
+- Scaling by a power of two is exact in float64, so a point's sub-cell is
+  the one it lies in (to within an underflow, far below the margin).
+- A point in an unmarked sub-cell is outside every edge's box, so it lies on
+  no edge. An edge that straddles its latitude is at least the margin to its
+  left or right, far beyond the rounding error of the ray's crossing, so
+  ``px < ray_x`` has its exact value; an edge that does not straddle it
+  counts for nothing. The float64 test therefore gives the exact even-odd
+  answer, and no ring boundary passes through the sub-cell, so every point
+  in it has the answer of its centre.
+- A run of unmarked sub-cells along one row of latitude is one region with
+  no boundary in it, so the build answers each run once, at the centre of
+  its first sub-cell, with the ring test itself.
 """
 
 from __future__ import annotations
@@ -81,13 +106,29 @@ _CELL_BUDGET = 4096
 # a ring of at most this many edges is one band.
 _BAND_EDGES = 8
 
+# Most entries the answer table holds per polygon; its sub-cell side is the
+# finest power of two in degrees, 2**e for e in _TABLE_EXPONENTS, within it
+# (or the coarsest).
+_TABLE_BUDGET = 256
+_TABLE_EXPONENTS = range(-16, 10)
+
+# A ring edge's box is widened by this fraction of a sub-cell before it marks
+# the sub-cells it touches: at least 2**-36 degrees, far above the float64
+# rounding of a ray's crossing (about 1e-13 at 180 degrees), far below a
+# sub-cell.
+_MARGIN = 2.0**-20
+
 # The arrays a cache file stores (TractIndex attributes with a leading
-# underscore); every load builds the grid from them.
-_PART_NAMES = ("xy", "ring_offsets", "poly_rings", "bbox", "rank", "band_offsets", "band_edges")
+# underscore); every load builds the grid from them. The int32 table is last,
+# so that every int64 and float64 part stays 8-byte aligned in the file.
+_PART_NAMES = (
+    "xy", "ring_offsets", "poly_rings", "bbox", "rank", "band_offsets", "band_edges",
+    "table_grid", "table",
+)
 
 # Part of every cache key: a change to the cache file's layout or meaning
 # must bump it, so files written before the change are never read.
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -139,10 +180,16 @@ class TractIndex:
       size, and its key is (x - x0) * (y1 - y0 + 1) + (y - y0) for
       ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
       over the cell budget are in ``_oversize`` instead.
+    - The answer table (see the module docstring): ``_table`` is an int32
+      (rows, columns) array whose entry [j, i] answers the sub-cell that
+      covers lon [x0 + i, x0 + i + 1) and lat [y0 + j, y0 + j + 1) times the
+      side 2**e, for ``_table_grid`` = (x0, y0, e). It does not depend on
+      the cell size.
 
     The parts (``_PART_NAMES``) come from the polygons given or from a cache
-    file; one initialiser builds the grid over them. Each ring's band height
-    (``_band_grid``) and ``polygons`` are built on use.
+    file; one initialiser builds the grid over them. The polygons given also
+    get their answer table, built after the grid; a cache file holds it. Each
+    ring's band height (``_band_grid``) and ``polygons`` are built on use.
     """
 
     def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
@@ -166,6 +213,7 @@ class TractIndex:
             "band_edges": band_edges,
         }
         self._set_parts(parts, geoids, cell_size)
+        self._table_grid, self._table = _answer_table(self)
 
     @classmethod
     def _from_parts(cls, parts: dict[str, np.ndarray], geoids: list[str], cell_size: float):
@@ -310,6 +358,100 @@ def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
         "oversize": oversize,
         "grid": np.array([gx0, gy0, gx1, gy1], dtype=np.int64),
     }
+
+
+def _table_frames(bbox: np.ndarray) -> np.ndarray:
+    """Per exponent e of _TABLE_EXPONENTS, the frame (x0, y0, rows, columns)
+    of the answer table of side 2**e over the union of these bounding boxes:
+    sub-cell numbers floor(degrees * 2**-e), exact. (0, 0, 0, 0), no table,
+    where there is no box or the union leaves lon [-180, 180] / lat [-90, 90]
+    (so the sub-cell numbers and centres stay exact)."""
+    frames = np.zeros((len(_TABLE_EXPONENTS), 4), dtype=np.int64)
+    if len(bbox):
+        low, high = bbox[:, :2].min(axis=0), bbox[:, 2:].max(axis=0)
+        if -180.0 <= low[0] and high[0] <= 180.0 and -90.0 <= low[1] and high[1] <= 90.0:
+            scale = np.ldexp(1.0, -np.array(_TABLE_EXPONENTS, dtype=np.intc))[:, None]
+            first = np.floor(low * scale)
+            frames[:, :2] = first
+            # An inverted union (a box with min above max) has no sub-cell.
+            frames[:, [3, 2]] = np.maximum(np.floor(high * scale) - first + 1, 0)
+    return frames
+
+
+def _answer_table(index: TractIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(_table_grid, _table) of an index whose other parts and grid are set:
+    the finest frame within the budget, each sub-cell near a ring edge or a
+    bounding-box side -1, and each run of the others along a row answered at
+    the centre of its first sub-cell (see the module docstring)."""
+    frames = _table_frames(index._bbox)
+    fits = np.flatnonzero(frames[:, 2] * frames[:, 3] <= _TABLE_BUDGET * len(index._bbox))
+    k = fits[0] if len(fits) else len(frames) - 1
+    x0, y0, rows, cols = frames[k].tolist()
+    exponent = _TABLE_EXPONENTS[k]
+    grid = np.array([x0, y0, exponent], dtype=np.int64)
+    if not rows * cols:
+        return grid, np.empty((rows, cols), dtype=np.int32)
+    free = ~_marked_sub_cells(index, x0, y0, exponent, rows, cols).reshape(-1)
+    # The first sub-cell of each run of unmarked ones: the first column is
+    # marked, so no run wraps onto the next row.
+    first = free.copy()
+    first[1:] &= ~free[:-1]
+    row, col = np.divmod(np.flatnonzero(first), cols)
+    side = np.ldexp(1.0, exponent)
+    answers = _exact_ranks((y0 + row + 0.5) * side, (x0 + col + 0.5) * side, index)
+    table = np.full(rows * cols, -1, dtype=np.int32)
+    table[free] = answers[np.cumsum(first)[free] - 1]
+    return grid, table.reshape(rows, cols)
+
+
+def _marked_sub_cells(
+    index: TractIndex, x0: int, y0: int, exponent: int, rows: int, cols: int
+) -> np.ndarray:
+    """Per sub-cell of the frame, as a (rows, cols) bool array: whether the
+    box of a ring edge, widened by _MARGIN of a sub-cell, touches it. So
+    does the outline of a polygon's bounding box where the box does not hold
+    its outer ring: such a box cuts the polygon, and answers change along
+    its sides. The first and last columns are marked too."""
+    xy, bbox = index._xy, index._bbox
+    starts, outer = index._ring_offsets[:-1], index._poly_rings[:-1]
+    loose = ~(
+        (bbox[:, :2] <= np.minimum.reduceat(xy, starts)[outer]).all(axis=1)
+        & (np.maximum.reduceat(xy, starts)[outer] <= bbox[:, 2:]).all(axis=1)
+    )
+    west, south, east, north = bbox[loose].T
+    outlines = np.stack((west, south, east, south, east, north, west, north, west, south), 1)
+    points = np.concatenate((xy, outlines.reshape(-1, 2)))
+    # The sub-cells of each point, less and plus the margin, clipped to the
+    # frame: the map from a coordinate to them is monotone, so an edge's box
+    # spans the sub-cells from the lesser of its ends' first to the greater
+    # of their last. start is a first sub-cell, stop one past a last.
+    margin = np.ldexp(_MARGIN, exponent)
+    scale = np.ldexp(1.0, -exponent)
+    span = []
+    for v, origin, size in ((points[:, 0], x0, cols), (points[:, 1], y0, rows)):
+        start = np.clip(np.floor((v - margin) * scale) - origin, 0, size).astype(np.intp)
+        stop = np.clip(np.floor((v + margin) * scale) - (origin - 1), 0, size).astype(np.intp)
+        span.append((np.minimum(start[:-1], start[1:]), np.maximum(stop[:-1], stop[1:])))
+    (c1, c2), (r1, r2) = span
+    # The step from one ring's closing point to the next ring's first is no
+    # edge: its box is made empty. A box beyond the frame is empty already.
+    gaps = np.concatenate((starts[1:], len(xy) + 5 * np.arange(loose.sum()))) - 1
+    c2[gaps] = c1[gaps]
+    # A 2-D difference array: +1 at each box's (start, start) and (stop,
+    # stop) corners, -1 at the other two, then a running sum along each axis
+    # counts the boxes over each sub-cell.
+    width = cols + 1
+    length = (rows + 1) * width
+    r1 *= width
+    r2 *= width
+    count = np.bincount(np.concatenate((r1 + c1, r2 + c2)), minlength=length)
+    count -= np.bincount(np.concatenate((r1 + c2, r2 + c1)), minlength=length)
+    count = count.reshape(rows + 1, width)
+    np.cumsum(count, axis=1, out=count)
+    np.cumsum(count, axis=0, out=count)
+    marked = count[:rows, :cols] > 0
+    marked[:, [0, -1]] = True
+    return marked
 
 
 def _build_ring(raw, feature_index: int) -> Ring:
@@ -488,7 +630,7 @@ def _decode(header: dict, body: memoryview, cell_size: float) -> TractIndex:
 
 
 def _well_formed(
-    geoids, xy, ring_offsets, poly_rings, bbox, rank, band_offsets, band_edges
+    geoids, xy, ring_offsets, poly_rings, bbox, rank, band_offsets, band_edges, table_grid, table
 ) -> bool:
     """Whether cached parts have the types, dtypes, shapes and offsets of a
     compiled index, so that no lookup can fall out of range (an index error
@@ -526,10 +668,21 @@ def _well_formed(
     # per edge of the ring (every edge is in a band), each an edge of the
     # ring, from its first vertex up to the one before its closing vertex.
     entries = band_offsets[_ring_bands(ring_offsets)]
-    return bool(
+    if not (
         (np.diff(entries) >= np.diff(ring_offsets) - 1).all()
         and (np.minimum.reduceat(band_edges, entries[:-1]) >= ring_offsets[:-1]).all()
         and (np.maximum.reduceat(band_edges, entries[:-1]) < ring_offsets[1:] - 1).all()
+        and table_grid.dtype == np.int64 and table_grid.shape == (3,)
+        and table.dtype == np.int32 and table.ndim == 2
+    ):
+        return False
+    # The table's frame is the one its exponent gives over the boxes, and each
+    # entry is -1, a rank, or len(geoids) for "no tract".
+    x0, y0, exponent = table_grid.tolist()
+    return bool(
+        exponent in _TABLE_EXPONENTS
+        and _table_frames(bbox)[exponent - _TABLE_EXPONENTS[0]].tolist() == [x0, y0, *table.shape]
+        and table.min(initial=-1) >= -1 and table.max(initial=-1) <= len(geoids)
     )
 
 
@@ -732,7 +885,35 @@ def assign_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.nd
     The columnar core of assign_tracts, with the same answers; lats and lons
     are 1-D float64 arrays of equal length. A caller that tallies points per
     tract can count ranks (``np.bincount``) without forming GEOID strings.
+    Each point's answer-table entry answers it, unless the entry is -1; only
+    those points go through the ring test.
     """
+    ranks = _table_entries(lats, lons, index)
+    near = np.flatnonzero(ranks < 0)
+    ranks[near] = _exact_ranks(lats[near], lons[near], index)
+    return ranks
+
+
+def _table_entries(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
+    """Per point, as an int64 array, its entry in the answer table: -1 for a
+    point off the table or with a NaN coordinate."""
+    table = index._table.reshape(-1)
+    if not len(table):
+        return np.full(len(lats), -1, dtype=np.int64)
+    x0, y0, exponent = index._table_grid.tolist()
+    rows, cols = index._table.shape
+    scale = np.ldexp(1.0, -exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.floor(lons * scale) - x0
+        row = np.floor(lats * scale) - y0
+        # NaN compares false, so it is off the table.
+        on = (0 <= col) & (col < cols) & (0 <= row) & (row < rows)
+        keys = np.where(on, row * cols + col, 0.0).astype(np.intp)
+    return np.where(on, table[keys], -1).astype(np.int64)
+
+
+def _exact_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
+    """assign_ranks by the ring test alone: grid pairs, then _contains."""
     ranks = np.full(len(lats), len(index._geoid_table) - 1, dtype=np.int64)
     for s in range(0, len(lats), _POINT_CHUNK):
         chunk = slice(s, s + _POINT_CHUNK)
@@ -751,8 +932,9 @@ def assign_tracts(
     The batch form of assign_tract with the same answers: points on an edge
     count inside, the lexicographically smallest GEOID wins on a boundary
     shared by several tracts, and a point with a non-finite coordinate lies in
-    no tract. The points are tested as columns, _POINT_CHUNK at a time, not
-    polygon by polygon: each point pairs with the polygons its grid cell
+    no tract. Each point whose answer-table entry is not -1 takes it; the
+    others are tested as columns, _POINT_CHUNK at a time, not polygon by
+    polygon: each point pairs with the polygons its grid cell
     lists (and every oversize polygon) whose bounding box holds it, each
     pair expands to one row per ring, each row is tested against the edges
     of the ring's band that holds the point's latitude, a block of rows at

@@ -355,10 +355,17 @@ def valid_observation_values(
     DockingTypes, and int observed_ats (a bool is not one). lats and lons
     are sequences of floats; only their values are checked. The columns may have
     any lengths, so a column of distinct values stands for a longer one. A
-    cached read serves no column that fails this."""
+    cached read serves no column that fails this.
+
+    The ids are checked with one str.join, which takes an instance of a str
+    subclass too; JSON decodes none, and read_observations_csv returns plain
+    str."""
+    try:
+        "".join(chain(system_ids, entity_ids))
+    except TypeError:
+        return False
     return (
-        set(map(type, chain(system_ids, entity_ids))) <= {str}
-        and set(map(type, kinds)) <= {DockingType}
+        set(map(type, kinds)) <= {DockingType}
         and set(map(type, observed_ats)) <= {int}
         and _within(lats, 90.0)
         and _within(lons, 180.0)

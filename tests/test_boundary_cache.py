@@ -235,6 +235,10 @@ def empty_bands(header, parts):
     header["band_edges"] = [parts["band_edges"].dtype.str, [0]]
 
 
+def table_entry_past_no_tract(header, parts):
+    parts["table"] = with_first(parts["table"], len(header["geoids"]) + 1)
+
+
 def flip_a_data_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -269,6 +273,15 @@ SPOILERS = {
     "band offsets short of the edges": set_part("band_offsets", lambda a: a[:-1]),
     "band edges wrong dtype": set_part("band_edges", lambda a: a.astype(np.int32)),
     "no band lists an edge": lambda p: rewrite(p, empty_bands),
+    "table entry below -1": set_part("table", lambda a: with_first(a, -2)),
+    "table entry past no tract": lambda p: rewrite(p, table_entry_past_no_tract),
+    "table wrong dtype": set_part("table", lambda a: a.astype(np.int64)),
+    "table wrong shape": set_part("table", lambda a: a[:, :-1]),
+    "table transposed": set_part("table", lambda a: a.T.copy()),
+    "table not 2-D": set_part("table", lambda a: a.reshape(-1)),
+    "table moved": set_part("table_grid", lambda a: a + [1, 0, 0]),
+    "table side out of range": set_part("table_grid", lambda a: a + [0, 0, 64]),
+    "table grid wrong dtype": set_part("table_grid", lambda a: a.astype(np.int32)),
     "body shorter than its shapes": set_body("rank", lambda a: a[:-1]),
     "body longer than its shapes": set_body("rank", lambda a: np.append(a, 0)),
     "GEOIDs not sorted": edit_header(lambda h: h["geoids"].reverse()),
@@ -309,20 +322,25 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
 
 
 def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
-    """Files under earlier versions' names (0, and 2: the layout before the
-    edge bands) stay in cache/ unread, and a current file is written."""
-    for version in (0, 2):
+    """Files under earlier versions' names (0; 2, the layout before the edge
+    bands; 3, the layout before the answer table) stay in cache/ unread, and
+    a current file is written."""
+    for version in (0, 2, 3):
         monkeypatch.setattr(geo, "_CACHE_VERSION", version)
         expected = analyze(city, tmp_path / f"v{version}")
         monkeypatch.undo()
     old = cache_files(city)
     (v2,) = [path for path in old if "-v2-" in path.name]
+    (v3,) = [path for path in old if "-v3-" in path.name]
 
-    def drop_bands(header, parts):
-        for name in ("band_offsets", "band_edges"):
-            del header[name], parts[name]
+    def drop(*names):
+        def edit(header, parts):
+            for name in names:
+                del header[name], parts[name]
+        return edit
 
-    rewrite(v2, drop_bands)
+    rewrite(v3, drop("table_grid", "table"))
+    rewrite(v2, drop("band_offsets", "band_edges", "table_grid", "table"))
     read = content_cache.read_entry
 
     def read_current(path, key, decode):
@@ -331,7 +349,7 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
 
     monkeypatch.setattr(content_cache, "read_entry", read_current)
     assert analyze(city, tmp_path / "current") == expected
-    assert len(cache_files(city)) == 3
+    assert len(cache_files(city)) == 4
 
 
 def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch):

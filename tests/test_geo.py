@@ -376,17 +376,18 @@ def boundary_probes(index):
                     my
                 ) == Fraction(y1) + Fraction(y2):
                     points.add((mx, my))
-    probes = set()
-    for lon, lat in points:
-        for dlon in (-np.inf, 0.0, np.inf):
-            for dlat in (-np.inf, 0.0, np.inf):
-                probes.add(
-                    (
-                        float(np.nextafter(lon, dlon)) if dlon else lon,
-                        float(np.nextafter(lat, dlat)) if dlat else lat,
-                    )
-                )
-    return sorted(probes)
+    return sorted(nearest_floats(points))
+
+
+def nearest_floats(points):
+    """Each (lon, lat) point and the nearest floats around it."""
+    return {
+        (float(np.nextafter(lon, dlon)) if dlon else lon,
+         float(np.nextafter(lat, dlat)) if dlat else lat)
+        for lon, lat in points
+        for dlon in (-np.inf, 0.0, np.inf)
+        for dlat in (-np.inf, 0.0, np.inf)
+    }
 
 
 def assert_batch_matches_scan(index, probes):
@@ -751,6 +752,8 @@ def test_index_accepts_polygons_built_by_hand(tmp_path):
     )
     assert index._xy.tolist() == loaded._xy.tolist()
     assert ring_spans(index) == ring_spans(loaded)
+    for name in ("table_grid", "table"):
+        assert np.array_equal(getattr(index, "_" + name), getattr(loaded, "_" + name)), name
     probes = [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.5, 0.5)]
     assert assert_batch_matches_scan(index, probes) == [
         "53033000101", "53033000101", "53033000102", None
@@ -861,10 +864,13 @@ def test_oversize_tract_matches_scan(tmp_path, cell_size):
     assert_pairs_cover_containers(index, probes)
 
 
-def test_globe_spanning_tract_registers_no_cells(tmp_path):
+def globe_features():
     globe = [[-180.0, -90.0], [180.0, -90.0], [180.0, 90.0], [-180.0, 90.0], [-180.0, -90.0]]
-    features = [ring_feature(globe, "53033000102"), square_feature("53033000101", 10.0, 10.0)]
-    index = load_fixture(tmp_path, features)
+    return [ring_feature(globe, "53033000102"), square_feature("53033000101", 10.0, 10.0)]
+
+
+def test_globe_spanning_tract_registers_no_cells(tmp_path):
+    index = load_fixture(tmp_path, globe_features())
     assert len(index._cell_polys) <= geo._CELL_BUDGET * len(index.polygons)
     assert index._oversize.tolist() == [0]
     rng = np.random.default_rng(21)
@@ -1162,3 +1168,154 @@ def test_band_edges_match_winding_oracle(band_battery, monkeypatch, block):
                    if p.bbox.contains(lon, lat) and winding_number_inside(lon, lat, p.rings)]
         assert geoid == min(holders, default=None), (lon, lat)
     assert {"53033002000", "53033002001", "53033002002", "53033002004", None} <= set(got)
+
+
+# ---------------------------------------------------------------------------
+# The answer table: its entries against the exhaustive scan
+# ---------------------------------------------------------------------------
+
+def overlapping_features():
+    """Three squares that overlap one another: the smallest GEOID wins each
+    overlap."""
+    return [
+        square_feature("53033003001", west=0.0, south=0.0, size=2.0),
+        square_feature("53033003000", west=1.0, south=0.0, size=2.0),
+        square_feature("53033003002", west=0.5, south=0.5, size=2.0),
+    ]
+
+
+TABLE_SHAPES = {
+    **SHAPE_SETS,
+    "overlapping": overlapping_features,
+    "big_tract": big_tract_features,
+    "globe": globe_features,
+    "bands": band_features,
+}
+
+NAN, INF = float("nan"), float("inf")
+# (lon, lat) probes off the tables: non-finite, beyond lon/lat degrees, and
+# the corners of lon/lat degrees (on the globe-spanning tract's table only).
+OFF_TABLE = [(NAN, 0.5), (0.5, NAN), (NAN, NAN), (INF, 0.5), (0.5, -INF), (-INF, INF),
+             (1e6, 0.5), (-1e6, -1e6), (0.5, 1e300), (180.0, 90.0), (-180.0, -90.0)]
+
+
+def table_probes(index, limit=1500):
+    """Every corner and centre of the answer table's sub-cells (of a seeded
+    sample of `limit` sub-cells, in a larger table), with the nearest floats
+    around each, as sorted (lon, lat) pairs."""
+    x0, y0, exponent = index._table_grid.tolist()
+    rows, cols = index._table.shape
+    side = 2.0**exponent
+    cells = [(i, j) for j in range(rows) for i in range(cols)]
+    if len(cells) > limit:
+        rng = np.random.default_rng(rows * cols)
+        cells = [cells[k] for k in rng.choice(len(cells), size=limit, replace=False).tolist()]
+    points = set()
+    for i, j in cells:
+        for di, dj in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)):
+            points.add(((x0 + i + di) * side, (y0 + j + dj) * side))
+    return sorted(nearest_floats(points))
+
+
+def assert_table_matches_scan(index, probes, monkeypatch, answers=True):
+    """assign_tracts equals the exhaustive scan on the probes, and only the
+    probes whose table entry is -1 reach the ring test (geo._pairs). With
+    answers, the table answers some probes (a coarse one may answer none)."""
+    seen = []
+    pairs = geo._pairs
+    monkeypatch.setattr(geo, "_pairs", lambda lats, lons, i: seen.append(len(lats)) or pairs(lats, lons, i))
+    expected = assert_batch_matches_scan(index, probes)
+    monkeypatch.setattr(geo, "_pairs", pairs)
+    lats = np.array([lat for _, lat in probes])
+    lons = np.array([lon for lon, _ in probes])
+    entries = geo._table_entries(lats, lons, index)
+    assert sum(seen) == (entries < 0).sum()
+    # Every answer of the table is the scan's.
+    answered = np.flatnonzero(entries >= 0)
+    assert len(answered) or not answers
+    geoid_of = [*index.geoids(), None]
+    assert [geoid_of[e] for e in entries[answered].tolist()] == [expected[k] for k in answered]
+    return expected
+
+
+@pytest.mark.parametrize("budget", [geo._TABLE_BUDGET, 1, 4])
+@pytest.mark.parametrize("shapes", sorted(TABLE_SHAPES))
+def test_table_matches_scan(tmp_path, monkeypatch, shapes, budget):
+    # A small budget gives a coarse table, down to the coarsest side.
+    monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
+    index = load_fixture(tmp_path, TABLE_SHAPES[shapes]())
+    assert index._table.dtype == np.int32
+    assert index._table.size <= max(budget * len(index.polygons), 4)
+    probes = table_probes(index) + boundary_probes(index) + OFF_TABLE
+    expected = assert_table_matches_scan(index, probes, monkeypatch, budget > 4)
+    assert None in expected and set(expected) > {None}
+
+
+def test_table_side_is_the_finest_within_the_budget(tmp_path):
+    index = load_fixture(tmp_path, five_tract_features())
+    frames = geo._table_frames(index._bbox)
+    x0, y0, exponent = index._table_grid.tolist()
+    k = geo._TABLE_EXPONENTS.index(exponent)
+    assert frames[k].tolist() == [x0, y0, *index._table.shape]
+    budget = geo._TABLE_BUDGET * len(index.polygons)
+    assert index._table.size <= budget < frames[k - 1, 2] * frames[k - 1, 3]
+
+
+def test_overlap_reads_the_smallest_geoid(tmp_path):
+    index = load_fixture(tmp_path, overlapping_features())
+    x0, y0, exponent = index._table_grid.tolist()
+    # The centre of the sub-cell at (1.5, 1.5) lies in all three squares.
+    i, j = int(1.5 / 2.0**exponent) - x0, int(1.5 / 2.0**exponent) - y0
+    assert index.geoids()[index._table[j, i]] == "53033003000"
+
+
+def test_mixed_width_table_matches_scan(mixed_width_battery, monkeypatch):
+    index, probes, expected = mixed_width_battery
+    table = table_probes(index, limit=600)
+    assert_table_matches_scan(index, probes + table, monkeypatch)
+    for budget in (1, 4):
+        monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
+        coarse = TractIndex(index.polygons)
+        assert coarse._table.size <= max(budget * len(coarse.polygons), 4)
+        assert_table_matches_scan(coarse, probes + table_probes(coarse), monkeypatch, False)
+
+
+def notched_square_feature():
+    """A square with a notch cut from its east side to a tip at (0, 0),
+    whose upper edge's ray crossing rounds: just above the tip and west of
+    it, where the point is inside, ray casting in float64 counts the edge on
+    the wrong side and answers outside."""
+    ring = [[-1.0, -1.0], [1.0, -1.0], [1.0, -0.5], [0.0, 0.0], [0.877, 0.75],
+            [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    return ring_feature(ring, "53033004000")
+
+
+def test_table_leaves_rounded_answers_to_the_ring_test(tmp_path, monkeypatch):
+    """The sub-cell west of the tip and above it holds the probe and, in its
+    middle, points inside; no edge passes through it. Only the margin marks
+    it, so that the probe gets the float64 answer, as point_in_polygon does."""
+    index = load_fixture(tmp_path, [notched_square_feature()])
+    (poly,) = index.polygons
+    tiny = float(np.nextafter(0.0, 1.0))
+    probe = (-tiny, tiny)
+    ring = [tuple(map(Fraction, vertex)) for vertex in poly.rings[0].tolist()]
+    assert winding_number_inside(Fraction(-tiny), Fraction(tiny), [ring])
+    assert not point_in_polygon(tiny, -tiny, poly)
+    side = 2.0 ** index._table_grid[2]
+    assert point_in_polygon(side / 2, -side / 2, poly)
+    assert geo._table_entries(np.array([tiny]), np.array([-tiny]), index).tolist() == [-1]
+    probes = [probe, *table_probes(index)]
+    assert assert_table_matches_scan(index, probes, monkeypatch)[0] is None
+
+
+def test_box_that_cuts_its_polygon_marks_its_sides(monkeypatch):
+    """A hand-built polygon whose bounding box holds only part of its ring:
+    points of the ring outside the box are in no tract, and the table does
+    not answer across the box's sides."""
+    ring = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [0.0, 0.0]])
+    cut = TractPolygon("53033005000", "53033", (ring,), BoundingBox(0.0, 0.0, 1.25, 1.25))
+    index = TractIndex([cut, TractPolygon("53033005001", "53033", (ring + 3.0,),
+                                          BoundingBox(3.0, 3.0, 5.0, 5.0))])
+    expected = assert_table_matches_scan(index, table_probes(index), monkeypatch)
+    assert assign_tracts([1.0, 1.5], [1.0, 1.5], index) == ["53033005000", None]
+    assert {"53033005000", "53033005001", None} == set(expected)

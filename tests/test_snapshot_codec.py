@@ -241,6 +241,9 @@ GOOD_COLUMNS = (["sys"], ["e1", ""], [45.5, -90.0, 90.0], [-122.6, -180.0, 180.0
 BAD_VALUES = {
     "system id not a str": (0, None),
     "entity id not a str": (1, 7),
+    "entity id a list": (1, ["e1"]),
+    "entity id a dict": (1, {"e1": 1}),
+    "system id a bool": (0, True),
     "lat out of range": (2, 90.5),
     "lat NaN": (2, math.nan),
     "lon out of range": (3, -180.25),
