@@ -6,6 +6,8 @@ version, then the sha256 of the input file's bytes, so an edited input never
 meets a file written for its old bytes. A cache file is written whole or not
 at all (a temporary file, then ``os.replace``), and a location that cannot be
 written is skipped: the cache only ever saves work, it never fails a load.
+Writing a file also deletes the files of the same cache's earlier versions,
+which no load reads again (prune_older_versions).
 
 Every cache file has one frame: a JSON header line (the key, the writer's
 byte order, then the cache's own fields), the body's raw buffers, and a
@@ -18,6 +20,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import sys
 import uuid
 import zlib
@@ -93,6 +96,20 @@ def read_entry(path: Path, key: str, decode: Callable[[dict, memoryview], Any]) 
         return None
 
 
+def prune_older_versions(cache_dir: Path, prefix: str) -> None:
+    """Delete cache_dir's files of this cache's earlier versions: for a
+    prefix ``<name>-v<N>``, each ``<name>-v<k>-*`` with k < N. A failed
+    listing or delete is ignored; a reader whose file it deletes misses."""
+    name, version = re.fullmatch(r"(.*)-v([0-9]+)", prefix).groups()
+    older = re.compile(re.escape(name) + r"-v([0-9]+)-")
+    with contextlib.suppress(OSError), os.scandir(cache_dir) as entries:
+        for entry in entries:
+            match = older.match(entry.name)
+            if match and int(match[1]) < int(version):
+                with contextlib.suppress(OSError):
+                    os.unlink(entry.path)
+
+
 def load(
     path: str | Path, cache_dir: str | Path | None, prefix: str, parse: Callable[[bytes], Any],
     encode: Callable[[Any], tuple[dict, Sequence]], decode: Callable[[dict, memoryview], Any],
@@ -101,8 +118,8 @@ def load(
     """parse(the bytes of the file at path), or with cache_dir, decode of the
     cache file for those bytes (read_entry). On a miss, encode(result) is
     written (write_entry) under the key of the bytes parsed, should the file
-    have changed since it was hashed; a parse that raises writes nothing. An
-    OSError reading the file propagates."""
+    have changed since it was hashed, then prune_older_versions runs; a parse
+    that raises writes nothing. An OSError reading the file propagates."""
     if cache_dir is None:
         return parse(Path(path).read_bytes())
     # A hit hashes a chunk at a time: the input's bytes and the cache file
@@ -116,4 +133,5 @@ def load(
         del data
         header, body = encode(result)
         write_entry(Path(cache_dir) / key, key, header, body, align=align)
+        prune_older_versions(Path(cache_dir), prefix)
     return result

@@ -6,52 +6,25 @@ degree space, which is accurate at tract scale. Points exactly on a ring edge
 count as inside, and ties across shared boundaries resolve to the
 lexicographically smallest GEOID so assignments are reproducible.
 
-Lookups go through a uniform lat/lon grid held as CSR arrays: the sorted
-int64 keys of the cells that polygon bounding boxes touch, and per cell a
-run of polygon positions. A cell lookup (``np.searchsorted`` on the keys)
-yields a superset of the true containers, so grid-accelerated assignment
-agrees exactly with an exhaustive scan. A polygon may register at most
-``_CELL_BUDGET`` cells: one whose bounding box covers more goes on the
-oversize list instead, and every point is tested against the oversize
-polygons by bounding box. The grid therefore never holds more than the
-budget times the number of polygons, however large a tract is.
-
 Rings load straight from the decoded GeoJSON into read-only (n, 2) float64
 arrays, one ``np.array`` call per ring, and must hold finite lon/lat degrees.
-The compiled index is a handful of flat arrays (vertices, ring and polygon
-offsets, bounding boxes, GEOID ranks, edge bands, the answer table, the
-grid).
-``load_boundaries`` can keep all but the grid in a cache directory, one
-file per boundary-file content, so a later load of the same file at any
-cell size decodes no JSON and builds no TractPolygon (``content_cache.load``,
-given this module's parse, ``_encode`` and ``_decode``).
+``load_boundaries`` can keep the compiled index (see TractIndex) in a cache
+directory, one file per boundary-file content, so a later load of the same
+file decodes no JSON and builds nothing (``content_cache.load``, given this
+module's parse, ``_encode`` and ``_decode``).
 
-Batch assignment (``assign_tracts``) runs the same tests with numpy, on
-whole columns of points rather than one polygon at a time. Each point pairs
-with the polygons its grid cell lists (and every oversize polygon) whose
-bounding box holds it; each pair expands to one row per ring of its polygon.
-Each ring is split into horizontal bands of equal height, about
-``_BAND_EDGES`` edges a band, and lists every edge in each band its latitude
-range touches: an edge that can change a point's answer straddles the
-point's horizontal line or ends on it, so it is in the band of the point's
-latitude (the y-interval idea behind GEOS's IndexedPointInAreaLocator). A
-row tests only that band's edges. Rows are tested widest band first, in
-bounded blocks each padded to the width of its first row; the first hole hit
-decides a point inside an outer ring, and ``np.minimum.at`` picks each
-point's smallest GEOID rank. The float64 expressions are the scalar test's
-in the same order, so it agrees with ``point_in_polygon`` bit for bit; the
-scalar functions stay as the reference oracle.
-
-Most points never reach that test: ``assign_ranks`` first reads each point's
-entry in an answer table, a grid of square sub-cells over the union of the
-polygons' bounding boxes whose side is a power of two in degrees (the finest
-that keeps the table within ``_TABLE_BUDGET`` entries per polygon). An entry
-is the rank of the tract that contains its whole sub-cell, ``len(geoids)``
-where no tract does, or -1 where the bounding box of some ring edge,
-widened by ``_MARGIN`` of a sub-cell, touches the sub-cell (so do the sides
-of a polygon's bounding box that cuts its outer ring). Only the points that read -1 (NaN coordinates and
-points off the table among them) go through the ring test. The table's
-answers are the ring test's:
+One structure serves every lookup: square sub-cells whose side is a power of
+two in degrees, in tiles of ``_TILE`` x ``_TILE`` sub-cells. Only the tiles
+that some polygon's bounding box reaches are held, each listing those
+polygons, and a point in no held tile is in no box, so in no tract. The side
+is the finest within ``_TABLE_BUDGET`` (see _tile_frame), so tracts in
+cities far apart keep the sub-cells of one city, and a 20-degree tract only
+coarsens them. Each held sub-cell has an entry in the answer table: the rank
+of the tract that contains the whole sub-cell, ``len(geoids)`` where no tract
+does, or -1 where the bounding box of some ring edge, widened by ``_MARGIN``
+of a sub-cell, touches the sub-cell (so do the sides of a polygon's bounding
+box that cuts its outer ring). Only the points that read -1 go through the
+ring test. The table's answers are the ring test's:
 
 - Scaling by a power of two is exact in float64, so a point's sub-cell is
   the one it lies in (to within an underflow, far below the margin).
@@ -62,9 +35,25 @@ answers are the ring test's:
   counts for nothing. The float64 test therefore gives the exact even-odd
   answer, and no ring boundary passes through the sub-cell, so every point
   in it has the answer of its centre.
-- A run of unmarked sub-cells along one row of latitude is one region with
-  no boundary in it, so the build answers each run once, at the centre of
-  its first sub-cell, with the ring test itself.
+- A run of unmarked sub-cells along one row of a tile is one region with no
+  boundary in it, so the build answers each run once, at the centre of its
+  first sub-cell, with the ring test itself.
+
+The ring test (``assign_tracts`` without the table) runs the scalar tests
+with numpy, on whole columns of points rather than one polygon at a time.
+Each point pairs with the polygons its tile lists whose bounding box holds
+it; each pair expands to one row per ring of its polygon. Each ring is split
+into horizontal bands of equal height, about ``_BAND_EDGES`` edges a band,
+and lists every edge in each band its latitude range touches: an edge that
+can change a point's answer straddles the point's horizontal line or ends on
+it, so it is in the band of the point's latitude (the y-interval idea behind
+GEOS's IndexedPointInAreaLocator). A row tests only that band's edges. Rows
+are tested widest band first, in bounded blocks each padded to the width of
+its first row; the first hole hit decides a point inside an outer ring, and
+``np.minimum.at`` picks each point's smallest GEOID rank. The float64
+expressions are the scalar test's in the same order, so it agrees with
+``point_in_polygon`` bit for bit; the scalar functions stay as the reference
+oracle.
 """
 
 from __future__ import annotations
@@ -82,8 +71,6 @@ from . import content_cache
 from .errors import GeometryError, ParseError, SchemaError
 from .snapshot_store import BikeObservation
 
-DEFAULT_CELL_SIZE = 0.05
-
 GEOID_LENGTH = 11
 COUNTY_PREFIX_LENGTH = 5
 
@@ -98,19 +85,18 @@ Ring = np.ndarray
 _POINT_CHUNK = 2048
 _BLOCK_ELEMENTS = 1 << 14
 
-# Most grid cells one polygon registers; a polygon whose bounding box covers
-# more goes on the oversize list.
-_CELL_BUDGET = 4096
-
 # A ring of E edges is split into ceil(E / _BAND_EDGES) horizontal bands, so
 # a ring of at most this many edges is one band.
 _BAND_EDGES = 8
 
-# Most entries the answer table holds per polygon; its sub-cell side is the
-# finest power of two in degrees, 2**e for e in _TABLE_EXPONENTS, within it
-# (or the coarsest).
-_TABLE_BUDGET = 256
+# Most entries per polygon (see _tile_frame) at the sub-cell side 2**e, for
+# the finest e in _TABLE_EXPONENTS within it. A tract of the benchmark cities
+# reaches about 450 entries at 2**-7 degrees and 1,200 at 2**-8.
+_TABLE_BUDGET = 1024
 _TABLE_EXPONENTS = range(-16, 10)
+
+# A tile is _TILE x _TILE sub-cells; a power of two.
+_TILE = 8
 
 # A ring edge's box is widened by this fraction of a sub-cell before it marks
 # the sub-cells it touches: at least 2**-36 degrees, far above the float64
@@ -119,16 +105,16 @@ _TABLE_EXPONENTS = range(-16, 10)
 _MARGIN = 2.0**-20
 
 # The arrays a cache file stores (TractIndex attributes with a leading
-# underscore); every load builds the grid from them. The int32 table is last,
-# so that every int64 and float64 part stays 8-byte aligned in the file.
+# underscore): the whole index. The int32 parts are last, so that every
+# int64 and float64 part stays 8-byte aligned in the file.
 _PART_NAMES = (
     "xy", "ring_offsets", "poly_rings", "bbox", "rank", "band_offsets", "band_edges",
-    "table_grid", "table",
+    "tile_grid", "tile_offsets", "tile_polys", "tiles", "table",
 )
 
 # Part of every cache key: a change to the cache file's layout or meaning
 # must bump it, so files written before the change are never read.
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,7 @@ class TractPolygon:
 
 
 class TractIndex:
-    """Immutable uniform-grid spatial index over tract polygons.
+    """Immutable tiled spatial index over tract polygons.
 
     The index is a handful of flat arrays:
 
@@ -174,25 +160,20 @@ class TractIndex:
       ``_band_edges[_band_offsets[k]:_band_offsets[k + 1]]``, each edge by the
       index in ``_xy`` of its first vertex. An edge is in every band its
       latitude range touches, in edge order.
-    - The grid: cell i, whose key is ``_cell_keys[i]`` (sorted), lists the
-      polygons ``_cell_polys[_cell_offsets[i]:_cell_offsets[i + 1]]``. The
-      cell (x, y) covers lon [x, x + 1) and lat [y, y + 1) times the cell
-      size, and its key is (x - x0) * (y1 - y0 + 1) + (y - y0) for
-      ``_grid`` = (x0, y0, x1, y1), the range of listed cells. Polygons
-      over the cell budget are in ``_oversize`` instead.
-    - The answer table (see the module docstring): ``_table`` is an int32
-      (rows, columns) array whose entry [j, i] answers the sub-cell that
-      covers lon [x0 + i, x0 + i + 1) and lat [y0 + j, y0 + j + 1) times the
-      side 2**e, for ``_table_grid`` = (x0, y0, e). It does not depend on
-      the cell size.
+    - The tiles, for ``_tile_grid`` = (x0, y0, e): tile (x, y) covers lon
+      [x, x + 1) and lat [y, y + 1) times _TILE * 2**e degrees. ``_tiles``,
+      an int32 directory, holds at [y - y0, x - x0] the tile's position, in
+      row-major order, or -1 where no bounding box reaches it. Tile t lists
+      ``_tile_polys[_tile_offsets[t]:_tile_offsets[t + 1]]``, in order.
+    - The answer table: ``_table`` is an int32 (tiles, _TILE, _TILE) array
+      whose entry [t, j, i] answers sub-cell row j, column i of tile t.
 
-    The parts (``_PART_NAMES``) come from the polygons given or from a cache
-    file; one initialiser builds the grid over them. The polygons given also
-    get their answer table, built after the grid; a cache file holds it. Each
-    ring's band height (``_band_grid``) and ``polygons`` are built on use.
+    The parts (``_PART_NAMES``) come from the polygons given, or all of them
+    from a cache file. Each ring's band height (``_band_grid``) and
+    ``polygons`` are built on use.
     """
 
-    def __init__(self, polygons: list[TractPolygon], cell_size: float = DEFAULT_CELL_SIZE):
+    def __init__(self, polygons: list[TractPolygon]):
         polygons = list(polygons)
         rings = [ring for poly in polygons for ring in poly.rings]
         geoids = sorted({poly.tract_geoid for poly in polygons})
@@ -212,20 +193,17 @@ class TractIndex:
             "band_offsets": band_offsets,
             "band_edges": band_edges,
         }
-        self._set_parts(parts, geoids, cell_size)
-        self._table_grid, self._table = _answer_table(self)
+        self._set_parts({**parts, **_tile_parts(parts["bbox"])}, geoids)
+        self._table = _answer_table(self)
 
     @classmethod
-    def _from_parts(cls, parts: dict[str, np.ndarray], geoids: list[str], cell_size: float):
+    def _from_parts(cls, parts: dict[str, np.ndarray], geoids: list[str]):
         index = cls.__new__(cls)
-        index._set_parts(parts, geoids, cell_size)
+        index._set_parts(parts, geoids)
         return index
 
-    def _set_parts(self, parts: dict[str, np.ndarray], geoids: list[str], cell_size: float):
-        if not cell_size > 0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = float(cell_size)
-        for name, array in {**parts, **_grid_arrays(parts["bbox"], self.cell_size)}.items():
+    def _set_parts(self, parts: dict[str, np.ndarray], geoids: list[str]):
+        for name, array in parts.items():
             setattr(self, "_" + name, array)
         self._xy.flags.writeable = False
         # Maps a rank back to its GEOID; the extra last entry stands for "no tract".
@@ -316,102 +294,92 @@ def _edge_bands(xy: np.ndarray, ring_offsets: np.ndarray) -> tuple[np.ndarray, n
     return _offsets(np.bincount(bands, minlength=grid[0][-1])), keys % vertices
 
 
-def _grid_arrays(bbox: np.ndarray, cell_size: float) -> dict[str, np.ndarray]:
-    """The grid of TractIndex over these bounding boxes: every polygon within
-    the cell budget registers each cell its box touches."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.floor(bbox / cell_size)  # x0, y0, x1, y1 per polygon
-    # Cell numbers stay exact integers in float64 (NaN fails the test too).
-    if not (np.abs(cells) < 2.0**52).all():
-        raise ValueError("bounding boxes must be finite, in cells numbered below 2**52")
-    # Each box's size in cells; an inverted box (min above max) has none.
-    widths = np.maximum(cells[:, 2] - cells[:, 0] + 1, 0)
-    heights = np.maximum(cells[:, 3] - cells[:, 1] + 1, 0)
-    n_cells = widths * heights
-    polys = np.flatnonzero(n_cells <= _CELL_BUDGET)
-    oversize = np.flatnonzero(n_cells > _CELL_BUDGET)
-    if not len(polys):
-        empty = np.empty(0, dtype=np.int64)
-        # An empty cell range: no point falls in the grid.
-        return {"cell_keys": empty, "cell_offsets": np.zeros(1, dtype=np.int64),
-                "cell_polys": empty, "oversize": oversize,
-                "grid": np.array([0, 0, -1, -1], dtype=np.int64)}
-    x0, y0, x1, y1 = cells[polys].astype(np.int64).T
-    gx0, gy0, gx1, gy1 = x0.min(), y0.min(), x1.max(), y1.max()
-    span = gy1 - gy0 + 1
-    if (int(gx1) - int(gx0) + 1) * int(span) >= 2**63:
-        raise ValueError("cell_size is too small for the extent of the boundaries")
-    # One entry per (polygon, cell): entry j of a polygon whose box is h
-    # cells high is the cell (x0 + j // h, y0 + j % h).
-    counts = n_cells[polys].astype(np.int64)
-    h = np.repeat(heights[polys].astype(np.int64), counts)
-    j = _runs(np.zeros_like(counts), counts)
-    keys = (np.repeat(x0, counts) + j // h - gx0) * span + (np.repeat(y0, counts) + j % h - gy0)
-    # Stable, so each cell lists its polygons in index order.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+def _tiles_of(values: np.ndarray, exponent: int) -> np.ndarray:
+    """The tile numbers of degree values at sub-cell side 2**exponent, as
+    _locate finds them: monotone, so a point in a box is in one of its tiles."""
+    return np.floor(np.floor(values * 2.0**-exponent) / _TILE)
+
+
+def _tile_frame(bbox: np.ndarray, exponent: int) -> tuple[int, int, int, int, bool]:
+    """(x0, y0, rows, cols, fits) at sub-cell side 2**exponent: the tile
+    directory's frame over the union of the boxes, and whether both it and
+    the polygons' own box tiles, _TILE**2 entries each, hold at most
+    _TABLE_BUDGET entries per polygon (both grow as the exponent falls, and
+    bound the table and candidate lists). Raises ValueError unless the boxes
+    lie in lon/lat degrees: the coarsest tiles are then at most 2 x 2."""
+    degrees = np.array([180.0, 90.0, 180.0, 90.0])
+    if not ((-degrees <= bbox) & (bbox <= degrees)).all():  # NaN fails too
+        raise ValueError("bounding boxes must lie within lon [-180, 180] / lat [-90, 90]")
+    if not len(bbox):
+        return 0, 0, 1, 1, False
+    tiles = _tiles_of(bbox, exponent)
+    own = np.maximum(tiles[:, 2:] - tiles[:, :2] + 1, 0).prod(axis=1).sum()
+    low = tiles[:, :2].min(axis=0)
+    cols, rows = np.maximum(tiles[:, 2:].max(axis=0) - low + 1, 1)
+    budget = _TABLE_BUDGET * len(bbox)
+    fits = _TILE**2 * own <= budget and rows * cols <= budget
+    return int(low[0]), int(low[1]), int(rows), int(cols), bool(fits)
+
+
+def _box_cells(x1, y1, x2, y2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(box, x, y): every cell (x, y) of each box i, columns x1[i] to x2[i]
+    and rows y1[i] to y2[i] inclusive (none if inverted), row by row."""
+    widths = np.maximum(x2 - x1 + 1, 0)
+    counts = widths * np.maximum(y2 - y1 + 1, 0)
+    box = np.repeat(np.arange(len(counts)), counts)
+    dy, dx = np.divmod(_runs(np.zeros_like(counts), counts), widths[box])
+    return box, x1[box] + dx, y1[box] + dy
+
+
+def _tile_parts(bbox: np.ndarray) -> dict[str, np.ndarray]:
+    """The tile grid, directory and candidate lists of TractIndex over these
+    bounding boxes, at the finest exponent of _TABLE_EXPONENTS within the
+    budget (see _tile_frame), or the coarsest: a tile where some box reaches."""
+    for exponent in _TABLE_EXPONENTS:
+        x0, y0, rows, cols, fits = _tile_frame(bbox, exponent)
+        if fits:
+            break
+    polys, x, y = _box_cells(*(_tiles_of(bbox, exponent).astype(np.int64) - [x0, y0, x0, y0]).T)
+    # Stable, so each tile lists its polygons in index order.
+    order = np.argsort(y * cols + x, kind="stable")
+    keys = (y * cols + x)[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    directory = np.full(rows * cols, -1, dtype=np.int32)
+    directory[keys[starts]] = np.arange(len(starts))
     return {
-        "cell_keys": keys[starts],
-        "cell_offsets": np.append(starts, len(keys)),
-        "cell_polys": np.repeat(polys, counts)[order],
-        "oversize": oversize,
-        "grid": np.array([gx0, gy0, gx1, gy1], dtype=np.int64),
+        "tile_grid": np.array([x0, y0, exponent], dtype=np.int64),
+        "tile_offsets": np.append(starts, len(keys)),
+        "tile_polys": polys[order],
+        "tiles": directory.reshape(rows, cols),
     }
 
 
-def _table_frames(bbox: np.ndarray) -> np.ndarray:
-    """Per exponent e of _TABLE_EXPONENTS, the frame (x0, y0, rows, columns)
-    of the answer table of side 2**e over the union of these bounding boxes:
-    sub-cell numbers floor(degrees * 2**-e), exact. (0, 0, 0, 0), no table,
-    where there is no box or the union leaves lon [-180, 180] / lat [-90, 90]
-    (so the sub-cell numbers and centres stay exact)."""
-    frames = np.zeros((len(_TABLE_EXPONENTS), 4), dtype=np.int64)
-    if len(bbox):
-        low, high = bbox[:, :2].min(axis=0), bbox[:, 2:].max(axis=0)
-        if -180.0 <= low[0] and high[0] <= 180.0 and -90.0 <= low[1] and high[1] <= 90.0:
-            scale = np.ldexp(1.0, -np.array(_TABLE_EXPONENTS, dtype=np.intc))[:, None]
-            first = np.floor(low * scale)
-            frames[:, :2] = first
-            # An inverted union (a box with min above max) has no sub-cell.
-            frames[:, [3, 2]] = np.maximum(np.floor(high * scale) - first + 1, 0)
-    return frames
-
-
-def _answer_table(index: TractIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(_table_grid, _table) of an index whose other parts and grid are set:
-    the finest frame within the budget, each sub-cell near a ring edge or a
-    bounding-box side -1, and each run of the others along a row answered at
-    the centre of its first sub-cell (see the module docstring)."""
-    frames = _table_frames(index._bbox)
-    fits = np.flatnonzero(frames[:, 2] * frames[:, 3] <= _TABLE_BUDGET * len(index._bbox))
-    k = fits[0] if len(fits) else len(frames) - 1
-    x0, y0, rows, cols = frames[k].tolist()
-    exponent = _TABLE_EXPONENTS[k]
-    grid = np.array([x0, y0, exponent], dtype=np.int64)
-    if not rows * cols:
-        return grid, np.empty((rows, cols), dtype=np.int32)
-    free = ~_marked_sub_cells(index, x0, y0, exponent, rows, cols).reshape(-1)
-    # The first sub-cell of each run of unmarked ones: the first column is
-    # marked, so no run wraps onto the next row.
+def _answer_table(index: TractIndex) -> np.ndarray:
+    """_table of an index whose other parts are set: each sub-cell near a
+    ring edge or a bounding-box side -1, and each run of the others along a
+    tile's row answered at the centre of its first sub-cell."""
+    free = ~_marked_sub_cells(index)
     first = free.copy()
-    first[1:] &= ~free[:-1]
-    row, col = np.divmod(np.flatnonzero(first), cols)
-    side = np.ldexp(1.0, exponent)
-    answers = _exact_ranks((y0 + row + 0.5) * side, (x0 + col + 0.5) * side, index)
-    table = np.full(rows * cols, -1, dtype=np.int32)
-    table[free] = answers[np.cumsum(first)[free] - 1]
-    return grid, table.reshape(rows, cols)
+    first[:, :, 1:] &= ~free[:, :, :-1]
+    tile, row, col = np.nonzero(first)
+    x0, y0, exponent = index._tile_grid.tolist()
+    # Each tile's (row, column) in the directory, in order of position.
+    tile_y, tile_x = np.divmod(np.flatnonzero(index._tiles >= 0), index._tiles.shape[1])
+    side = 2.0**exponent
+    lats = (_TILE * (y0 + tile_y[tile]) + row + 0.5) * side
+    lons = (_TILE * (x0 + tile_x[tile]) + col + 0.5) * side
+    answers = _exact_ranks(lats, lons, index)
+    table = np.full(free.shape, -1, dtype=np.int32)
+    table[free] = answers[np.cumsum(first)[free.reshape(-1)] - 1]
+    return table
 
 
-def _marked_sub_cells(
-    index: TractIndex, x0: int, y0: int, exponent: int, rows: int, cols: int
-) -> np.ndarray:
-    """Per sub-cell of the frame, as a (rows, cols) bool array: whether the
-    box of a ring edge, widened by _MARGIN of a sub-cell, touches it. So
-    does the outline of a polygon's bounding box where the box does not hold
-    its outer ring: such a box cuts the polygon, and answers change along
-    its sides. The first and last columns are marked too."""
+def _marked_sub_cells(index: TractIndex) -> np.ndarray:
+    """Per sub-cell of each tile, as a (tiles, _TILE, _TILE) bool array:
+    whether the box of a ring edge, widened by _MARGIN of a sub-cell, touches
+    it. So does the outline of a polygon's bounding box where the box does
+    not hold its outer ring: such a box cuts the polygon, and answers change
+    along its sides."""
     xy, bbox = index._xy, index._bbox
     starts, outer = index._ring_offsets[:-1], index._poly_rings[:-1]
     loose = ~(
@@ -421,37 +389,46 @@ def _marked_sub_cells(
     west, south, east, north = bbox[loose].T
     outlines = np.stack((west, south, east, south, east, north, west, north, west, south), 1)
     points = np.concatenate((xy, outlines.reshape(-1, 2)))
-    # The sub-cells of each point, less and plus the margin, clipped to the
-    # frame: the map from a coordinate to them is monotone, so an edge's box
-    # spans the sub-cells from the lesser of its ends' first to the greater
-    # of their last. start is a first sub-cell, stop one past a last.
-    margin = np.ldexp(_MARGIN, exponent)
-    scale = np.ldexp(1.0, -exponent)
+    # The sub-cells of each point, less and plus the margin, from the frame's
+    # first, clipped to the frame: the map from a coordinate to them is
+    # monotone, so an edge's box spans the sub-cells from the lesser of its
+    # ends' first (start) to the greater of their last (one before stop).
+    x0, y0, exponent = index._tile_grid.tolist()
+    rows, cols = index._tiles.shape
+    margin = _MARGIN * 2.0**exponent
+    scale = 2.0**-exponent
     span = []
     for v, origin, size in ((points[:, 0], x0, cols), (points[:, 1], y0, rows)):
-        start = np.clip(np.floor((v - margin) * scale) - origin, 0, size).astype(np.intp)
-        stop = np.clip(np.floor((v + margin) * scale) - (origin - 1), 0, size).astype(np.intp)
+        origin, size = _TILE * origin, _TILE * size
+        start = np.clip(np.floor((v - margin) * scale) - origin, 0, size).astype(np.int64)
+        stop = np.clip(np.floor((v + margin) * scale) - (origin - 1), 0, size).astype(np.int64)
         span.append((np.minimum(start[:-1], start[1:]), np.maximum(stop[:-1], stop[1:])))
     (c1, c2), (r1, r2) = span
     # The step from one ring's closing point to the next ring's first is no
     # edge: its box is made empty. A box beyond the frame is empty already.
     gaps = np.concatenate((starts[1:], len(xy) + 5 * np.arange(loose.sum()))) - 1
     c2[gaps] = c1[gaps]
-    # A 2-D difference array: +1 at each box's (start, start) and (stop,
-    # stop) corners, -1 at the other two, then a running sum along each axis
-    # counts the boxes over each sub-cell.
-    width = cols + 1
-    length = (rows + 1) * width
-    r1 *= width
-    r2 *= width
-    count = np.bincount(np.concatenate((r1 + c1, r2 + c2)), minlength=length)
-    count -= np.bincount(np.concatenate((r1 + c2, r2 + c1)), minlength=length)
-    count = count.reshape(rows + 1, width)
+    # Each box's pieces, one per tile it touches (an empty box adds nothing
+    # below), as sub-cells [x1, x2) by [y1, y2) of the tile; a piece in a
+    # tile that no bounding box reaches marks nothing.
+    box, tile_x, tile_y = _box_cells(c1 // _TILE, r1 // _TILE, (c2 - 1) // _TILE, (r2 - 1) // _TILE)
+    tile = index._tiles[tile_y, tile_x].astype(np.int64)
+    held = tile >= 0
+    tile, box, tile_x, tile_y = tile[held], box[held], _TILE * tile_x[held], _TILE * tile_y[held]
+    x1, x2 = np.clip(c1[box] - tile_x, 0, _TILE), np.clip(c2[box] - tile_x, 0, _TILE)
+    y1, y2 = np.clip(r1[box] - tile_y, 0, _TILE), np.clip(r2[box] - tile_y, 0, _TILE)
+    # A 2-D difference array per tile: +1 at each piece's (y1, x1) and (y2,
+    # x2) corners, -1 at the other two, then a running sum along each axis
+    # counts the pieces over each sub-cell.
+    width = _TILE + 1
+    y1, y2 = (tile * width + y1) * width, (tile * width + y2) * width
+    length = (len(index._tile_offsets) - 1) * width**2
+    count = np.bincount(np.concatenate((y1 + x1, y2 + x2)), minlength=length)
+    count -= np.bincount(np.concatenate((y1 + x2, y2 + x1)), minlength=length)
+    count = count.reshape(-1, width, width)
+    np.cumsum(count, axis=2, out=count)
     np.cumsum(count, axis=1, out=count)
-    np.cumsum(count, axis=0, out=count)
-    marked = count[:rows, :cols] > 0
-    marked[:, [0, -1]] = True
-    return marked
+    return count[:, :_TILE, :_TILE] > 0
 
 
 def _build_ring(raw, feature_index: int) -> Ring:
@@ -519,12 +496,7 @@ def _object_member(feature: dict, key: str, feature_index: int) -> dict:
     return value
 
 
-def load_boundaries(
-    path: str | Path,
-    cell_size: float = DEFAULT_CELL_SIZE,
-    *,
-    cache_dir: str | Path | None = None,
-) -> TractIndex:
+def load_boundaries(path: str | Path, *, cache_dir: str | Path | None = None) -> TractIndex:
     """Load a GeoJSON FeatureCollection of tract boundaries into a TractIndex.
 
     Each feature must carry a GEOID property (fallback: geoid) with the
@@ -535,25 +507,24 @@ def load_boundaries(
     SchemaError or GeometryError naming its index in ``features``.
 
     With ``cache_dir``, the compiled index of a file that loaded cleanly is
-    kept there, and a later load of the same bytes, at any cell size, reads
-    it instead of decoding the JSON. A cache file that is missing,
+    kept there, whole, and a later load of the same bytes reads it instead
+    of decoding the JSON or building any part of the index. A cache file that is missing,
     unreadable or not written for these bytes is a miss (and is replaced);
     a directory that cannot be written is left alone. Either way the result
     and the errors are those of a load without the cache.
     """
     try:
         return content_cache.load(
-            path, cache_dir, f"tract-index-v{_CACHE_VERSION}",
-            lambda data: _parse_boundaries(data, cell_size), _encode,
-            lambda header, body: _decode(header, body, cell_size), align=8,
+            path, cache_dir, f"tract-index-v{_CACHE_VERSION}", _parse_boundaries, _encode,
+            _decode, align=8,
         )
     except OSError as exc:
         raise ParseError(f"cannot read boundary file {path}: {exc}") from exc
 
 
-def _parse_boundaries(data: bytes, cell_size: float) -> TractIndex:
+def _parse_boundaries(data: bytes) -> TractIndex:
     # The decoded document is freed before the index (and its bands) is built.
-    return TractIndex(_parse_polygons(data), cell_size=cell_size)
+    return TractIndex(_parse_polygons(data))
 
 
 def _parse_polygons(data: bytes) -> list[TractPolygon]:
@@ -614,9 +585,9 @@ def _parse_polygons(data: bytes) -> list[TractPolygon]:
     return polygons
 
 
-def _decode(header: dict, body: memoryview, cell_size: float) -> TractIndex:
+def _decode(header: dict, body: memoryview) -> TractIndex:
     """The index over a cache file's parts; raises (a miss) unless they are
-    well-formed and their grid builds."""
+    well-formed."""
     geoids = header["geoids"]
     parts, offset = {}, 0
     for name in _PART_NAMES:
@@ -626,11 +597,12 @@ def _decode(header: dict, body: memoryview, cell_size: float) -> TractIndex:
         offset += part.nbytes
     if offset != len(body) or not _well_formed(geoids, **parts):
         raise ValueError("parts are not those of a compiled index")
-    return TractIndex._from_parts(parts, geoids, cell_size)
+    return TractIndex._from_parts(parts, geoids)
 
 
 def _well_formed(
-    geoids, xy, ring_offsets, poly_rings, bbox, rank, band_offsets, band_edges, table_grid, table
+    geoids, xy, ring_offsets, poly_rings, bbox, rank, band_offsets, band_edges,
+    tile_grid, tile_offsets, tile_polys, tiles, table,
 ) -> bool:
     """Whether cached parts have the types, dtypes, shapes and offsets of a
     compiled index, so that no lookup can fall out of range (an index error
@@ -638,7 +610,8 @@ def _well_formed(
     if not (
         all(
             a.dtype == np.int64 and a.ndim == 1
-            for a in (ring_offsets, poly_rings, rank, band_offsets, band_edges)
+            for a in (ring_offsets, poly_rings, rank, band_offsets, band_edges,
+                      tile_offsets, tile_polys)
         )
         and xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
         and bbox.dtype == np.float64 and bbox.shape == (len(rank), 4)
@@ -672,16 +645,26 @@ def _well_formed(
         (np.diff(entries) >= np.diff(ring_offsets) - 1).all()
         and (np.minimum.reduceat(band_edges, entries[:-1]) >= ring_offsets[:-1]).all()
         and (np.maximum.reduceat(band_edges, entries[:-1]) < ring_offsets[1:] - 1).all()
-        and table_grid.dtype == np.int64 and table_grid.shape == (3,)
-        and table.dtype == np.int32 and table.ndim == 2
+        and tile_grid.dtype == np.int64 and tile_grid.shape == (3,)
+        and tiles.dtype == np.int32 and tiles.ndim == 2
+        and table.dtype == np.int32 and table.shape == (len(tile_offsets) - 1, _TILE, _TILE)
     ):
         return False
-    # The table's frame is the one its exponent gives over the boxes, and each
-    # entry is -1, a rank, or len(geoids) for "no tract".
-    x0, y0, exponent = table_grid.tolist()
+    # Raises (a miss) unless the boxes are lon/lat degrees, as does a
+    # directory value below -1; listed counts each value + 1.
+    x0, y0, exponent = tile_grid.tolist()
+    *frame, fits = _tile_frame(bbox, exponent)
+    listed = np.bincount(tiles.reshape(-1) + 1, minlength=len(table) + 1)
+    # The tiles are those of the finest exponent within the budget (or the
+    # coarsest), each listed once; every listed polygon exists; each entry
+    # is -1, a rank, or len(geoids) for "no tract".
     return bool(
-        exponent in _TABLE_EXPONENTS
-        and _table_frames(bbox)[exponent - _TABLE_EXPONENTS[0]].tolist() == [x0, y0, *table.shape]
+        exponent in _TABLE_EXPONENTS and frame == [x0, y0, *tiles.shape]
+        and (fits or exponent == _TABLE_EXPONENTS[-1])
+        and (exponent == _TABLE_EXPONENTS[0] or not _tile_frame(bbox, exponent - 1)[-1])
+        and len(listed) == len(table) + 1 and (listed[1:] == 1).all()
+        and runs(tile_offsets, len(tile_polys), 0)
+        and tile_polys.min(initial=0) >= 0 and tile_polys.max(initial=-1) < len(rank)
         and table.min(initial=-1) >= -1 and table.max(initial=-1) <= len(geoids)
     )
 
@@ -799,26 +782,13 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _pairs(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> tuple[np.ndarray, np.ndarray]:
     """(point, polygon) pairs, as a column of point indices and a column of
     polygon positions, whose polygon's bounding box holds the point: each
-    point with the polygons its grid cell lists, and with every oversize
-    polygon. A superset of the (point, container) pairs."""
-    x0, y0, x1, y1 = index._grid.tolist()
-    cell_x = np.floor(lons / index.cell_size)
-    cell_y = np.floor(lats / index.cell_size)
-    # NaN compares false, so non-finite points fall outside the grid.
-    points = np.flatnonzero((x0 <= cell_x) & (cell_x <= x1) & (y0 <= cell_y) & (cell_y <= y1))
-    keys = (cell_x[points] - x0).astype(np.int64) * (y1 - y0 + 1) + (
-        cell_y[points] - y0
-    ).astype(np.int64)
-    cells = np.searchsorted(index._cell_keys, keys)
-    listed = index._cell_keys[np.minimum(cells, len(index._cell_keys) - 1)] == keys
-    points, cells = points[listed], cells[listed]
-    first = index._cell_offsets[cells]
-    counts = index._cell_offsets[cells + 1] - first
-    points, polys = np.repeat(points, counts), index._cell_polys[_runs(first, counts)]
-    if len(index._oversize):
-        everyone = np.tile(np.arange(len(lats)), len(index._oversize))
-        points = np.concatenate((points, everyone))
-        polys = np.concatenate((polys, np.repeat(index._oversize, len(lats))))
+    point with the polygons its tile lists. A superset of the (point,
+    container) pairs."""
+    tile, _ = _locate(lats, lons, index)
+    points = np.flatnonzero(tile >= 0)
+    first = index._tile_offsets[tile[points]]
+    counts = index._tile_offsets[tile[points] + 1] - first
+    points, polys = np.repeat(points, counts), index._tile_polys[_runs(first, counts)]
     # The bounding-box test, lon then lat, on the pairs left.
     min_lon, min_lat, max_lon, max_lat = index._bbox.T
     for low, high, coords in ((min_lon, max_lon, lons), (min_lat, max_lat, lats)):
@@ -894,26 +864,38 @@ def assign_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.nd
     return ranks
 
 
-def _table_entries(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
-    """Per point, as an int64 array, its entry in the answer table: -1 for a
-    point off the table or with a NaN coordinate."""
-    table = index._table.reshape(-1)
-    if not len(table):
-        return np.full(len(lats), -1, dtype=np.int64)
-    x0, y0, exponent = index._table_grid.tolist()
-    rows, cols = index._table.shape
-    scale = np.ldexp(1.0, -exponent)
+def _locate(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, as integer arrays, the position of its tile (-1 for a point
+    in no tile or with a NaN coordinate, which lies in no bounding box) and
+    its sub-cell in the tile, row * _TILE + column (0 where it has no tile)."""
+    x0, y0, exponent = index._tile_grid.tolist()
+    rows, cols = index._tiles.shape
+    bits = _TILE.bit_length() - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        col = np.floor(lons * scale) - x0
-        row = np.floor(lats * scale) - y0
-        # NaN compares false, so it is off the table.
-        on = (0 <= col) & (col < cols) & (0 <= row) & (row < rows)
-        keys = np.where(on, row * cols + col, 0.0).astype(np.intp)
-    return np.where(on, table[keys], -1).astype(np.int64)
+        # Sub-cell numbers from the frame's first: exact integers.
+        x = np.floor(lons * 2.0**-exponent) - _TILE * x0
+        y = np.floor(lats * 2.0**-exponent) - _TILE * y0
+        # NaN compares false, so it is in no tile.
+        on = (0 <= x) & (x < _TILE * cols) & (0 <= y) & (y < _TILE * rows)
+        x = np.where(on, x, 0.0).astype(np.intp)
+        y = np.where(on, y, 0.0).astype(np.intp)
+    tile = np.where(on, index._tiles.reshape(-1)[(y >> bits) * cols + (x >> bits)], -1)
+    return tile, (y & (_TILE - 1)) << bits | (x & (_TILE - 1))
+
+
+def _table_entries(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
+    """Per point, as an int64 array, its entry in the answer table: "no
+    tract", len(geoids), for a point in no tile or with a NaN coordinate."""
+    tile, cell = _locate(lats, lons, index)
+    no_tract = len(index._geoid_table) - 1
+    if not len(index._table):  # no tile holds any point
+        return np.full(len(lats), no_tract, dtype=np.int64)
+    entries = index._table.reshape(-1)[np.maximum(tile, 0) * _TILE**2 + cell]
+    return np.where(tile >= 0, entries, no_tract).astype(np.int64)
 
 
 def _exact_ranks(lats: np.ndarray, lons: np.ndarray, index: TractIndex) -> np.ndarray:
-    """assign_ranks by the ring test alone: grid pairs, then _contains."""
+    """assign_ranks by the ring test alone: tile pairs, then _contains."""
     ranks = np.full(len(lats), len(index._geoid_table) - 1, dtype=np.int64)
     for s in range(0, len(lats), _POINT_CHUNK):
         chunk = slice(s, s + _POINT_CHUNK)
@@ -934,11 +916,11 @@ def assign_tracts(
     shared by several tracts, and a point with a non-finite coordinate lies in
     no tract. Each point whose answer-table entry is not -1 takes it; the
     others are tested as columns, _POINT_CHUNK at a time, not polygon by
-    polygon: each point pairs with the polygons its grid cell
-    lists (and every oversize polygon) whose bounding box holds it, each
-    pair expands to one row per ring, each row is tested against the edges
-    of the ring's band that holds the point's latitude, a block of rows at
-    a time, and each point keeps its container with the smallest GEOID.
+    polygon: each point pairs with the polygons its tile lists whose
+    bounding box holds it, each pair expands to one row per ring, each row
+    is tested against the edges of the ring's band that holds the point's
+    latitude, a block of rows at a time, and each point keeps its container
+    with the smallest GEOID.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)

@@ -149,6 +149,28 @@ def five_tract_features() -> list[dict]:
     return features
 
 
+def multi_city_features() -> list[dict]:
+    """Four clusters of 3 x 3 tracts an eighth of a degree square, degrees
+    apart, as a boundary file for several cities holds them, and one large
+    tract over the first two clusters. Its GEOID lies between theirs, so the
+    first cluster's tracts win their overlaps with it and it wins the
+    second's."""
+    corners = [(-100.0, 30.0), (-99.5, 30.0), (-95.0, 35.0), (-104.0, 38.0)]
+    features = [
+        square_feature(f"5303301{c}0{i}{j}", west + i / 8, south + j / 8, size=1 / 8)
+        for c, (west, south) in enumerate(corners, start=1)
+        for i in range(3)
+        for j in range(3)
+    ]
+    big = [[-100.125, 29.875], [-99.0, 29.875], [-99.0, 30.5], [-100.125, 30.5], [-100.125, 29.875]]
+    features.append({
+        "type": "Feature",
+        "properties": {"GEOID": "53033011500"},
+        "geometry": {"type": "Polygon", "coordinates": [big]},
+    })
+    return features
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_criterion_5_geocoding_oracle(tmp_path):
             assert point_in_polygon(lat, lon, poly) == winding_number_inside(
                 lon, lat, poly.rings
             ), (lon, lat)
-    print("ACCEPTANCE 5 PASS - grid assignment matches exhaustive and winding oracles")
+    print("ACCEPTANCE 5 PASS - tiled assignment matches exhaustive and winding oracles")
 
 
 def test_criterion_6_zero_county_filter_property():

@@ -1,5 +1,5 @@
-"""The boundary cache: a cached index equals a fresh parse array by array
-at any cell size, and no cache file (bad, foreign, old, unwritable or
+"""The boundary cache: a cached index equals a fresh parse array by array,
+a hit builds nothing, and no cache file (bad, foreign, old, unwritable or
 missing) changes what load_boundaries or analyze return."""
 
 import json
@@ -18,15 +18,14 @@ from bikeshare_equity.content_cache import content_key
 from bikeshare_equity.geo import assign_tracts, load_boundaries
 from helpers import build_synthetic_city, square_feature, write_feature_collection
 from test_cli import analyze_argv
-from test_geo import SHAPE_SETS, assert_batch_matches_scan, boundary_probes, densify
+from test_geo import SHAPE_SETS, assert_batch_matches_scan, at_side, boundary_probes, densify
 
 OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
-GRID_NAMES = ("cell_keys", "cell_offsets", "cell_polys", "oversize", "grid")
 
 
 def index_arrays(index):
     """(name, array) for every array the index holds or derives."""
-    arrays = [(name, getattr(index, "_" + name)) for name in geo._PART_NAMES + GRID_NAMES]
+    arrays = [(name, getattr(index, "_" + name)) for name in geo._PART_NAMES]
     return arrays + list(zip(("band_first", "band_ylo", "band_height"), index._band_grid))
 
 
@@ -35,7 +34,6 @@ def assert_same_index(cached, fresh):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
         assert got.flags.aligned, name
-    assert cached.cell_size == fresh.cell_size
     assert cached.geoids() == fresh.geoids()
     assert all(type(geoid) is str for geoid in cached.geoids())
     assert len(cached.polygons) == len(fresh.polygons)
@@ -50,21 +48,27 @@ def assert_same_index(cached, fresh):
             assert np.array_equal(ring, expected)
 
 
-def load_hit(path, cache_dir, monkeypatch, **kwargs):
-    """load_boundaries from the cache, failing if it decodes the file."""
+BUILDERS = ("_parse_boundaries", "_edge_bands", "_tile_parts", "_answer_table", "_marked_sub_cells")
+
+
+def load_hit(path, cache_dir, monkeypatch):
+    """load_boundaries from the cache, failing if it decodes the file or
+    builds any part of the index."""
     with monkeypatch.context() as patch:
-        patch.setattr(geo, "_parse_boundaries", pytest.fail)
-        return load_boundaries(path, cache_dir=cache_dir, **kwargs)
+        for name in BUILDERS:
+            patch.setattr(geo, name, pytest.fail)
+        return load_boundaries(path, cache_dir=cache_dir)
 
 
-@pytest.mark.parametrize("cell_size", [0.05, 5.0])
+@pytest.mark.parametrize("side", [0.05, 5.0])
 @pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
-def test_cached_index_equals_fresh_parse(tmp_path, monkeypatch, shapes, cell_size):
+def test_cached_index_equals_fresh_parse(tmp_path, monkeypatch, shapes, side):
+    at_side(monkeypatch, side)
     path = write_feature_collection(tmp_path / "tracts.geojson", SHAPE_SETS[shapes]())
-    fresh = load_boundaries(path, cell_size)
-    missed = load_boundaries(path, cell_size, cache_dir=tmp_path / "cache")
+    fresh = load_boundaries(path)
+    missed = load_boundaries(path, cache_dir=tmp_path / "cache")
     assert_same_index(missed, fresh)
-    cached = load_hit(path, tmp_path / "cache", monkeypatch, cell_size=cell_size)
+    cached = load_hit(path, tmp_path / "cache", monkeypatch)
     assert_same_index(cached, fresh)
     probes = boundary_probes(fresh)
     assert assert_batch_matches_scan(cached, probes) == assert_batch_matches_scan(fresh, probes)
@@ -85,14 +89,11 @@ def test_cached_index_equals_fresh_parse_on_dense_city(tmp_path, monkeypatch):
     assert assign_tracts(lats, lons, cached) == assign_tracts(lats, lons, fresh)
 
 
-def test_one_file_serves_every_cell_size(tmp_path, monkeypatch):
+def test_one_file_per_boundary_content(tmp_path, monkeypatch):
     path = write_feature_collection(tmp_path / "a.geojson", SHAPE_SETS["five_tracts"]())
     cache = tmp_path / "cache"
-    missed = load_boundaries(path, 0.05, cache_dir=cache)
-    assert_same_index(missed, load_boundaries(path, 0.05))
-    # The second cell size reads the first one's file: a hit, no new file.
-    cached = load_hit(path, cache, monkeypatch, cell_size=0.3)
-    assert_same_index(cached, load_boundaries(path, 0.3))
+    missed = load_boundaries(path, cache_dir=cache)
+    assert_same_index(missed, load_boundaries(path))
     assert_same_index(load_hit(path, cache, monkeypatch), missed)
     (cache_file,) = cache.iterdir()
     assert cache_file.name == content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes())
@@ -104,6 +105,14 @@ def test_one_file_serves_every_cell_size(tmp_path, monkeypatch):
     path.write_text(path.read_text().replace("53033000100", "53033000109"))
     assert "53033000109" in load_boundaries(path, cache_dir=cache).geoids()
     assert len(list(cache.iterdir())) == 2
+
+
+def test_empty_boundary_file_is_a_hit(tmp_path, monkeypatch):
+    path = write_feature_collection(tmp_path / "empty.geojson", [])
+    missed = load_boundaries(path, cache_dir=tmp_path / "cache")
+    cached = load_hit(path, tmp_path / "cache", monkeypatch)
+    assert_same_index(cached, missed)
+    assert assign_tracts([0.5, float("nan")], [0.5, 0.5], cached) == [None, None]
 
 
 def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch):
@@ -239,6 +248,15 @@ def table_entry_past_no_tract(header, parts):
     parts["table"] = with_first(parts["table"], len(header["geoids"]) + 1)
 
 
+def set_directory(value):
+    """The directory's first held tile points at value (given the number of
+    tiles) in place of its own position."""
+    def edit(header, parts):
+        parts["tiles"] = parts["tiles"].copy()
+        parts["tiles"].flat[np.argmax(parts["tiles"] >= 0)] = value(len(parts["table"]))
+    return lambda path: rewrite(path, edit)
+
+
 def flip_a_data_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -276,12 +294,25 @@ SPOILERS = {
     "table entry below -1": set_part("table", lambda a: with_first(a, -2)),
     "table entry past no tract": lambda p: rewrite(p, table_entry_past_no_tract),
     "table wrong dtype": set_part("table", lambda a: a.astype(np.int64)),
-    "table wrong shape": set_part("table", lambda a: a[:, :-1]),
+    "table wrong shape": set_part("table", lambda a: a[:, :, :-1]),
+    "table short of the tiles": set_part("table", lambda a: a[:-1]),
     "table transposed": set_part("table", lambda a: a.T.copy()),
-    "table not 2-D": set_part("table", lambda a: a.reshape(-1)),
-    "table moved": set_part("table_grid", lambda a: a + [1, 0, 0]),
-    "table side out of range": set_part("table_grid", lambda a: a + [0, 0, 64]),
-    "table grid wrong dtype": set_part("table_grid", lambda a: a.astype(np.int32)),
+    "table not 3-D": set_part("table", lambda a: a.reshape(-1)),
+    "table moved": set_part("tile_grid", lambda a: a + [1, 0, 0]),
+    "table side out of range": set_part("tile_grid", lambda a: a + [0, 0, 64]),
+    "table side coarser": set_part("tile_grid", lambda a: a + [0, 0, 1]),
+    "table grid wrong dtype": set_part("tile_grid", lambda a: a.astype(np.int32)),
+    "directory value -2": set_directory(lambda n_tiles: -2),
+    "directory value past the tiles": set_directory(lambda n_tiles: n_tiles),
+    "directory lists a tile twice": set_directory(lambda n_tiles: n_tiles - 1),
+    "directory drops a tile": set_directory(lambda n_tiles: -1),
+    "directory cut short": set_part("tiles", lambda a: a[:, :-1]),
+    "directory wrong dtype": set_part("tiles", lambda a: a.astype(np.int64)),
+    "tile offsets decreasing": set_part("tile_offsets", lambda a: a[[0, 2, 1, *range(3, len(a))]]),
+    "tile offsets short of the lists": set_part("tile_offsets", lambda a: a[:-1]),
+    "tile polygon out of range": set_part("tile_polys", lambda a: with_first(a, 10**6)),
+    "tile polygon negative": set_part("tile_polys", lambda a: with_first(a, -1)),
+    "tile polygons wrong dtype": set_part("tile_polys", lambda a: a.astype(np.int32)),
     "body shorter than its shapes": set_body("rank", lambda a: a[:-1]),
     "body longer than its shapes": set_body("rank", lambda a: np.append(a, 0)),
     "GEOIDs not sorted": edit_header(lambda h: h["geoids"].reverse()),
@@ -323,13 +354,16 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
 
 def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
     """Files under earlier versions' names (0; 2, the layout before the edge
-    bands; 3, the layout before the answer table) stay in cache/ unread, and
-    a current file is written."""
-    for version in (0, 2, 3):
+    bands; 3, the layout before the answer table; 4, the layout before its
+    tiles) are never read; the current file is written, and they are
+    deleted."""
+    # Newest first: each write deletes the versions below its own.
+    for version in (4, 3, 2, 0):
         monkeypatch.setattr(geo, "_CACHE_VERSION", version)
         expected = analyze(city, tmp_path / f"v{version}")
         monkeypatch.undo()
     old = cache_files(city)
+    assert len(old) == 4
     (v2,) = [path for path in old if "-v2-" in path.name]
     (v3,) = [path for path in old if "-v3-" in path.name]
 
@@ -339,8 +373,9 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
                 del header[name], parts[name]
         return edit
 
-    rewrite(v3, drop("table_grid", "table"))
-    rewrite(v2, drop("band_offsets", "band_edges", "table_grid", "table"))
+    tiles = ("tile_grid", "tile_offsets", "tile_polys", "tiles", "table")
+    rewrite(v3, drop(*tiles))
+    rewrite(v2, drop("band_offsets", "band_edges", *tiles))
     read = content_cache.read_entry
 
     def read_current(path, key, decode):
@@ -349,12 +384,15 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
 
     monkeypatch.setattr(content_cache, "read_entry", read_current)
     assert analyze(city, tmp_path / "current") == expected
-    assert len(cache_files(city)) == 4
+    assert [path.name for path in cache_files(city)] == [
+        content_key(f"tract-index-v{geo._CACHE_VERSION}", city["boundaries"].read_bytes())
+    ]
 
 
 def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch):
     """A tract-index-v1-cell<size>-<sha256>.npz file, as the first layout
-    named it, stays in cache/ unread, and a current file is written."""
+    named it, is never read; the current file is written, and it is
+    deleted."""
     data = city["boundaries"].read_bytes()
     npz = city["store"] / "cache" / (content_key("tract-index-v1-cell0.05", data) + ".npz")
     npz.parent.mkdir()
@@ -366,13 +404,12 @@ def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch)
     )
     expected = analyze(city, tmp_path / "first")
     current = city["store"] / "cache" / content_key(f"tract-index-v{geo._CACHE_VERSION}", data)
-    assert cache_files(city) == sorted([npz, current])
+    assert cache_files(city) == [current]
     with monkeypatch.context() as patch:
         patch.setattr(geo, "_parse_boundaries", pytest.fail)
         assert analyze(city, tmp_path / "second") == expected
     # analyze reads the snapshot cache through the same function.
     assert [path for path in reads if path.name.startswith("tract-index-")] == [current, current]
-    assert npz.read_bytes() == b"PK\x03\x04 an old zip archive"
 
 
 def test_failed_boundary_load_writes_no_cache(tmp_path, city, capsys):

@@ -3,6 +3,7 @@ as written, and every fault in the file reads as None (a miss); and the one
 cached-load protocol, load, on top of it."""
 
 import json
+import os
 import sys
 import zlib
 from array import array
@@ -230,3 +231,91 @@ def test_load_of_an_unreadable_input_raises_oserror(tmp_path, cached, make):
         load_words(path, tmp_path / "cache" if cached else None, parse=pytest.fail)
     assert not (tmp_path / "cache").exists()
 
+
+
+# ---------------------------------------------------------------------------
+# A write deletes the files of the same cache's earlier versions
+# ---------------------------------------------------------------------------
+
+
+def load_words_at(version, path, cache_dir, parse=parse_words):
+    return load(path, cache_dir, f"words-v{version}", parse, encode_words, decode_words)
+
+
+def test_load_miss_deletes_older_versions_only(tmp_path, words):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    keep = [
+        content_key("words-v3", b"other bytes"),  # the current version
+        content_key("words-v4", b"a,b,c"),  # a later version
+        content_key("wordsmith-v1", b"a,b,c"),  # another cache
+        content_key("other-v1", b"a,b,c"),
+        "words-v2",  # no version and content
+        "words-vx-1",
+        ".words-v1-abc.tmp",
+        "notes.txt",
+    ]
+    old = ["words-v0-" + "ab" * 32, content_key("words-v2", b"a,b,c"), "words-v1-cell0.05-ab.npz"]
+    for name in keep + old:
+        (cache / name).write_bytes(b"x")
+    (cache / "words-v1-dir").mkdir()  # not a file: left
+    assert load_words_at(3, words, cache) == ["a", "b", "c"]
+    current = content_key("words-v3", b"a,b,c")
+    assert sorted(p.name for p in cache.iterdir()) == sorted([*keep, "words-v1-dir", current])
+    # A hit writes nothing, so it deletes nothing either.
+    (cache / old[0]).write_bytes(b"x")
+    assert load_words_at(3, words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert (cache / old[0]).exists()
+
+
+def test_failed_deletes_never_fail_a_load(tmp_path, words, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / content_key("words-v1", b"a,b,c")
+    old.write_bytes(b"x")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only")
+
+    for name in ("unlink", "scandir"):
+        with monkeypatch.context() as patch:
+            patch.setattr(content_cache.os, name, refuse)
+            assert load_words_at(2, words, cache) == ["a", "b", "c"]
+        assert old.exists()
+        (cache / content_key("words-v2", b"a,b,c")).unlink()
+
+
+def test_read_only_directory_still_loads(tmp_path, words):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / content_key("words-v1", b"a,b,c")
+    old.write_bytes(b"x")
+    cache.chmod(0o555)
+    try:
+        if os.access(cache, os.W_OK):
+            pytest.skip("this user writes to a read-only directory (the superuser does)")
+        assert load_words_at(2, words, cache) == ["a", "b", "c"]
+        assert [p.name for p in cache.iterdir()] == [old.name]
+    finally:
+        cache.chmod(0o755)
+
+
+def test_reader_whose_file_is_deleted_misses(tmp_path, words, monkeypatch):
+    """A reader of version 1 whose file a version-2 load deletes between its
+    hash and its read gets a miss: a parse, never a wrong answer."""
+    cache = tmp_path / "cache"
+    load_words_at(1, words, cache)
+    read = content_cache.read_entry
+
+    def newer_load_first(path, key, decode):
+        monkeypatch.setattr(content_cache, "read_entry", read)
+        assert load_words_at(2, words, cache) == ["a", "b", "c"]
+        assert not path.exists()
+        return read(path, key, decode)
+
+    monkeypatch.setattr(content_cache, "read_entry", newer_load_first)
+    parses = []
+    assert load_words_at(1, words, cache, lambda data: parses.append(1) or parse_words(data)) == [
+        "a", "b", "c"
+    ]
+    assert parses == [1]

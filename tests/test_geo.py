@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import timeit
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from bikeshare_equity.join_aggregate import count_by_tract
 from helpers import (
     build_synthetic_city,
     five_tract_features,
+    multi_city_features,
     observation,
     square_feature,
     winding_number_inside,
@@ -35,6 +37,13 @@ from helpers import (
 def load_fixture(tmp_path, features, **kwargs):
     path = write_feature_collection(tmp_path / "tracts.geojson", features)
     return load_boundaries(path, **kwargs)
+
+
+def at_side(monkeypatch, degrees):
+    """Give every index built after this the sub-cell side 2**e, the largest
+    power of two at most this many degrees, whatever the budget."""
+    exponent = math.floor(math.log2(degrees))
+    monkeypatch.setattr(geo, "_TABLE_EXPONENTS", range(exponent, exponent + 1))
 
 
 def poly_from(tmp_path, feature):
@@ -271,7 +280,7 @@ def test_assign_shared_boundary_prefers_smallest_geoid(tmp_path):
 
 
 def test_grid_matches_exhaustive_scan(tmp_path):
-    index = load_fixture(tmp_path, five_tract_features(), cell_size=0.05)
+    index = load_fixture(tmp_path, five_tract_features())
     rng = np.random.default_rng(42)
     disagreements = 0
     for _ in range(1000):
@@ -303,15 +312,19 @@ def assert_pairs_cover_containers(index, probes):
 
 
 def test_candidates_are_superset_of_containers(tmp_path):
-    index = load_fixture(tmp_path, five_tract_features(), cell_size=0.3)
+    index = load_fixture(tmp_path, five_tract_features())
     rng = np.random.default_rng(3)
     probes = [(float(rng.uniform(-1.0, 9.0)), float(rng.uniform(-1.0, 5.0))) for _ in range(300)]
     assert_pairs_cover_containers(index, probes)
 
 
-def test_index_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        TractIndex([], cell_size=0.0)
+@pytest.mark.parametrize(
+    "box", [(0.0, 0.0, 181.0, 1.0), (0.0, -91.0, 1.0, 1.0), (float("nan"), 0.0, 1.0, 1.0)]
+)
+def test_index_rejects_boxes_beyond_lon_lat_degrees(box):
+    ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="lon"):
+        TractIndex([TractPolygon("53033000101", "53033", (ring,), BoundingBox(*box))])
 
 
 def test_load_boundaries_rejects_non_geojson(tmp_path):
@@ -404,10 +417,11 @@ def assert_batch_matches_scan(index, probes):
     return expected
 
 
-@pytest.mark.parametrize("cell_size", [0.05, 0.3, 5.0])
+@pytest.mark.parametrize("side", [0.05, 0.3, 5.0])
 @pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
-def test_batch_matches_scan_on_boundary_probes(tmp_path, shapes, cell_size):
-    index = load_fixture(tmp_path, SHAPE_SETS[shapes](), cell_size=cell_size)
+def test_batch_matches_scan_on_boundary_probes(tmp_path, monkeypatch, shapes, side):
+    at_side(monkeypatch, side)
+    index = load_fixture(tmp_path, SHAPE_SETS[shapes]())
     probes = boundary_probes(index)
     expected = assert_batch_matches_scan(index, probes)
     # The probes exercise every outcome: inside, on an edge and outside.
@@ -436,7 +450,7 @@ def test_batch_boundary_special_cases(tmp_path):
     assert_batch_matches_scan(index, probes)
 
 
-@pytest.mark.parametrize("cell_size", [0.05, 0.3, 5.0])
+@pytest.mark.parametrize("side", [0.05, 0.3, 5.0])
 @pytest.mark.parametrize(
     "shapes, lon_range, lat_range",
     [
@@ -446,8 +460,11 @@ def test_batch_boundary_special_cases(tmp_path):
         ("multipolygon_city", (9.0, 25.0), (9.0, 25.0)),
     ],
 )
-def test_batch_matches_scan_on_random_points(tmp_path, shapes, lon_range, lat_range, cell_size):
-    index = load_fixture(tmp_path, SHAPE_SETS[shapes](), cell_size=cell_size)
+def test_batch_matches_scan_on_random_points(
+    tmp_path, monkeypatch, shapes, lon_range, lat_range, side
+):
+    at_side(monkeypatch, side)
+    index = load_fixture(tmp_path, SHAPE_SETS[shapes]())
     rng = np.random.default_rng(2024)
     probes = list(
         zip(rng.uniform(*lon_range, size=1000).tolist(), rng.uniform(*lat_range, size=1000).tolist())
@@ -458,7 +475,7 @@ def test_batch_matches_scan_on_random_points(tmp_path, shapes, lon_range, lat_ra
 def test_batch_matches_scan_when_blocks_are_sliced(tmp_path, monkeypatch):
     # A one-element block forces one point per slice through every ring.
     monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
-    index = load_fixture(tmp_path, holed_with_island_features(), cell_size=5.0)
+    index = load_fixture(tmp_path, holed_with_island_features())
     assert_batch_matches_scan(index, boundary_probes(index))
 
 
@@ -752,7 +769,7 @@ def test_index_accepts_polygons_built_by_hand(tmp_path):
     )
     assert index._xy.tolist() == loaded._xy.tolist()
     assert ring_spans(index) == ring_spans(loaded)
-    for name in ("table_grid", "table"):
+    for name in ("tile_grid", "tile_offsets", "tile_polys", "tiles", "table"):
         assert np.array_equal(getattr(index, "_" + name), getattr(loaded, "_" + name)), name
     probes = [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.5, 0.5)]
     assert assert_batch_matches_scan(index, probes) == [
@@ -817,18 +834,48 @@ def test_load_boundaries_fuzz_one_mutated_node(tmp_path, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     target = write_feature_collection(tmp_path / "fuzz.geojson", doc["features"])
-    # A coarse grid: a mutated position may stretch a bbox across the globe,
-    # and index set-up registers every cell the bbox covers.
     try:
-        index = load_boundaries(target, cell_size=5.0)
+        index = load_boundaries(target)
     except BikeshareEquityError:
         return
     assign_tracts([22.0, 2.0, 50.0], [22.0, 2.0, 50.0], index)
 
 
 # ---------------------------------------------------------------------------
-# The bounded grid: a polygon over the cell budget goes on the oversize list
+# The budget: a large tract coarsens the tiles, it never outgrows them
 # ---------------------------------------------------------------------------
+
+def assert_within_budget(index, budget):
+    """The table, the candidate lists and the directory each hold at most
+    budget entries per polygon, unless no side is within it: then the tiles
+    are the coarsest, at most 2 x 2 over lon/lat degrees."""
+    limit = budget * len(index.polygons)
+    table, lists, directory = index._table.size, len(index._tile_polys), index._tiles.size
+    assert (table <= limit and geo._TILE**2 * lists <= limit and directory <= limit) or (
+        index._tile_grid[2] == geo._TABLE_EXPONENTS[-1]
+        and directory <= 4 and lists <= 4 * len(index.polygons)
+    )
+
+
+def assert_tiles_list_their_polygons(index):
+    """Each held tile lists, in index order, exactly the polygons whose
+    bounding box reaches it, and each tile the directory leaves out is
+    reached by no box."""
+    x0, y0, exponent = index._tile_grid.tolist()
+    size = geo._TILE * 2.0**exponent
+    rows, cols = index._tiles.shape
+    for y in range(rows):
+        for x in range(cols):
+            west, south = (x0 + x) * size, (y0 + y) * size
+            reach = [p for p, (w, s, e, n) in enumerate(index._bbox.tolist())
+                     if w < west + size and west <= e and s < south + size and south <= n]
+            tile = index._tiles[y, x]
+            if tile < 0:
+                assert reach == []
+            else:
+                listed = index._tile_polys[index._tile_offsets[tile]:index._tile_offsets[tile + 1]]
+                assert listed.tolist() == reach
+
 
 def big_tract_features():
     """A 20-degree square tract and two small neighbours on its edges, one
@@ -845,15 +892,15 @@ def test_index_over_a_20_degree_tract_builds_fast(tmp_path):
     polygons = index.polygons
     best = min(timeit.repeat(lambda: TractIndex(polygons), number=1, repeat=5))
     assert best <= 0.010, best
-    assert index._oversize.tolist() == [0]
-    assert len(index._cell_polys) == 0
+    assert_within_budget(index, geo._TABLE_BUDGET)
+    assert_tiles_list_their_polygons(index)
 
 
-@pytest.mark.parametrize("cell_size", [0.05, 0.3, 5.0])
-def test_oversize_tract_matches_scan(tmp_path, cell_size):
-    index = load_fixture(tmp_path, big_tract_features(), cell_size=cell_size)
-    if cell_size < 1.0:
-        assert index._oversize.tolist() == [0]
+@pytest.mark.parametrize("side", [0.05, 0.3, 5.0])
+def test_oversize_tract_matches_scan(tmp_path, monkeypatch, side):
+    at_side(monkeypatch, side)
+    index = load_fixture(tmp_path, big_tract_features())
+    assert_tiles_list_their_polygons(index)
     probes = boundary_probes(index)
     expected = assert_batch_matches_scan(index, probes)
     assert {"53033000100", "53033000101", "53033000102", None} == set(expected)
@@ -869,10 +916,10 @@ def globe_features():
     return [ring_feature(globe, "53033000102"), square_feature("53033000101", 10.0, 10.0)]
 
 
-def test_globe_spanning_tract_registers_no_cells(tmp_path):
+def test_globe_spanning_tract_coarsens_the_tiles(tmp_path):
     index = load_fixture(tmp_path, globe_features())
-    assert len(index._cell_polys) <= geo._CELL_BUDGET * len(index.polygons)
-    assert index._oversize.tolist() == [0]
+    assert_within_budget(index, geo._TABLE_BUDGET)
+    assert_tiles_list_their_polygons(index)
     rng = np.random.default_rng(21)
     probes = boundary_probes(index) + list(
         zip(rng.uniform(-180, 180, 500).tolist(), rng.uniform(-90, 90, 500).tolist())
@@ -885,12 +932,12 @@ def test_globe_spanning_tract_registers_no_cells(tmp_path):
 @pytest.mark.parametrize("budget", [0, 1, 4])
 @pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
 def test_small_cell_budgets_match_scan(tmp_path, monkeypatch, shapes, budget):
-    # A tiny budget puts some or all polygons on the oversize list.
-    monkeypatch.setattr(geo, "_CELL_BUDGET", budget)
-    index = load_fixture(tmp_path, SHAPE_SETS[shapes](), cell_size=0.3)
-    assert len(index._cell_polys) <= budget * len(index.polygons)
-    if budget == 0:
-        assert len(index._oversize) == len(index.polygons)
+    # No side is within so small a budget: the tiles are the coarsest.
+    monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
+    index = load_fixture(tmp_path, SHAPE_SETS[shapes]())
+    assert index._tile_grid[2] == geo._TABLE_EXPONENTS[-1]
+    assert_within_budget(index, budget)
+    assert_tiles_list_their_polygons(index)
     assert_batch_matches_scan(index, boundary_probes(index))
 
 
@@ -1200,20 +1247,21 @@ OFF_TABLE = [(NAN, 0.5), (0.5, NAN), (NAN, NAN), (INF, 0.5), (0.5, -INF), (-INF,
 
 
 def table_probes(index, limit=1500):
-    """Every corner and centre of the answer table's sub-cells (of a seeded
-    sample of `limit` sub-cells, in a larger table), with the nearest floats
-    around each, as sorted (lon, lat) pairs."""
-    x0, y0, exponent = index._table_grid.tolist()
-    rows, cols = index._table.shape
-    side = 2.0**exponent
-    cells = [(i, j) for j in range(rows) for i in range(cols)]
+    """Every corner and centre of the sub-cells of the held tiles (of a
+    seeded sample of `limit` sub-cells, in a larger table), with the nearest
+    floats around each, as sorted (lon, lat) pairs."""
+    x0, y0, exponent = index._tile_grid.tolist()
+    side, n = 2.0**exponent, geo._TILE
+    tile_y, tile_x = np.divmod(np.flatnonzero(index._tiles >= 0), index._tiles.shape[1])
+    cells = [(n * (x0 + x) + i, n * (y0 + y) + j)
+             for y, x in zip(tile_y.tolist(), tile_x.tolist()) for j in range(n) for i in range(n)]
     if len(cells) > limit:
-        rng = np.random.default_rng(rows * cols)
+        rng = np.random.default_rng(len(cells))
         cells = [cells[k] for k in rng.choice(len(cells), size=limit, replace=False).tolist()]
     points = set()
     for i, j in cells:
         for di, dj in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)):
-            points.add(((x0 + i + di) * side, (y0 + j + dj) * side))
+            points.add(((i + di) * side, (j + dj) * side))
     return sorted(nearest_floats(points))
 
 
@@ -1238,35 +1286,46 @@ def assert_table_matches_scan(index, probes, monkeypatch, answers=True):
     return expected
 
 
-@pytest.mark.parametrize("budget", [geo._TABLE_BUDGET, 1, 4])
+@pytest.mark.parametrize("budget", [256, 1, 4, geo._TABLE_BUDGET])
 @pytest.mark.parametrize("shapes", sorted(TABLE_SHAPES))
 def test_table_matches_scan(tmp_path, monkeypatch, shapes, budget):
-    # A small budget gives a coarse table, down to the coarsest side.
+    # A smaller budget gives a coarser table, down to the coarsest side.
     monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
     index = load_fixture(tmp_path, TABLE_SHAPES[shapes]())
     assert index._table.dtype == np.int32
-    assert index._table.size <= max(budget * len(index.polygons), 4)
+    assert_within_budget(index, budget)
     probes = table_probes(index) + boundary_probes(index) + OFF_TABLE
     expected = assert_table_matches_scan(index, probes, monkeypatch, budget > 4)
     assert None in expected and set(expected) > {None}
 
 
+def budget_entries(bbox, exponent):
+    """(own, directory): the polygons' box tiles, in sub-cells, summed over
+    the polygons, and the tiles of the directory over the union of the boxes,
+    at sub-cell side 2**exponent."""
+    size = geo._TILE * 2.0**exponent
+    x1, y1, x2, y2 = (np.floor(bbox / size)).T
+    own = geo._TILE**2 * ((x2 - x1 + 1) * (y2 - y1 + 1)).sum()
+    return own, (x2.max() - x1.min() + 1) * (y2.max() - y1.min() + 1)
+
+
 def test_table_side_is_the_finest_within_the_budget(tmp_path):
-    index = load_fixture(tmp_path, five_tract_features())
-    frames = geo._table_frames(index._bbox)
-    x0, y0, exponent = index._table_grid.tolist()
-    k = geo._TABLE_EXPONENTS.index(exponent)
-    assert frames[k].tolist() == [x0, y0, *index._table.shape]
-    budget = geo._TABLE_BUDGET * len(index.polygons)
-    assert index._table.size <= budget < frames[k - 1, 2] * frames[k - 1, 3]
+    for features in (five_tract_features(), multi_city_features()):
+        index = load_fixture(tmp_path, features)
+        budget = geo._TABLE_BUDGET * len(index.polygons)
+        exponent = index._tile_grid[2]
+        assert max(budget_entries(index._bbox, exponent)) <= budget
+        assert max(budget_entries(index._bbox, exponent - 1)) > budget
+        assert index._tiles.size == budget_entries(index._bbox, exponent)[1]
 
 
 def test_overlap_reads_the_smallest_geoid(tmp_path):
     index = load_fixture(tmp_path, overlapping_features())
-    x0, y0, exponent = index._table_grid.tolist()
     # The centre of the sub-cell at (1.5, 1.5) lies in all three squares.
-    i, j = int(1.5 / 2.0**exponent) - x0, int(1.5 / 2.0**exponent) - y0
-    assert index.geoids()[index._table[j, i]] == "53033003000"
+    side = 2.0 ** index._tile_grid[2]
+    centre = np.array([(math.floor(1.5 / side) + 0.5) * side])
+    (entry,) = geo._table_entries(centre, centre, index).tolist()
+    assert index.geoids()[entry] == "53033003000"
 
 
 def test_mixed_width_table_matches_scan(mixed_width_battery, monkeypatch):
@@ -1276,7 +1335,7 @@ def test_mixed_width_table_matches_scan(mixed_width_battery, monkeypatch):
     for budget in (1, 4):
         monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
         coarse = TractIndex(index.polygons)
-        assert coarse._table.size <= max(budget * len(coarse.polygons), 4)
+        assert_within_budget(coarse, budget)
         assert_table_matches_scan(coarse, probes + table_probes(coarse), monkeypatch, False)
 
 
@@ -1301,7 +1360,7 @@ def test_table_leaves_rounded_answers_to_the_ring_test(tmp_path, monkeypatch):
     ring = [tuple(map(Fraction, vertex)) for vertex in poly.rings[0].tolist()]
     assert winding_number_inside(Fraction(-tiny), Fraction(tiny), [ring])
     assert not point_in_polygon(tiny, -tiny, poly)
-    side = 2.0 ** index._table_grid[2]
+    side = 2.0 ** index._tile_grid[2]
     assert point_in_polygon(side / 2, -side / 2, poly)
     assert geo._table_entries(np.array([tiny]), np.array([-tiny]), index).tolist() == [-1]
     probes = [probe, *table_probes(index)]
@@ -1319,3 +1378,29 @@ def test_box_that_cuts_its_polygon_marks_its_sides(monkeypatch):
     expected = assert_table_matches_scan(index, table_probes(index), monkeypatch)
     assert assign_tracts([1.0, 1.5], [1.0, 1.5], index) == ["53033005000", None]
     assert {"53033005000", "53033005001", None} == set(expected)
+
+
+@pytest.mark.parametrize("budget", [geo._TABLE_BUDGET, 1, 4])
+def test_multi_city_matches_scan(tmp_path, monkeypatch, budget):
+    """Clusters degrees apart and a large tract over two of them, against
+    the exhaustive scan: the held sub-cells (a sample), the boundaries,
+    random points over and between the clusters, and points off the tiles."""
+    monkeypatch.setattr(geo, "_TABLE_BUDGET", budget)
+    index = load_fixture(tmp_path, multi_city_features())
+    assert_within_budget(index, budget)
+    rng = np.random.default_rng(22)
+    between = list(zip(rng.uniform(-105, -94, 500).tolist(), rng.uniform(29, 39, 500).tolist()))
+    over = list(zip(rng.uniform(-100.25, -98.9, 500).tolist(), rng.uniform(29.8, 30.6, 500).tolist()))
+    probes = table_probes(index, limit=300) + boundary_probes(index) + between + over + OFF_TABLE
+    expected = assert_table_matches_scan(index, probes, monkeypatch, budget > 4)
+    # The large tract wins all of the second cluster, which lies inside it.
+    assert set(expected) == {g for g in index.geoids() if g[:9] != "530330120"} | {None}
+
+
+def test_multi_city_table_answers_most_sub_cells(tmp_path):
+    """Clusters degrees apart keep the sub-cells of one city: the directory
+    is sparse, and most sub-cells of the held tiles have an answer."""
+    index = load_fixture(tmp_path, multi_city_features())
+    assert index._tile_grid[2] == -7
+    assert len(index._table) < index._tiles.size / 10
+    assert (index._table >= 0).mean() > 0.75

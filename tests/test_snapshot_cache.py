@@ -291,13 +291,15 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses):
 
     monkeypatch.setattr(content_cache, "read_entry", read_current)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
-    assert len(snapshot_caches(store)) == 2
+    # Writing the current file deleted the old one.
+    (current,) = snapshot_caches(store)
+    assert current.name.startswith(f"snapshot-v{snapshot_store._CACHE_VERSION}-")
 
 
 def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, monkeypatch, parses):
     """A ``snapshot-v1-r1-*`` file, named by the cache and reader versions
-    that _CACHE_VERSION 2 replaced, is never read and never deleted, and map
-    and analyze write what they write without it."""
+    that _CACHE_VERSION 2 replaced, is never read, and map and analyze write
+    what they write without it; writing the current file deletes it."""
     store = city["store"]
     expected = analyze(city, tmp_path / "a0")
     expected_svg = map_svg(store, tmp_path / "m0")
@@ -309,7 +311,6 @@ def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, mo
     key = content_cache.content_key("snapshot-v1-r1", data)
     old = store / "cache" / key
     content_cache.write_entry(old, key, *snapshot_store._encode(snapshot_store._parse_csv(data)))
-    old_bytes = old.read_bytes()
     read = content_cache.read_entry
 
     def read_current(path, key, decode):
@@ -321,8 +322,8 @@ def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, mo
     assert analyze(city, tmp_path / "a1") == expected
     assert map_svg(store, tmp_path / "m1") == expected_svg
     assert parses == [1]
-    assert old.read_bytes() == old_bytes
-    assert len(snapshot_caches(store)) == 2
+    assert not old.exists()
+    assert len(snapshot_caches(store)) == 1
 
 
 # ---------------------------------------------------------------------------
