@@ -4,8 +4,9 @@ Discovers bikeshare systems from a catalog CSV, fetches their auto-discovery
 documents and feeds over HTTP (or from local files, which is handy for
 archived documents and fixtures), normalizes the format deviations that occur
 in the wild, and turns station_information / free_bike_status payloads into
-``snapshot_store.BikeObservation`` records; ``snapshot_store`` owns the
-format they are stored and read back in.
+the columns of one ``snapshot_store.Observations``, built without a
+per-entity record; ``snapshot_store`` owns the format they are stored and
+read back in.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
 from .errors import ParseError, SchemaError, TransportError
-from .snapshot_store import BikeObservation, DockingType
+from .snapshot_store import DockingType, Observations
 
 logger = logging.getLogger(__name__)
 
@@ -389,39 +391,38 @@ def parse_station_status(document: bytes, system_id: str) -> dict[str, int]:
 
 
 def _harvest_system(
-    entry: SystemEntry,
-    observed_at: int,
-    docked_mode: str,
-) -> tuple[list[BikeObservation], list[FeedFailure], int]:
+    entry: SystemEntry, docked_mode: str
+) -> tuple[list[tuple], list[tuple], list[FeedFailure], int]:
     """One system's harvest, which never raises: an unexpected exception (a
     defect, or a feed shape no check foresaw) becomes a FeedFailure naming its
     type, so one broken system cannot abort the others."""
     try:
-        return _harvest_feeds(entry, observed_at, docked_mode)
+        return _harvest_feeds(entry, docked_mode)
     except Exception as exc:
         logger.debug("harvest of %s failed", entry.system_id, exc_info=True)
-        return [], [FeedFailure(entry.system_id, "harvest", f"{type(exc).__name__}: {exc}")], 0
+        return [], [], [FeedFailure(entry.system_id, "harvest", f"{type(exc).__name__}: {exc}")], 0
 
 
 def _harvest_feeds(
-    entry: SystemEntry,
-    observed_at: int,
-    docked_mode: str,
-) -> tuple[list[BikeObservation], list[FeedFailure], int]:
+    entry: SystemEntry, docked_mode: str
+) -> tuple[list[tuple], list[tuple], list[FeedFailure], int]:
+    """The system's kept ``(id, lat, lon)`` rows, docked and then free, its
+    feed failures and its dropped tally."""
     system_id = entry.system_id
     failures: list[FeedFailure] = []
-    observations: list[BikeObservation] = []
+    docked: list[tuple] = []
+    free: list[tuple] = []
     dropped = 0
     try:
         manifest = discover_feeds(entry)
     except (TransportError, SchemaError, ParseError) as exc:
-        return [], [FeedFailure(system_id, "gbfs", str(exc))], 0
+        return [], [], [FeedFailure(system_id, "gbfs", str(exc))], 0
 
     station_url = manifest.feeds.get(STATION_FEED)
     bike_url = manifest.feeds.get(FREE_BIKE_FEED)
     if station_url is None and bike_url is None:
         message = "neither station_information nor free_bike_status advertised"
-        return [], [FeedFailure(system_id, "gbfs", message)], 0
+        return [], [], [FeedFailure(system_id, "gbfs", message)], 0
 
     available: dict[str, int] | None = None
     if docked_mode == "available_bikes" and station_url is not None:
@@ -437,10 +438,6 @@ def _harvest_feeds(
             except (TransportError, SchemaError, ParseError) as exc:
                 failures.append(FeedFailure(system_id, STATION_STATUS_FEED, str(exc)))
 
-    docked, free = DockingType.DOCKED, DockingType.FREE
-    # tuple.__new__ builds each record without the NamedTuple's Python-level
-    # __new__; the records are the same BikeObservations.
-    new = tuple.__new__
     if station_url is not None:
         try:
             rows, feed_dropped = _entity_rows(
@@ -448,19 +445,13 @@ def _harvest_feeds(
             )
             dropped += feed_dropped
             if available is None:
-                observations.extend(
-                    new(BikeObservation, (system_id, station_id, lat, lon, docked, observed_at))
-                    for station_id, lat, lon in rows
-                )
+                docked = rows
             else:
-                observations.extend(
-                    new(
-                        BikeObservation,
-                        (system_id, f"{station_id}#{i}", lat, lon, docked, observed_at),
-                    )
+                docked = [
+                    (f"{station_id}#{i}", lat, lon)
                     for station_id, lat, lon in rows
                     for i in range(available.get(station_id, 0))
-                )
+                ]
         except (TransportError, SchemaError, ParseError) as exc:
             failures.append(FeedFailure(system_id, STATION_FEED, str(exc)))
 
@@ -471,15 +462,15 @@ def _harvest_feeds(
             )
             dropped += feed_dropped
             # Reserved or disabled bikes are not spatially accessible supply.
-            observations.extend(
-                new(BikeObservation, (system_id, bike_id, lat, lon, free, observed_at))
+            free = [
+                (bike_id, lat, lon)
                 for bike_id, lat, lon, reserved, disabled in rows
                 if not (reserved or disabled)
-            )
+            ]
         except (TransportError, SchemaError, ParseError) as exc:
             failures.append(FeedFailure(system_id, FREE_BIKE_FEED, str(exc)))
 
-    return observations, failures, dropped
+    return docked, free, failures, dropped
 
 
 def harvest(
@@ -487,8 +478,8 @@ def harvest(
     clock: Callable[[], float] = time.time,
     *,
     docked_mode: str = "stations",
-) -> tuple[list[BikeObservation], HarvestDiagnostics]:
-    """Fetch and parse every system's feeds into one observation list.
+) -> tuple[Observations, HarvestDiagnostics]:
+    """Fetch and parse every system's feeds into one Observations.
 
     Docked observations come from station_information (one per station, or one
     per available bike when docked_mode="available_bikes" and station_status is
@@ -500,8 +491,8 @@ def harvest(
     MAX_IN_FLIGHT at a time, to overlap network waits. The others are read
     one after another on the calling thread while those run: a local read has
     no wait to hide, and threads would only contend for the interpreter lock.
-    Results are merged in system_id order, so output is deterministic
-    regardless of completion order.
+    Results are merged in system_id order, each system's docked rows before
+    its free ones, so output is deterministic regardless of completion order.
     """
     ordered = sorted(entries, key=lambda entry: entry.system_id)
     if not ordered:
@@ -513,21 +504,31 @@ def harvest(
     # The pool starts its threads on submit, so a local-only catalog starts none.
     with ThreadPoolExecutor(max_workers=max(1, min(MAX_IN_FLIGHT, len(remote)))) as pool:
         futures = {
-            entry.system_id: pool.submit(_harvest_system, entry, observed_at, docked_mode)
+            entry.system_id: pool.submit(_harvest_system, entry, docked_mode)
             for entry in remote
         }
         results = {
-            entry.system_id: _harvest_system(entry, observed_at, docked_mode)
+            entry.system_id: _harvest_system(entry, docked_mode)
             for entry in ordered
             if entry.system_id not in futures
         }
         for system_id, future in futures.items():
             results[system_id] = future.result()
-    observations: list[BikeObservation] = []
+    rows: list[tuple] = []
+    system_ids: list[str] = []
+    kinds: list[DockingType] = []
     diagnostics = HarvestDiagnostics()
     for entry in ordered:
-        system_obs, failures, dropped = results[entry.system_id]
-        observations.extend(system_obs)
+        docked, free, failures, dropped = results[entry.system_id]
+        rows += docked
+        rows += free
+        system_ids += repeat(entry.system_id, len(docked) + len(free))
+        kinds += repeat(DockingType.DOCKED, len(docked))
+        kinds += repeat(DockingType.FREE, len(free))
         diagnostics.failures.extend(failures)
         diagnostics.dropped_entities += dropped
+    entity_ids, lats, lons = zip(*rows) if rows else ((), (), ())
+    observations = Observations.from_columns(
+        system_ids, entity_ids, lats, lons, kinds, repeat(observed_at, len(rows))
+    )
     return observations, diagnostics

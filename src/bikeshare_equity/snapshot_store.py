@@ -89,12 +89,6 @@ _WRITE_CHUNK = 1 << 10
 _QUOTED_CHARS = (",", '"', "\n", "\r")
 
 
-def observation_columns(observations: Iterable[BikeObservation]) -> tuple[tuple, ...]:
-    """The six columns of the records, in OBSERVATION_COLUMNS order, taken
-    with one zip over the tuples (six empty tuples for no records)."""
-    return tuple(zip(*observations)) or ((),) * len(OBSERVATION_COLUMNS)
-
-
 def _run_lengths(values: Iterable) -> list[list]:
     """[value, count] runs of equal consecutive values; each run keeps the
     object of its first value."""
@@ -164,8 +158,9 @@ class Observations(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[BikeObservation]) -> Observations:
-        """The columns of records, which are read once."""
-        return cls.from_columns(*observation_columns(records))
+        """The columns of records, which are read once, taken with one zip
+        over the tuples."""
+        return cls.from_columns(*(tuple(zip(*records)) or ((),) * len(OBSERVATION_COLUMNS)))
 
     def columns(self) -> tuple[Iterable, ...]:
         """The six columns with one value per row, in OBSERVATION_COLUMNS
@@ -213,7 +208,7 @@ def _quote_field(text: str) -> str:
     return text
 
 
-def _text_fields(column: tuple[str, ...]) -> Iterable[str]:
+def _text_fields(column: Sequence[str]) -> Iterable[str]:
     """A column of ids as CSV fields. One search over the joined column
     decides; only a column that holds a character needing quotes is quoted
     value by value."""
@@ -228,22 +223,24 @@ def _text_fields(column: tuple[str, ...]) -> Iterable[str]:
 
 
 def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
-    """Write observations in the canonical CSV layout; returns the row count.
+    """Write observations (an Observations, or any iterable of records, read
+    once) in the canonical CSV layout; returns the row count.
 
-    The records are split into columns, each column is converted with one
-    map() call and each row is one str.join, so no Python code runs per row
-    unless an id needs quoting or is not a str (None is written as an empty
-    field, anything else as its str(), as csv.writer does). The rows go to fh
-    in chunks of _WRITE_CHUNK.
+    Each column of the Observations is converted with one map() call and each
+    row is one str.join, so no Python code runs per row unless an id needs
+    quoting or is not a str (None is written as an empty field, anything else
+    as its str(), as csv.writer does). The rows go to fh in chunks of
+    _WRITE_CHUNK.
     """
-    system_ids, entity_ids, lats, lons, kinds, observed_ats = observation_columns(observations)
+    observations = as_observations(observations)
+    system_ids, entity_ids, lats, lons, kinds, observed_ats = observations.columns()
     rows = map(
         ",".join,
         zip(
-            _text_fields(system_ids),
+            _text_fields(list(system_ids)),
             _text_fields(entity_ids),
-            map(repr, map(float, lats)),
-            map(repr, map(float, lons)),
+            map(repr, lats),
+            map(repr, lons),
             map(KIND_TEXT.__getitem__, kinds),
             map(str, observed_ats),
         ),
@@ -252,7 +249,7 @@ def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) 
     while chunk := list(islice(rows, _WRITE_CHUNK)):
         chunk.append("")  # the last row's line end
         fh.write("\n".join(chunk))
-    return len(system_ids)
+    return len(observations)
 
 
 def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
@@ -436,16 +433,17 @@ def _read_manifest(store: Path) -> list[_ManifestRow]:
 
 
 def append_snapshot(
-    observations: list[BikeObservation],
+    observations: Iterable[BikeObservation],
     store_path: str | Path,
     clock: Callable[[], float] = time.time,
 ) -> SnapshotReceipt:
-    """Write observations as a new immutable snapshot and return its receipt.
+    """Write observations (an Observations, or any iterable of records, read
+    once) as a new immutable snapshot and return its receipt.
 
     Snapshot ids increase with each append; an id whose file already exists
     (taken by a concurrent append, or left by a crash before its manifest
     line) is skipped. The snapshot's observed_at is the newest observation
-    timestamp, or the clock when the list is empty. A failed write leaves no
+    timestamp, or the clock when there is none. A failed write leaves no
     partial file behind.
     """
     store = Path(store_path)
@@ -455,8 +453,9 @@ def append_snapshot(
         raise StorageError(f"cannot create store at {store}: {exc}") from exc
     existing = _read_manifest(store)
     snapshot_id = existing[-1].snapshot_id + 1 if existing else 1
+    observations = as_observations(observations)
     if observations:
-        observed_at = max(obs.observed_at for obs in observations)
+        observed_at = max(_values(observations.observed_at_runs))
     else:
         observed_at = int(clock())
     # A name no other writer uses.
@@ -485,7 +484,7 @@ def append_snapshot(
             fh.write(f"{snapshot_id},{observed_at},{row_count},{filename}\n")
     except OSError as exc:
         raise StorageError(f"cannot update manifest in {store}: {exc}") from exc
-    systems = tuple(sorted({obs.system_id for obs in observations}))
+    systems = tuple(sorted(set(_values(observations.system_id_runs))))
     return SnapshotReceipt(
         snapshot_id=snapshot_id,
         observed_at=observed_at,

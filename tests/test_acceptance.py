@@ -282,7 +282,7 @@ def test_criterion_8_gbfs_fixture_suite(tmp_path):
         ],
     )
     observations, diag = harvest([conforming], clock=lambda: 1700000000)
-    assert observations == [
+    assert list(observations) == [
         BikeObservation("conforming", "s1", 45.5, -122.6, DockingType.DOCKED, 1700000000),
         BikeObservation("conforming", "b1", 45.51, -122.61, DockingType.FREE, 1700000000),
     ]
@@ -298,7 +298,7 @@ def test_criterion_8_gbfs_fixture_suite(tmp_path):
         language_layer=False,
     )
     observations, diag = harvest([deviant], clock=lambda: 1700000000)
-    assert observations == [
+    assert list(observations) == [
         BikeObservation("deviant", "s9", 45.5, -122.6, DockingType.DOCKED, 1700000000),
         BikeObservation("deviant", "b9", 45.51, -122.61, DockingType.FREE, 1700000000),
     ]
@@ -309,7 +309,7 @@ def test_criterion_8_gbfs_fixture_suite(tmp_path):
     for feed in ("station_information", "free_bike_status"):
         write_json(tmp_path / "malformed" / f"bad_{feed}.json", {"data": {}})
     observations, diag = harvest([malformed], clock=lambda: 1700000000)
-    assert observations == [] and diag.dropped_entities == 0
+    assert list(observations) == [] and diag.dropped_entities == 0
     assert diag.failures == [
         FeedFailure(
             "bad", "station_information", "bad: station_information missing data.stations"

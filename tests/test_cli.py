@@ -637,8 +637,9 @@ def test_cli_import_harvest_and_map_load_neither_scipy_nor_requests(tmp_path):
     """SciPy (a test-only dependency) is never imported by the package, and
     requests (only http fetches) and hashlib (only the store's caches, which
     map and analyze read) are imported where they are used, so the CLI's
-    start-up and a file:// harvest never pay for them, and map never loads
-    SciPy or requests. A module-level import of any of them fails this."""
+    start-up and a file:// harvest never pay for them, and neither map nor
+    analyze loads SciPy or requests. A module-level import of any of them,
+    or an import of SciPy on analyze's first call, fails this."""
     import os
     import subprocess
     import sys
@@ -651,9 +652,12 @@ def test_cli_import_harvest_and_map_load_neither_scipy_nor_requests(tmp_path):
     )
     catalog = write_catalog(tmp_path / "catalog.csv", [system])
     store = tmp_path / "store"
+    city = build_synthetic_city(tmp_path / "city", n_cols=5, n_rows=4)
     commands = [
         f"harvest|--catalog|{catalog}|--store|{store}",
         f"map|--store|{store}|--out|{tmp_path / 'out'}",
+        f"analyze|--store|{city['store']}|--boundaries|{city['boundaries']}"
+        f"|--demographics|{city['demographics']}|--out|{tmp_path / 'analysis'}",
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(bikeshare_equity.__file__).parents[1]))
     result = subprocess.run(
@@ -665,4 +669,5 @@ def test_cli_import_harvest_and_map_load_neither_scipy_nor_requests(tmp_path):
         "after import: []",
         "after harvest: []",
         "after map: ['hashlib']",
+        "after analyze: ['hashlib']",
     ]

@@ -374,7 +374,7 @@ def test_harvest_union_property(tmp_path):
     both, _ = harvest([a, b], clock=lambda: 7)
     just_a, _ = harvest([a], clock=lambda: 7)
     just_b, _ = harvest([b], clock=lambda: 7)
-    assert sorted(both, key=str) == sorted(just_a + just_b, key=str)
+    assert sorted(both, key=str) == sorted(list(just_a) + list(just_b), key=str)
 
 
 def test_harvest_deterministic_order(tmp_path):
@@ -388,7 +388,7 @@ def test_harvest_deterministic_order(tmp_path):
     ]
     first, _ = harvest(entries, clock=lambda: 1)
     second, _ = harvest(list(reversed(entries)), clock=lambda: 1)
-    assert first == second
+    assert list(first) == list(second)
     assert [o.system_id for o in first] == sorted(o.system_id for o in first)
 
 
@@ -400,7 +400,7 @@ def test_harvest_empty_entries_rejected():
 def test_harvest_system_with_no_relevant_feeds(tmp_path):
     entry = make_system(tmp_path, "empty_sys")
     observations, diag = harvest([entry], clock=lambda: 0)
-    assert observations == []
+    assert list(observations) == []
     assert len(diag.failures) == 1
 
 
@@ -524,8 +524,12 @@ def test_harvest_of_mixed_catalog_matches_a_serial_run(tmp_path, monkeypatch):
     network = FakeNetwork(monkeypatch)
     expected_obs, expected_failures, expected_dropped = [], [], 0
     for entry in sorted(entries, key=lambda e: e.system_id):
-        obs, failures, dropped = gbfs_client._harvest_system(entry, 9, "stations")
-        expected_obs += obs
+        docked, free, failures, dropped = gbfs_client._harvest_system(entry, "stations")
+        expected_obs += [
+            BikeObservation(entry.system_id, *row, kind, 9)
+            for rows, kind in ((docked, DockingType.DOCKED), (free, DockingType.FREE))
+            for row in rows
+        ]
         expected_failures += failures
         expected_dropped += dropped
 
@@ -533,7 +537,7 @@ def test_harvest_of_mixed_catalog_matches_a_serial_run(tmp_path, monkeypatch):
     network.barrier = threading.Barrier(2, timeout=5)
     monkeypatch.setattr(gbfs_client, "MAX_IN_FLIGHT", 2)
     observations, diag = harvest(entries, clock=lambda: 9)
-    assert observations == expected_obs
+    assert list(observations) == expected_obs
     assert diag.failures == expected_failures
     assert diag.dropped_entities == expected_dropped == 5
     assert [f.system_id for f in diag.failures] == ["b_remote", "c_local", "f_local"]

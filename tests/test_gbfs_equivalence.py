@@ -33,7 +33,12 @@ from bikeshare_equity.gbfs_client import (
     _load_json,
     harvest,
 )
-from bikeshare_equity.snapshot_store import BikeObservation, DockingType, write_observations_csv
+from bikeshare_equity.snapshot_store import (
+    BikeObservation,
+    DockingType,
+    Observations,
+    write_observations_csv,
+)
 from helpers import OBSERVED_AT, bike_doc, make_system, station_doc
 
 # ---------------------------------------------------------------------------
@@ -269,14 +274,22 @@ def observations_to_csv_bytes(observations):
 def assert_harvest_agrees(root, station_raw, bike_raw):
     """harvest() over one file:// system serving the two documents gives the
     reference's observations, failures and dropped tally, and the same
-    snapshot CSV bytes."""
+    snapshot CSV bytes. Its result is an Observations whose six columns hold
+    the values, of the same types, that the reference's records give."""
     entry = make_system(root, "sys", stations=[], bikes=[])
     (root / "sys_station_information.json").write_bytes(station_raw)
     (root / "sys_free_bike_status.json").write_bytes(bike_raw)
     observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT)
     expected, failures, dropped = ref_system_harvest("sys", station_raw, bike_raw, OBSERVED_AT)
-    assert observations == expected
+    assert type(observations) is Observations
+    assert list(observations) == expected
     assert all(type(obs) is BikeObservation for obs in observations)
+    for column, expected_column in zip(
+        observations.columns(), Observations.from_records(expected).columns(), strict=True
+    ):
+        column, expected_column = list(column), list(expected_column)
+        assert column == expected_column
+        assert list(map(type, column)) == list(map(type, expected_column))
     assert diagnostics.failures == failures
     assert diagnostics.dropped_entities == dropped
     assert observations_to_csv_bytes(observations) == ref_observations_to_csv_bytes(expected)

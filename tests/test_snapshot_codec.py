@@ -29,7 +29,6 @@ from bikeshare_equity.snapshot_store import (
     DockingType,
     Observations,
     load_snapshot,
-    observation_columns,
     read_observations_csv,
     valid_observation_values,
     write_observations_csv,
@@ -210,7 +209,7 @@ def cached_reads_agree(store):
     uncached = load_outcome(store)
     reads = [load_outcome(store, cache_dir=cache)]
     if isinstance(uncached, list):
-        assert valid_observation_values(*observation_columns(uncached))
+        assert valid_observation_values(*Observations.from_records(uncached).columns())
         with mock.patch.object(snapshot_store, "read_observations_csv", no_parse):
             reads.append(load_outcome(store, cache_dir=cache))
         assert len(list(cache.iterdir())) == 1

@@ -284,10 +284,24 @@ def test_append_with_a_stale_manifest_view_takes_the_next_free_id(tmp_path, monk
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):
-    bad = sample_observations(2) + [object()]
-    with pytest.raises(AttributeError):
-        append_snapshot(bad, tmp_path)
+    not_a_record = sample_observations(2) + [object()]
+    with pytest.raises(TypeError):
+        append_snapshot(not_a_record, tmp_path)
     assert list(tmp_path.iterdir()) == []
+    # A docking_type the writer has no text for fails after the file is opened.
+    unknown_kind = sample_observations(2) + [observation("sys", "x", 40.0, -100.0, None)]
+    with pytest.raises(KeyError):
+        append_snapshot(unknown_kind, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_append_reads_a_generator_once(tmp_path):
+    rows = sample_observations(3, observed_at=100)
+    rows[1] = rows[1]._replace(observed_at=102)
+    receipt = append_snapshot((obs for obs in rows), tmp_path, clock=lambda: 7)
+    assert (receipt.row_count, receipt.observed_at, receipt.systems) == (3, 102, ("sys",))
+    assert (tmp_path / "manifest.csv").read_text() == "1,102,3,snapshot_000001.csv\n"
+    assert list(load_snapshot(tmp_path, 1)) == rows
 
 
 CONCURRENT_WRITER = """
