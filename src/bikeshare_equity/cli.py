@@ -207,8 +207,8 @@ def cmd_analyze(config: PipelineConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     selector = parse_snapshot_selector(config.snapshot_selector)
 
-    # Parsed snapshots and compiled boundaries are cached in the store, keyed
-    # by the files' content.
+    # Parsed snapshots, compiled boundaries and the demographics table are
+    # cached in the store, keyed by the files' content.
     cache_dir = Path(config.store_path) / CACHE_DIR_NAME
     observations = _stage(
         "load_snapshot",
@@ -226,7 +226,8 @@ def cmd_analyze(config: PipelineConfig) -> int:
     )
     retained = _stage("filter_zero_counties", lambda: filter_zero_counties(counts))
     demo_table = _stage(
-        "read_demographics", lambda: read_demographics_csv(config.demographics_path)
+        "read_demographics",
+        lambda: read_demographics_csv(config.demographics_path, cache_dir=cache_dir),
     )
     joined, join_diag = _stage(
         "join_demographics", lambda: join_demographics(retained, demo_table)

@@ -22,6 +22,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from . import content_cache
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
@@ -364,11 +365,27 @@ def summarize_systems(observations: Iterable[BikeObservation]) -> list[SystemSum
     return summaries
 
 
-def read_demographics_csv(source: str | Path | TextIO) -> TractTable:
+# Part of every demographics cache key: a change to the cache file's layout,
+# or to the inputs read_demographics_csv accepts or the table it returns for
+# them, must bump it, so no file written before the change is ever read.
+_CACHE_VERSION = 1
+
+
+def read_demographics_csv(
+    source: str | Path | TextIO, *, cache_dir: str | Path | None = None
+) -> TractTable:
     """Load the demographics table from CSV: columns are found by header name
     (the last of a repeated name), blank lines are skipped. Fields are parsed
     with float() as the lines are read, and their ranges are checked on the
     columns, so the error raised is always the first bad line's.
+
+    With ``cache_dir`` and a path, the table of a file that read cleanly is
+    kept there (``demographics-v1-<sha256>``: the GEOIDs in the header, the
+    (n, 5) float64 predictors as the body), and a later read of the same
+    bytes loads it instead of parsing the CSV. A cache file that is missing,
+    unreadable or not written for these bytes is a miss (and is replaced);
+    a directory that cannot be written is left alone. Either way the result
+    and the errors are those of a read without the cache.
 
     Raises:
         SchemaError: missing header columns, or a row with a missing,
@@ -377,15 +394,25 @@ def read_demographics_csv(source: str | Path | TextIO) -> TractTable:
     """
     try:
         if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+            return _parse_text(source.read())
+        return content_cache.load(
+            source, cache_dir, f"demographics-v{_CACHE_VERSION}", _parse_demographics,
+            _encode_demographics, _decode_demographics, align=8,
+        )
     except OSError as exc:
         raise ParseError(f"cannot read demographics file {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"demographics file is not UTF-8 text at byte {exc.start}", offset=exc.start
         ) from None
+
+
+def _parse_demographics(data: bytes) -> TractTable:
+    # Newlines are translated as a text-mode read of the file translates them.
+    return _parse_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def _parse_text(text: str) -> TractTable:
     # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
     lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     geoids, rows, line_numbers = [], [], []
@@ -414,9 +441,7 @@ def read_demographics_csv(source: str | Path | TextIO) -> TractTable:
     except csv.Error as exc:
         error = ParseError(f"demographics line {lines.line_num}: {exc}")
     values = np.array(rows, dtype=np.float64).reshape(-1, len(PREDICTOR_NAMES))
-    fractions, densities = values[:, :3], values[:, 3:]
-    in_range = np.hstack([(fractions >= 0.0) & (fractions <= 1.0),
-                          np.isfinite(densities) & (densities >= 0.0)]).all(axis=1)
+    in_range = _rows_in_range(values)
     if not in_range.all():
         # The first such line comes before any line that failed to parse;
         # DemographicsRow checks the same ranges and names the first bad field.
@@ -427,6 +452,37 @@ def read_demographics_csv(source: str | Path | TextIO) -> TractTable:
             raise SchemaError(f"demographics line {line_numbers[row]}: {exc}") from exc
     if error is not None:
         raise error
+    return TractTable(geoids, None, values)
+
+
+def _rows_in_range(values: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 5) predictor array, whether its fractions lie in
+    [0, 1] and its densities are finite and non-negative (NaN fails)."""
+    fractions, densities = values[:, :3], values[:, 3:]
+    return (((fractions >= 0.0) & (fractions <= 1.0)).all(axis=1)
+            & (np.isfinite(densities) & (densities >= 0.0)).all(axis=1))
+
+
+def _encode_demographics(table: TractTable) -> tuple[dict, list[np.ndarray]]:
+    """The cache file's header (n and the GEOIDs) and body (the predictors,
+    8-byte aligned, so a hit's array is an aligned view of the file)."""
+    return {"n": len(table), "geoids": table.geoids}, [table.predictors]
+
+
+def _decode_demographics(header: dict, body: memoryview) -> TractTable:
+    """The table of a cache file; raises (a miss) unless it holds n str
+    GEOIDs and n rows of predictors that the reader's range check passes."""
+    n, geoids = header["n"], header["geoids"]
+    width = len(PREDICTOR_NAMES)
+    if not (
+        type(n) is int and type(geoids) is list and len(geoids) == n
+        and {*map(type, geoids)} <= {str}
+        and len(body) == 8 * width * n
+    ):
+        raise ValueError("GEOIDs and predictors do not add up to n")
+    values = np.frombuffer(body, np.float64, width * n).reshape(n, width)
+    if not _rows_in_range(values).all():
+        raise ValueError("a value the CSV reader would not return")
     return TractTable(geoids, None, values)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,27 @@ def observation(
     observed_at: int = OBSERVED_AT,
 ) -> BikeObservation:
     return BikeObservation(system_id, entity_id, lat, lon, docking_type, observed_at)
+
+
+def memo_name(path) -> str:
+    """The name of the content cache's stat memo for the file at path."""
+    st = os.stat(path)
+    return f"stat-v1-{st.st_dev}-{st.st_ino}"
+
+
+def memos(cache_dir) -> list[str]:
+    """The names of the finished stat memos in cache_dir, sorted."""
+    return sorted(p.name for p in Path(cache_dir).iterdir() if p.name.startswith("stat-v1-"))
+
+
+def memos_of(*inputs) -> list[str]:
+    """The memo names, sorted, that loading each of these files leaves."""
+    return sorted({memo_name(path) for path in inputs})
+
+
+def city_inputs(city) -> tuple[Path, ...]:
+    """The files an analyze of a synthetic city loads."""
+    return (*city["store"].glob("snapshot_*.csv"), city["boundaries"], city["demographics"])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from bikeshare_equity import content_cache, geo
 from bikeshare_equity.cli import main
 from bikeshare_equity.content_cache import content_key
 from bikeshare_equity.geo import assign_tracts, load_boundaries
-from helpers import build_synthetic_city, square_feature, write_feature_collection
+from helpers import (
+    build_synthetic_city,
+    city_inputs,
+    memo_name,
+    memos,
+    memos_of,
+    square_feature,
+    write_feature_collection,
+)
 from test_cli import analyze_argv
 from test_geo import SHAPE_SETS, assert_batch_matches_scan, at_side, boundary_probes, densify
 
@@ -95,8 +103,9 @@ def test_one_file_per_boundary_content(tmp_path, monkeypatch):
     missed = load_boundaries(path, cache_dir=cache)
     assert_same_index(missed, load_boundaries(path))
     assert_same_index(load_hit(path, cache, monkeypatch), missed)
-    (cache_file,) = cache.iterdir()
-    assert cache_file.name == content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes())
+    prefix = f"tract-index-v{geo._CACHE_VERSION}"
+    first = content_key(prefix, path.read_bytes())
+    assert sorted(p.name for p in cache.iterdir()) == sorted([first, memo_name(path)])
     # Same bytes under another name: a hit on the first file's entry.
     twin = tmp_path / "twin.geojson"
     twin.write_bytes(path.read_bytes())
@@ -104,7 +113,9 @@ def test_one_file_per_boundary_content(tmp_path, monkeypatch):
     # One changed byte: a miss, and a second entry.
     path.write_text(path.read_text().replace("53033000100", "53033000109"))
     assert "53033000109" in load_boundaries(path, cache_dir=cache).geoids()
-    assert len(list(cache.iterdir())) == 2
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [first, content_key(prefix, path.read_bytes()), *memos_of(path, twin)]
+    )
 
 
 def test_empty_boundary_file_is_a_hit(tmp_path, monkeypatch):
@@ -130,8 +141,9 @@ def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch)
     index = load_boundaries(path, cache_dir=tmp_path / "cache")
     monkeypatch.undo()
     assert "53033000109" in index.geoids()
-    (cache_file,) = (tmp_path / "cache").iterdir()
-    assert cache_file.name == content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes())
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted([
+        content_key(f"tract-index-v{geo._CACHE_VERSION}", path.read_bytes()), memo_name(path)
+    ])
     assert_same_index(load_hit(path, tmp_path / "cache", monkeypatch), index)
 
 
@@ -179,17 +191,19 @@ def analyze(city, out_dir):
 
 
 def cache_files(city):
-    """Every entry in the store's cache but the snapshot cache's finished
-    files, so a temporary file of either cache is listed."""
+    """Every entry in the store's cache but the other caches' finished files
+    and the finished stat memos (which memos() lists), so a temporary file of
+    any cache or memo is listed."""
     return sorted(
         path for path in (city["store"] / "cache").iterdir()
-        if not path.name.startswith("snapshot-")
+        if not path.name.startswith(("snapshot-", "demographics-", "stat-v1-"))
     )
 
 
 def test_two_analyze_runs_on_one_store_are_byte_identical(tmp_path, city, monkeypatch):
     first = analyze(city, tmp_path / "first")  # a miss: writes the cache
     (cache_file,) = cache_files(city)
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     with monkeypatch.context() as patch:
         patch.setattr(geo, "_parse_boundaries", pytest.fail)
         second = analyze(city, tmp_path / "second")  # a hit
@@ -326,6 +340,7 @@ def test_an_unchanged_rewrite_is_still_a_hit(tmp_path, city, monkeypatch):
     """The crafted files below differ from a good one only where they say."""
     expected = analyze(city, tmp_path / "clean")
     (cache_file,) = cache_files(city)
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     rewrite(cache_file, lambda header, parts: None)
     with monkeypatch.context() as patch:
         patch.setattr(geo, "_parse_boundaries", pytest.fail)
@@ -336,12 +351,14 @@ def test_an_unchanged_rewrite_is_still_a_hit(tmp_path, city, monkeypatch):
 def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
     expected = analyze(city, tmp_path / "clean")
     (cache_file,) = cache_files(city)
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     SPOILERS[spoil](cache_file)
     parses = []
     parse = geo._parse_boundaries
     monkeypatch.setattr(geo, "_parse_boundaries", lambda *a: parses.append(1) or parse(*a))
     assert analyze(city, tmp_path / "spoiled") == expected
     assert parses == [1]
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     if spoil == "a directory":
         # Nothing replaces a directory, and no temporary file is left.
         assert cache_files(city) == [cache_file] and cache_file.is_dir()
@@ -364,6 +381,7 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
         monkeypatch.undo()
     old = cache_files(city)
     assert len(old) == 4
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     (v2,) = [path for path in old if "-v2-" in path.name]
     (v3,) = [path for path in old if "-v3-" in path.name]
 
@@ -387,6 +405,7 @@ def test_old_version_file_is_never_read(tmp_path, city, monkeypatch):
     assert [path.name for path in cache_files(city)] == [
         content_key(f"tract-index-v{geo._CACHE_VERSION}", city["boundaries"].read_bytes())
     ]
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
 
 
 def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch):
@@ -405,6 +424,7 @@ def test_npz_file_of_the_first_layout_is_never_read(tmp_path, city, monkeypatch)
     expected = analyze(city, tmp_path / "first")
     current = city["store"] / "cache" / content_key(f"tract-index-v{geo._CACHE_VERSION}", data)
     assert cache_files(city) == [current]
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     with monkeypatch.context() as patch:
         patch.setattr(geo, "_parse_boundaries", pytest.fail)
         assert analyze(city, tmp_path / "second") == expected
@@ -420,6 +440,8 @@ def test_failed_boundary_load_writes_no_cache(tmp_path, city, capsys):
     assert main(analyze_argv(city, tmp_path / "out", boundaries)) == 1
     assert capsys.readouterr().err.startswith("error: stage load_boundaries: feature 3: ")
     assert cache_files(city) == []
+    # The snapshot loaded before the failed stage; the boundary file left no memo.
+    assert memos(city["store"] / "cache") == memos_of(*city["store"].glob("snapshot_*.csv"))
 
 
 def test_cache_path_that_is_a_file_is_left_alone(tmp_path, city):

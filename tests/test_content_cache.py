@@ -2,16 +2,24 @@
 as written, and every fault in the file reads as None (a miss); and the one
 cached-load protocol, load, on top of it."""
 
+import builtins
+import hashlib
+import io
 import json
+import logging
 import os
+import shutil
 import sys
+import time
 import zlib
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bikeshare_equity import content_cache, snapshot_store
+from bikeshare_equity import content_cache, geo, join_aggregate, snapshot_store
+from bikeshare_equity.cli import main
 from bikeshare_equity.content_cache import (
     content_key,
     file_content_key,
@@ -20,7 +28,8 @@ from bikeshare_equity.content_cache import (
     write_entry,
 )
 from bikeshare_equity.snapshot_store import DockingType
-from helpers import observation
+from helpers import build_synthetic_city, city_inputs, memo_name, memos, memos_of, observation
+from test_cli import analyze_argv
 
 KEY = "thing-v1-" + "ab" * 32
 OTHER_ORDER = "big" if sys.byteorder == "little" else "little"
@@ -150,7 +159,11 @@ def test_snapshot_cache_file_keeps_its_layout(tmp_path):
         store,
     )
     snapshot_store.load_snapshot(store, cache_dir=tmp_path / "cache")
-    (path,) = (tmp_path / "cache").iterdir()
+    (snapshot,) = store.glob("snapshot_*.csv")
+    (path,) = [p for p in (tmp_path / "cache").iterdir() if p.name != memo_name(snapshot)]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        [path.name, memo_name(snapshot)]
+    )
     line = json.dumps({
         "key": path.name, "byteorder": sys.byteorder, "n": 3,
         "system_id": [["sys", 2], ["dock", 1]], "entity_id": ["e1", "e,2", "s1"],
@@ -206,10 +219,10 @@ def test_load_without_a_cache_dir_parses_and_writes_nothing(tmp_path, words, mon
 def test_load_miss_writes_the_entry_and_a_hit_never_parses(tmp_path, words):
     cache = tmp_path / "cache"
     assert load_words(words, cache) == ["a", "b", "c"]
-    (entry,) = cache.iterdir()
-    assert entry.name == content_key("words-v1", b"a,b,c")
+    expected = sorted([content_key("words-v1", b"a,b,c"), memo_name(words)])
+    assert sorted(p.name for p in cache.iterdir()) == expected
     assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
-    assert list(cache.iterdir()) == [entry]
+    assert sorted(p.name for p in cache.iterdir()) == expected
 
 
 def test_load_parse_error_propagates_and_writes_nothing(tmp_path, words):
@@ -261,7 +274,9 @@ def test_load_miss_deletes_older_versions_only(tmp_path, words):
     (cache / "words-v1-dir").mkdir()  # not a file: left
     assert load_words_at(3, words, cache) == ["a", "b", "c"]
     current = content_key("words-v3", b"a,b,c")
-    assert sorted(p.name for p in cache.iterdir()) == sorted([*keep, "words-v1-dir", current])
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [*keep, "words-v1-dir", current, memo_name(words)]
+    )
     # A hit writes nothing, so it deletes nothing either.
     (cache / old[0]).write_bytes(b"x")
     assert load_words_at(3, words, cache, parse=pytest.fail) == ["a", "b", "c"]
@@ -319,3 +334,313 @@ def test_reader_whose_file_is_deleted_misses(tmp_path, words, monkeypatch):
         "a", "b", "c"
     ]
     assert parses == [1]
+
+
+# ---------------------------------------------------------------------------
+# The stat memo: an unchanged input is not hashed again
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """One entry per hash of an input file."""
+    calls = []
+    hash_file = content_cache.file_content_key
+    monkeypatch.setattr(
+        content_cache, "file_content_key",
+        lambda prefix, path: calls.append(1) or hash_file(prefix, path),
+    )
+    return calls
+
+
+@pytest.fixture
+def no_window(monkeypatch):
+    """Trust a memo as soon as its hash began after the file's last change."""
+    monkeypatch.setattr(content_cache, "RACY_WINDOW_NS", 0)
+
+
+def edit_memo(path, edit):
+    memo = json.loads(path.read_bytes())
+    edit(memo)
+    path.write_text(json.dumps(memo))
+
+
+def test_memo_holds_the_stat_and_the_sha256(tmp_path, words):
+    cache = tmp_path / "cache"
+    before = time.time_ns()
+    load_words(words, cache)
+    after = time.time_ns()
+    st = os.stat(words)
+    memo = json.loads((cache / memo_name(words)).read_bytes())
+    assert memo == {
+        "dev": st.st_dev, "ino": st.st_ino, "size": 5,
+        "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns,
+        "hashed_at_ns": memo["hashed_at_ns"], "sha256": hashlib.sha256(b"a,b,c").hexdigest(),
+    }
+    assert before <= memo["hashed_at_ns"] <= after
+
+
+@pytest.mark.parametrize("late, trusted", [(-1, False), (0, True)])
+def test_memo_is_trusted_from_the_window_on(tmp_path, words, hashes, monkeypatch, late, trusted):
+    """The memo is trusted once its hash began RACY_WINDOW_NS after the later
+    of the file's mtime and ctime, and not a nanosecond before."""
+    st = os.stat(words)
+    clock = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS + late
+    monkeypatch.setattr(content_cache.time, "time_ns", lambda: clock)
+    load_words(words, tmp_path / "cache")
+    assert json.loads((tmp_path / "cache" / memo_name(words)).read_bytes())["hashed_at_ns"] == clock
+    assert load_words(words, tmp_path / "cache", parse=pytest.fail) == ["a", "b", "c"]
+    assert hashes == ([1] if trusted else [1, 1])
+
+
+def test_memo_written_inside_the_window_is_trusted_on_a_later_load(tmp_path, words, hashes,
+                                                                   monkeypatch):
+    """Each load inside the window hashes and rewrites the memo, so the first
+    load after it leaves a memo that the next one trusts."""
+    st = os.stat(words)
+    window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
+    for clock, hashed in [(window - 2, [1]), (window - 1, [1, 1]), (window, [1, 1, 1]),
+                          (window + 1, [1, 1, 1])]:
+        monkeypatch.setattr(content_cache.time, "time_ns", lambda: clock)
+        assert load_words(words, tmp_path / "cache") == ["a", "b", "c"]
+        assert hashes == hashed
+    memo = json.loads((tmp_path / "cache" / memo_name(words)).read_bytes())
+    assert memo["hashed_at_ns"] == window
+
+
+def test_same_size_edit_inside_the_window_is_rehashed(tmp_path, words, hashes):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    words.write_bytes(b"x,y,z")
+    assert load_words(words, cache) == load_words(words, None) == ["x", "y", "z"]
+    assert hashes == [1, 1]
+    # An edit in the timestamp tick of the hash moves neither mtime nor
+    # ctime: the memo then matches the file's stat, as this one is made to,
+    # and only the window keeps its stale sha256 from being trusted.
+    words.write_bytes(b"a,b,c")
+    load_words(words, cache)
+    words.write_bytes(b"x,y,z")
+    st = os.stat(words)
+    window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
+
+    def same_tick(hashed_at):
+        return lambda memo: memo.update(
+            mtime_ns=st.st_mtime_ns, ctime_ns=st.st_ctime_ns, hashed_at_ns=hashed_at
+        )
+
+    hashes.clear()
+    edit_memo(cache / memo_name(words), same_tick(window - 1))
+    assert load_words(words, cache) == ["x", "y", "z"]
+    assert hashes == [1]
+    # The guarantee this weakens: a memo that matches and began after the
+    # window is trusted, and the bytes it was written for are what loads.
+    words.write_bytes(b"a,b,c")
+    load_words(words, cache)
+    words.write_bytes(b"x,y,z")
+    st = os.stat(words)
+    window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
+    edit_memo(cache / memo_name(words), same_tick(window))
+    hashes.clear()
+    assert load_words(words, cache) == ["a", "b", "c"]
+    assert hashes == []
+
+
+def test_edit_whose_mtime_is_put_back_is_rehashed(tmp_path, words, hashes, no_window,
+                                                    monkeypatch):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert hashes == [1]
+    st = os.stat(words)
+    # The edit and the utime set ctime to the clock's current timestamp
+    # tick, so edit until it has left the tick of the first write.
+    for _ in range(300):
+        words.write_bytes(b"x,y,z")
+        os.utime(words, ns=(st.st_atime_ns, st.st_mtime_ns))
+        if os.stat(words).st_ctime_ns != st.st_ctime_ns:
+            break
+        time.sleep(0.01)
+    now = os.stat(words)
+    assert (now.st_ino, now.st_size, now.st_mtime_ns) == (st.st_ino, st.st_size, st.st_mtime_ns)
+    assert now.st_ctime_ns != st.st_ctime_ns
+    # Even a memo dated after the window of the new ctime (a clock set back
+    # since the edit) is not trusted: it was written for the old ctime.
+    memo = cache / memo_name(words)
+    edit_memo(memo, lambda m: m.update(hashed_at_ns=now.st_ctime_ns + 10**9))
+    with monkeypatch.context() as patch:
+        patch.setattr(content_cache, "RACY_WINDOW_NS", 10**9)
+        assert load_words(words, cache) == load_words(words, None) == ["x", "y", "z"]
+    assert hashes == [1, 1]
+
+
+def test_replaced_file_is_rehashed(tmp_path, words, hashes, no_window):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    old_memo = memo_name(words)
+    new = tmp_path / "new.txt"
+    new.write_bytes(b"x,y,z")
+    os.replace(new, words)
+    assert memo_name(words) != old_memo
+    assert load_words(words, cache) == load_words(words, None) == ["x", "y", "z"]
+    assert hashes == [1, 1]
+    # The replaced inode's memo is left behind; it names no file now.
+    assert memos(cache) == sorted([old_memo, memo_name(words)])
+
+
+MEMO_SPOILERS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "empty": lambda p: p.write_bytes(b""),
+    "not JSON": lambda p: p.write_bytes(b"\xff\xfe not JSON"),
+    "a list": lambda p: p.write_text(json.dumps(list(json.loads(p.read_bytes()).values()))),
+    "no sha256": lambda p: edit_memo(p, lambda m: m.pop("sha256")),
+    "sha256 not hex": lambda p: edit_memo(p, lambda m: m.update(sha256=m["sha256"].upper())),
+    "sha256 a path": lambda p: edit_memo(p, lambda m: m.update(sha256="../" + m["sha256"][3:])),
+    "sha256 not a str": lambda p: edit_memo(p, lambda m: m.update(sha256=[m["sha256"]])),
+    "hashed_at not an int": lambda p: edit_memo(
+        p, lambda m: m.update(hashed_at_ns=str(m["hashed_at_ns"]))),
+    "an extra field": lambda p: edit_memo(p, lambda m: m.update(note=1)),
+    "size off by one": lambda p: edit_memo(p, lambda m: m.update(size=m["size"] + 1)),
+    "a directory": lambda p: (p.unlink(), p.mkdir()),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(MEMO_SPOILERS))
+def test_spoiled_memo_is_rehashed_and_rewritten(tmp_path, words, hashes, no_window, spoil):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    memo = cache / memo_name(words)
+    good = memo.read_bytes()
+    MEMO_SPOILERS[spoil](memo)
+    assert load_words(words, cache, parse=pytest.fail) == load_words(words, None)
+    assert hashes == [1, 1]
+    assert memos(cache) == [memo.name]
+    if spoil == "a directory":
+        # Nothing replaces a directory, and no temporary file is left.
+        assert memo.is_dir() and len(list(cache.iterdir())) == 2
+        return
+    # The hash rewrote the memo, so the next load trusts it.
+    assert json.loads(memo.read_bytes())["sha256"] == json.loads(good)["sha256"]
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert hashes == [1, 1]
+
+
+@pytest.mark.parametrize("same_tick", [False, True])
+def test_another_files_memo_is_not_trusted(tmp_path, words, hashes, no_window, same_tick):
+    cache = tmp_path / "cache"
+    other = tmp_path / "other.txt"
+    other.write_bytes(b"x,y,z")
+    load_words(other, cache)
+    load_words(words, cache)
+    memo = cache / memo_name(words)
+    shutil.copyfile(cache / memo_name(other), memo)
+    if same_tick:
+        # As if both files had been written in one timestamp tick: only the
+        # device and inode tell the memos apart.
+        st = os.stat(words)
+        edit_memo(memo, lambda m: m.update(mtime_ns=st.st_mtime_ns, ctime_ns=st.st_ctime_ns))
+    hashes.clear()
+    assert load_words(words, cache) == load_words(words, None) == ["a", "b", "c"]
+    assert hashes == [1]
+
+
+def refuse_writes(file, mode="r", *args, **kwargs):
+    if set(mode) & set("wxa+"):
+        raise PermissionError("read-only file system")
+    return open(file, mode, *args, **kwargs)
+
+
+def test_cache_that_cannot_be_written_hashes_every_load(tmp_path, words, hashes, no_window,
+                                                         monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # Shadows the built-in open in content_cache, as a read-only cache
+    # directory would, whoever the user is.
+    monkeypatch.setattr(content_cache, "open", refuse_writes, raising=False)
+    for _ in range(3):
+        assert load_words(words, cache) == load_words(words, None)
+    assert hashes == [1, 1, 1]
+    assert list(cache.iterdir()) == []
+
+
+def test_read_only_cache_directory_hashes_every_load(tmp_path, words, hashes, no_window):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o555)
+    try:
+        if os.access(cache, os.W_OK):
+            pytest.skip("this user writes to a read-only directory (the superuser does)")
+        for _ in range(3):
+            assert load_words(words, cache) == load_words(words, None)
+        assert hashes == [1, 1, 1]
+        assert list(cache.iterdir()) == []
+    finally:
+        cache.chmod(0o755)
+
+
+def test_trusted_hit_never_opens_its_input(tmp_path, words, no_window, monkeypatch):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    opened = []
+    real_open = io.open
+
+    def watch(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(words):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", watch)
+    monkeypatch.setattr(io, "open", watch)
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert opened == []
+    # The watch sees the input opened: a memo not yet trusted is hashed.
+    monkeypatch.setattr(content_cache, "RACY_WINDOW_NS", 10**18)
+    assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
+    assert len(opened) == 1
+
+
+def test_failed_load_after_a_trusted_memo_writes_nothing(tmp_path, words, no_window):
+    cache = tmp_path / "cache"
+    load_words(words, cache)
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    words.write_bytes(b"\xff,b,c")
+
+    with pytest.raises(UnicodeDecodeError):
+        load_words(words, cache)
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+# ---------------------------------------------------------------------------
+# One debug record per cached load
+# ---------------------------------------------------------------------------
+
+
+def test_second_analyze_on_unchanged_inputs_logs_three_trusted_hits(tmp_path, caplog,
+                                                                    monkeypatch, no_window):
+    city = build_synthetic_city(tmp_path / "city", n_cols=4, n_rows=3)
+    snapshot, boundaries, demographics = city_inputs(city)
+    expected = [
+        (f"snapshot-v{snapshot_store._CACHE_VERSION}", snapshot),
+        (f"tract-index-v{geo._CACHE_VERSION}", boundaries),
+        (f"demographics-v{join_aggregate._CACHE_VERSION}", demographics),
+    ]
+
+    def loads():
+        records = [r for r in caplog.records if r.name == content_cache.logger.name]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        caplog.clear()
+        return [r.getMessage() for r in records]
+
+    with caplog.at_level(logging.DEBUG, logger=content_cache.logger.name):
+        assert main(analyze_argv(city, tmp_path / "first")) == 0
+        assert loads() == [f"{prefix} {path}: miss, hashed" for prefix, path in expected]
+        for module, name in [(snapshot_store, "_parse_csv"), (geo, "_parse_boundaries"),
+                             (join_aggregate, "_parse_demographics")]:
+            monkeypatch.setattr(module, name, pytest.fail)
+        monkeypatch.setattr(content_cache, "file_content_key", pytest.fail)
+        assert main(analyze_argv(city, tmp_path / "second")) == 0
+        assert loads() == [f"{prefix} {path}: hit, memo trusted" for prefix, path in expected]
+    for name in ("table1.csv", "table2.csv", "run_manifest.json"):
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))

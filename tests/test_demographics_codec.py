@@ -5,15 +5,22 @@ through the analyze command."""
 import contextlib
 import csv
 import io
+import json
 import re
+import sys
 import tempfile
+import zlib
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bikeshare_equity import content_cache, join_aggregate
 from bikeshare_equity.cli import main
+from bikeshare_equity.content_cache import content_key
 from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
 from bikeshare_equity.join_aggregate import (
     DEMOGRAPHICS_COLUMNS,
@@ -21,7 +28,7 @@ from bikeshare_equity.join_aggregate import (
     DemographicsRow,
     read_demographics_csv,
 )
-from helpers import build_synthetic_city, mutated
+from helpers import build_synthetic_city, city_inputs, memo_name, memos, memos_of, mutated
 
 HEADER = ",".join(DEMOGRAPHICS_COLUMNS) + "\n"
 
@@ -54,6 +61,46 @@ def outcome(read, text):
         return type(exc)
 
 
+PREFIX = f"demographics-v{join_aggregate._CACHE_VERSION}"
+
+
+def read_outcome(path, **kwargs):
+    """The table read_demographics_csv returns, as its GEOIDs and the shape
+    and bytes of its predictors, or the error's type and message."""
+    try:
+        table = read_demographics_csv(path, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert table.counts is None and table.predictors.dtype == np.float64
+    assert all(type(geoid) is str for geoid in table.geoids)
+    return table.geoids, table.predictors.shape, table.predictors.tobytes()
+
+
+def no_parse(data):
+    raise AssertionError("a cache hit parsed the CSV")
+
+
+def cached_reads_agree(path, cache):
+    """Read the file uncached, then with a cache: a miss, a hit on a hashed
+    key and a hit on a trusted memo, neither of which parses. All four give
+    the same table, bit for bit, or the same error, in which case nothing is
+    cached. Returns the uncached outcome."""
+    uncached = read_outcome(path)
+    reads = [read_outcome(path, cache_dir=cache)]
+    if isinstance(uncached[0], type):
+        assert not cache.exists()
+    else:
+        with mock.patch.object(join_aggregate, "_parse_demographics", no_parse):
+            reads.append(read_outcome(path, cache_dir=cache))
+            with mock.patch.object(content_cache, "RACY_WINDOW_NS", 0), \
+                    mock.patch.object(content_cache, "file_content_key", no_parse):
+                reads.append(read_outcome(path, cache_dir=cache))
+        key = content_key(PREFIX, path.read_bytes())
+        assert sorted(p.name for p in cache.iterdir()) == sorted([key, memo_name(path)])
+    assert all(read == uncached for read in reads)
+    return uncached
+
+
 def analyze_argv(city, demographics, out_dir):
     return ["analyze", "--store", str(city["store"]), "--boundaries", str(city["boundaries"]),
             "--demographics", str(demographics), "--out", str(out_dir)]
@@ -75,6 +122,28 @@ def test_layout_edge_cases_read_as_the_reference_reads_them():
         assert list(read_demographics_csv(io.StringIO(text))) == ref_read_demographics_csv(text), text
 
 
+def test_layout_edge_cases_read_alike_uncached_missed_and_hit(tmp_path):
+    row = "53033000001,0.5,0.2,0.3,120.5,-0.0\n"
+    for i, text in enumerate([
+        HEADER + row,
+        HEADER + "\n" + row + "\n\n",
+        HEADER.replace("\n", ",extra\n") + row.replace("\n", ",x\n"),
+        HEADER.replace("\n", "\r\n") + row.replace("\n", "\r\n"),
+        HEADER.replace("\n", "\r") + row.replace("\n", "\r"),  # read as line ends
+        HEADER + '"53033\r\n000002",0.5,0.2,0.3,1.0,1.0\n' + row,
+        HEADER + row * 3,  # a duplicate GEOID is join_demographics' error
+        "\ufeff" + HEADER + row,
+        HEADER,
+    ]):
+        path = tmp_path / f"demographics_{i}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        geoids, shape, values = cached_reads_agree(path, tmp_path / f"cache_{i}")
+        expected = read_demographics_csv(io.StringIO(path.read_text(encoding="utf-8")))
+        assert (geoids, shape, values) == (
+            expected.geoids, expected.predictors.shape, expected.predictors.tobytes()
+        ), text
+
+
 def test_byte_order_mark_is_dropped(tmp_path, capsys):
     """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
     text = HEADER + "53033000001,0.5,0.2,0.3,120.5,77.0\n"
@@ -82,6 +151,7 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys):
     path = tmp_path / "demographics.csv"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     assert list(read_demographics_csv(path)) == expected
+    cached_reads_agree(path, tmp_path / "cache")
     assert list(read_demographics_csv(io.StringIO("\ufeff" + text))) == expected
     # Only one leading mark is dropped: a second one is part of the header.
     with pytest.raises(SchemaError, match="missing column.s.: tract_geoid$"):
@@ -120,6 +190,7 @@ def test_malformed_demographics_fail_read_and_stage(tmp_path, capsys, content, e
     with pytest.raises(error) as raised:
         read_demographics_csv(path)
     assert str(raised.value).startswith(message)
+    assert cached_reads_agree(path, tmp_path / "cache") == (error, str(raised.value))
 
     city = build_synthetic_city(tmp_path / "city", n_cols=4, n_rows=3)
     rc = main(analyze_argv(city, path, tmp_path / "out"))
@@ -158,7 +229,7 @@ ROW = "53033000001,0.5,0.2,0.3,120.5,77.0\n"
          "two unparseable fields", "two out-of-range fields", "unparseable before range on a line",
          "after blank lines", "after a multi-line field", "short row after a multi-line field"],
 )
-def test_the_first_bad_line_in_file_order_is_reported(text, error, message):
+def test_the_first_bad_line_in_file_order_is_reported(tmp_path, text, error, message):
     """Fields are parsed as lines are read, but ranges are checked on whole
     columns; either way the error is the first bad line's. Within a line,
     an unparseable field wins (each field is parsed before any is checked),
@@ -167,6 +238,9 @@ def test_the_first_bad_line_in_file_order_is_reported(text, error, message):
     with pytest.raises(error) as raised:
         read_demographics_csv(io.StringIO(text))
     assert str(raised.value) == message
+    path = tmp_path / "demographics.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert cached_reads_agree(path, tmp_path / "cache") == (error, message)
 
 
 def test_missing_demographics_file_fails_stage_read_demographics(tmp_path, capsys):
@@ -175,6 +249,20 @@ def test_missing_demographics_file_fails_stage_read_demographics(tmp_path, capsy
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "error: stage read_demographics: cannot read demographics file ")
+    for absent in (tmp_path / "absent.csv", tmp_path):  # missing, and a directory
+        error, message = cached_reads_agree(absent, tmp_path / "cache")
+        assert error is ParseError and message.startswith(f"cannot read demographics file {absent}: ")
+    # The snapshot and boundaries loaded before the failed stage; no memo
+    # names the demographics path.
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city)[:2])
+
+
+def test_library_default_writes_no_cache(tmp_path, monkeypatch):
+    path = tmp_path / "demographics.csv"
+    path.write_text(HEADER + ROW)
+    monkeypatch.setattr(content_cache, "write_entry", pytest.fail)
+    read_demographics_csv(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demographics.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +293,8 @@ def test_analyze_on_fuzzed_demographics_exits_cleanly(fuzz_city, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(analyze_argv(fuzz_city, path, Path(tmp) / "out"))
         err = err.getvalue()
+        # Uncached, missed and hit reads agree.
+        cached_reads_agree(path, Path(tmp) / "cache")
         try:
             rows = read_demographics_csv(path)
         except BikeshareEquityError:
@@ -224,3 +314,126 @@ def test_analyze_on_fuzzed_demographics_exits_cleanly(fuzz_city, data):
         assert list(rows) == ref
     else:
         assert rows is None
+
+
+# ---------------------------------------------------------------------------
+# Bad demographics cache files: each is a silent miss, and the miss rewrites
+# the file
+# ---------------------------------------------------------------------------
+
+
+OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
+
+
+@pytest.fixture
+def city(tmp_path):
+    return build_synthetic_city(tmp_path / "city", n_cols=4, n_rows=3)
+
+
+def analyze(city, out_dir):
+    assert main(analyze_argv(city, city["demographics"], out_dir)) == 0
+    return {name: (out_dir / name).read_bytes() for name in OUTPUTS}
+
+
+def demographics_caches(city):
+    """Every entry in the store's cache but the other caches' finished files
+    and the finished stat memos, so a temporary file of any of them is
+    listed."""
+    return sorted(
+        path for path in (city["store"] / "cache").iterdir()
+        if not path.name.startswith(("snapshot-", "tract-index-", "stat-v1-"))
+    )
+
+
+def rewrite(path, edit):
+    """Rewrite a cache file under a valid CRC, its header and (n, 5) values
+    changed by edit, which returns the values to write."""
+    blob = path.read_bytes()
+    end = blob.index(b"\n")
+    header = json.loads(blob[:end])
+    values = edit(header, np.frombuffer(blob[end + 1:-4], np.float64).reshape(-1, 5).copy())
+    line = json.dumps(header).encode()
+    payload = line + b" " * (-(len(line) + 1) % 8) + b"\n" + values.tobytes()
+    path.write_bytes(payload + zlib.crc32(payload).to_bytes(4, "big"))
+
+
+def edit_header(change):
+    def edit(header, values):
+        change(header)
+        return values
+    return lambda path: rewrite(path, edit)
+
+
+def set_value(row, column, value):
+    def edit(header, values):
+        values[row, column] = value
+        return values
+    return lambda path: rewrite(path, edit)
+
+
+def flip_byte(at):
+    def spoil(path):
+        data = bytearray(path.read_bytes())
+        data[at(len(data))] ^= 0x01
+        path.write_bytes(bytes(data))
+    return spoil
+
+
+OTHER_ORDER = "big" if sys.byteorder == "little" else "little"
+
+SPOILERS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "empty": lambda p: p.write_bytes(b""),
+    "flipped crc byte": flip_byte(lambda size: size - 1),
+    "flipped value byte": flip_byte(lambda size: size - 12),
+    "wrong key": edit_header(lambda h: h.update(key=h["key"][:-64] + "0" * 64)),
+    "other version": edit_header(lambda h: h.update(key=h["key"].replace(PREFIX, "demographics-v0"))),
+    "other byte order": edit_header(lambda h: h.update(byteorder=OTHER_ORDER)),
+    "n off by one": edit_header(lambda h: h.update(n=h["n"] + 1)),
+    "n not an int": edit_header(lambda h: h.update(n=float(h["n"]))),
+    "GEOID not a str": edit_header(lambda h: h["geoids"].__setitem__(0, int(h["geoids"][0]))),
+    "GEOID missing": edit_header(lambda h: h["geoids"].pop()),
+    "GEOIDs not a list": edit_header(lambda h: h.update(geoids=",".join(h["geoids"]))),
+    "short body": lambda p: rewrite(p, lambda h, values: values.ravel()[:-1]),
+    "a row short": lambda p: rewrite(p, lambda h, values: values[:-1]),
+    "long body": lambda p: rewrite(p, lambda h, values: np.append(values, 0.5)),
+    "fraction NaN": set_value(0, 0, np.nan),
+    "density NaN": set_value(-1, 3, np.nan),
+    "fraction above 1": set_value(1, 1, 1.5),
+    "fraction below 0": set_value(0, 2, -0.25),
+    "density infinite": set_value(0, 4, np.inf),
+    "density negative": set_value(2, 3, -1.0),
+    "a directory": lambda p: (p.unlink(), p.mkdir()),
+}
+
+
+def test_an_unchanged_rewrite_is_still_a_hit(tmp_path, city, monkeypatch):
+    """The crafted files below differ from a good one only where they say."""
+    expected = analyze(city, tmp_path / "clean")
+    (cache_file,) = demographics_caches(city)
+    rewrite(cache_file, lambda header, values: values)
+    monkeypatch.setattr(join_aggregate, "_parse_demographics", no_parse)
+    assert analyze(city, tmp_path / "again") == expected
+
+
+@pytest.mark.parametrize("spoil", sorted(SPOILERS))
+def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
+    expected = analyze(city, tmp_path / "clean")
+    (cache_file,) = demographics_caches(city)
+    assert cache_file.name == content_key(PREFIX, city["demographics"].read_bytes())
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
+    SPOILERS[spoil](cache_file)
+    parses = []
+    parse = join_aggregate._parse_demographics
+    monkeypatch.setattr(join_aggregate, "_parse_demographics", lambda d: parses.append(1) or parse(d))
+    assert analyze(city, tmp_path / "spoiled") == expected
+    assert parses == [1]
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
+    if spoil == "a directory":
+        # Nothing replaces a directory, and no temporary file is left.
+        assert demographics_caches(city) == [cache_file] and cache_file.is_dir()
+        return
+    # The miss rewrote the file, so the next run is a hit.
+    assert demographics_caches(city) == [cache_file]
+    assert analyze(city, tmp_path / "again") == expected
+    assert parses == [1]

@@ -19,7 +19,7 @@ from bikeshare_equity.snapshot_store import (
     append_snapshot,
     load_snapshot,
 )
-from helpers import build_synthetic_city, observation
+from helpers import build_synthetic_city, city_inputs, memos, memos_of, observation
 from test_cli import analyze_argv
 
 OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
@@ -42,11 +42,12 @@ def parses(monkeypatch):
 
 
 def snapshot_caches(store):
-    """Every entry in the store's cache but the boundary cache's finished
-    files, so a temporary file of either cache is listed."""
+    """Every entry in the store's cache but the other caches' finished files
+    and the finished stat memos (which memos() lists), so a temporary file of
+    any cache or memo is listed."""
     return sorted(
         path for path in (store / "cache").iterdir()
-        if not path.name.startswith("tract-index-")
+        if not path.name.startswith(("tract-index-", "demographics-", "stat-v1-"))
     )
 
 
@@ -95,6 +96,7 @@ def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch,
     monkeypatch.setattr(content_cache, "file_content_key", hash_file)
     assert got.entity_id == "e9"
     (cache_file,) = snapshot_caches(store)
+    assert memos(store / "cache") == memos_of(snapshot)
     prefix = f"snapshot-v{snapshot_store._CACHE_VERSION}"
     assert cache_file.name == content_cache.content_key(prefix, snapshot.read_bytes())
     assert list(load_snapshot(store, cache_dir=store / "cache")) == [got]
@@ -112,6 +114,7 @@ def test_two_map_and_analyze_runs_on_one_store_are_byte_identical(tmp_path, city
     first_map = map_svg(city["store"], tmp_path / "map1")  # a miss: writes the cache
     first = analyze(city, tmp_path / "first")  # a hit
     (cache_file,) = snapshot_caches(city["store"])
+    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
     assert parses == [1]
     assert map_svg(city["store"], tmp_path / "map2") == first_map
     assert analyze(city, tmp_path / "second") == first
@@ -137,6 +140,7 @@ def test_range_selector_over_cached_snapshots_equals_uncached_read(tmp_path, par
         assert list(load_snapshot(store, selector, cache_dir=store / "cache")) == fresh
         assert len(parses) <= len(snapshot_caches(store))
     assert len(snapshot_caches(store)) == 4
+    assert memos(store / "cache") == memos_of(*store.glob("snapshot_*.csv"))
     parses.clear()
     load_snapshot(store, (0, 10_000), cache_dir=store / "cache")
     assert parses == []
@@ -250,6 +254,7 @@ def test_an_unchanged_rewrite_is_still_a_hit(city, parses):
     store = city["store"]
     expected = list(load_snapshot(store, cache_dir=store / "cache"))
     (cache_file,) = snapshot_caches(store)
+    assert memos(store / "cache") == memos_of(*store.glob("snapshot_*.csv"))
     rewrite(cache_file, lambda header, values: None)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert parses == [1]
@@ -261,10 +266,13 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, parses, spoil):
     expected = list(load_snapshot(store, cache_dir=store / "cache"))
     expected_svg = map_svg(store, tmp_path / "clean")
     (cache_file,) = snapshot_caches(store)
+    snapshot_memos = memos_of(*store.glob("snapshot_*.csv"))
+    assert memos(store / "cache") == snapshot_memos
     SPOILERS[spoil](cache_file)
     parses.clear()
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert parses == [1]
+    assert memos(store / "cache") == snapshot_memos
     if spoil == "a directory":
         # Nothing replaces a directory, and no temporary file is left.
         assert snapshot_caches(store) == [cache_file] and cache_file.is_dir()
@@ -283,6 +291,7 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses):
     monkeypatch.undo()
     (old,) = snapshot_caches(store)
     assert old.name.startswith("snapshot-v0-")
+    assert memos(store / "cache") == memos_of(*store.glob("snapshot_*.csv"))
     read = content_cache.read_entry
 
     def read_current(path, key, decode):
@@ -294,6 +303,7 @@ def test_old_version_file_is_never_read(city, monkeypatch, parses):
     # Writing the current file deleted the old one.
     (current,) = snapshot_caches(store)
     assert current.name.startswith(f"snapshot-v{snapshot_store._CACHE_VERSION}-")
+    assert memos(store / "cache") == memos_of(*store.glob("snapshot_*.csv"))
 
 
 def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, monkeypatch, parses):
@@ -324,6 +334,7 @@ def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, mo
     assert parses == [1]
     assert not old.exists()
     assert len(snapshot_caches(store)) == 1
+    assert memos(store / "cache") == memos_of(*city_inputs(city))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +380,8 @@ def test_cache_path_that_is_a_file_is_left_alone(tmp_path, city):
     expected = map_svg(city["store"], tmp_path / "clean")
     for path in snapshot_caches(city["store"]):
         path.unlink()
+    for name in memos_of(*city["store"].glob("snapshot_*.csv")):
+        (city["store"] / "cache" / name).unlink()
     (city["store"] / "cache").rmdir()
     (city["store"] / "cache").write_bytes(b"not a directory")
     assert map_svg(city["store"], tmp_path / "out") == expected

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from bikeshare_equity import snapshot_store
 from bikeshare_equity.cli import main
+from bikeshare_equity.content_cache import content_key
 from bikeshare_equity.errors import BikeshareEquityError, ParseError, SchemaError
 from bikeshare_equity.snapshot_store import (
     OBSERVATION_COLUMNS,
@@ -33,6 +34,7 @@ from bikeshare_equity.snapshot_store import (
     valid_observation_values,
     write_observations_csv,
 )
+from helpers import memo_name
 
 # ---------------------------------------------------------------------------
 # Reference: the reader as it was before positional column access.
@@ -212,7 +214,9 @@ def cached_reads_agree(store):
         assert valid_observation_values(*Observations.from_records(uncached).columns())
         with mock.patch.object(snapshot_store, "read_observations_csv", no_parse):
             reads.append(load_outcome(store, cache_dir=cache))
-        assert len(list(cache.iterdir())) == 1
+        snapshot = store / "snapshot_000001.csv"
+        key = content_key(f"snapshot-v{snapshot_store._CACHE_VERSION}", snapshot.read_bytes())
+        assert sorted(p.name for p in cache.iterdir()) == sorted([key, memo_name(snapshot)])
     else:
         assert not cache.exists()
     for read in reads:
