@@ -18,11 +18,13 @@ snapshot content (``snapshot-v<N>-<sha256 of the CSV bytes>``, where N is
 ``_CACHE_VERSION``), so a later read of the same file parses no CSV
 (``content_cache.load``, given this module's parse, ``_encode`` and
 ``_decode``). A cache file holds the columns of an Observations in
-``content_cache``'s frame: the header line holds the row count ``n``, the
-``entity_id`` list, and ``[value, count]`` run-length pairs for
-``system_id``, ``docking_type`` and ``observed_at``; the body is the lat
-column and the lon column as raw float64. A read returns an Observations,
-cached or not, and builds no records.
+``content_cache``'s frame: the header line holds the row count ``n``,
+``[value, count]`` run-length pairs for ``system_id``, ``docking_type`` and
+``observed_at``, ``separator``, a character that occurs in no entity_id, and
+``id_bytes``; the body is the lat column and the lon column as raw float64,
+then the entity_ids joined by the separator, as id_bytes of UTF-8. A read
+returns an Observations, cached or not, and builds no records; a cached one
+splits its ids only when they are read.
 """
 
 from __future__ import annotations
@@ -109,13 +111,22 @@ def _run_value(runs: Iterable, position: int):
     raise IndexError("run-length column shorter than the observations")
 
 
+class _JoinedIds(NamedTuple):
+    """One or more ids joined by a separator that occurs in none of them."""
+
+    separator: str
+    text: str
+
+
 class Observations(Sequence):
     """A snapshot's observations as columns, as a snapshot cache file holds
     them: the entity_ids, and the lats and lons as float64 arrays, one value
     per row, and ``[value, count]`` runs of equal consecutive system_id,
     docking_type and observed_at values, whose counts sum to the row count.
     The arrays hold no float objects, which a column of 10k rows would
-    otherwise keep for as long as it lives.
+    otherwise keep for as long as it lives. A cached read keeps the
+    entity_ids as one joined text until they are first read, so a reader of
+    the other columns (map, analyze) builds no id object.
 
     It is a read-only sequence of BikeObservations: len, int indexing
     (negative too) and iteration build each record on demand. An index
@@ -124,20 +135,20 @@ class Observations(Sequence):
     """
 
     __slots__ = (
-        "system_id_runs", "entity_ids", "lats", "lons", "docking_type_runs", "observed_at_runs",
+        "system_id_runs", "_entity_ids", "lats", "lons", "docking_type_runs", "observed_at_runs",
     )
 
     def __init__(
         self,
         system_id_runs: list,
-        entity_ids: Sequence[str],
+        entity_ids: Sequence[str] | _JoinedIds,
         lats: array,
         lons: array,
         docking_type_runs: list,
         observed_at_runs: list,
     ):
         self.system_id_runs = system_id_runs
-        self.entity_ids = entity_ids
+        self._entity_ids = entity_ids
         self.lats = lats
         self.lons = lons
         self.docking_type_runs = docking_type_runs
@@ -162,6 +173,13 @@ class Observations(Sequence):
         over the tuples."""
         return cls.from_columns(*(tuple(zip(*records)) or ((),) * len(OBSERVATION_COLUMNS)))
 
+    @property
+    def entity_ids(self) -> Sequence[str]:
+        ids = self._entity_ids
+        if type(ids) is _JoinedIds:
+            ids = self._entity_ids = ids.text.split(ids.separator)
+        return ids
+
     def columns(self) -> tuple[Iterable, ...]:
         """The six columns with one value per row, in OBSERVATION_COLUMNS
         order; the run-length ones are expanded as they are iterated."""
@@ -171,7 +189,7 @@ class Observations(Sequence):
         )
 
     def __len__(self) -> int:
-        return len(self.entity_ids)
+        return len(self.lats)
 
     def __iter__(self) -> Iterator[BikeObservation]:
         # tuple.__new__ builds each record without the NamedTuple's
@@ -387,7 +405,7 @@ MANIFEST_NAME = "manifest.csv"
 # Part of every snapshot cache key: a change to the cache file's layout, or
 # to the inputs read_observations_csv accepts or the columns it returns for
 # them, must bump it, so no file written before the change is ever read.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 Selector = Union[str, int, tuple]
 
@@ -511,43 +529,70 @@ def _parse_csv(data: bytes) -> Observations:
         return read_observations_csv(fh)
 
 
-def _encode(observations: Observations) -> tuple[dict, tuple[array, array]]:
-    """The cache file's header (n and the id and run-length columns) and body
-    (the lat and lon columns)."""
+def _encode(observations: Observations) -> tuple[dict, tuple]:
+    """The cache file's header (n, the run-length columns, the ids'
+    separator and the id text's length in bytes) and body (the lat and lon
+    columns, then the id text)."""
+    separator, text = _id_text(observations.entity_ids)
+    id_text = text.encode("utf-8")
     header = {
         "n": len(observations),
         "system_id": observations.system_id_runs,
-        "entity_id": observations.entity_ids,
+        "separator": separator,
+        "id_bytes": len(id_text),
         "docking_type": [
             [KIND_TEXT[kind], count] for kind, count in observations.docking_type_runs
         ],
         "observed_at": observations.observed_at_runs,
     }
-    return header, (observations.lats, observations.lons)
+    return header, (observations.lats, observations.lons, id_text)
+
+
+def _id_text(ids: Sequence[str]) -> tuple[str | None, str]:
+    """The first code point that occurs in no id, and the ids joined by it;
+    (None, "") when the ids use every code point, which makes the cache file
+    a miss. U+0000 is tried with one join, and is almost always the one."""
+    text = "\0".join(ids)
+    if text.count("\0") == max(len(ids) - 1, 0):
+        return "\0", text
+    used = set(text)
+    # Every code point UTF-8 can encode: all but the surrogates.
+    for code_point in chain(range(0xD800), range(0xE000, 0x110000)):
+        if chr(code_point) not in used:
+            return chr(code_point), chr(code_point).join(ids)
+    return None, ""
 
 
 def _decode(header: dict, body: memoryview) -> Observations:
     """The columns of a cache file; raises (a miss) unless its run lengths
-    and columns add up to n and its values pass the CSV reader's own rule
-    (valid_observation_values)."""
-    n = header["n"]
-    entity_ids = header["entity_id"]
+    and body add up to n, the id_bytes after the coordinates are UTF-8 text
+    that the separator (one character) splits into n ids, and its other
+    values pass the CSV reader's own rule (valid_observation_values). The
+    ids need no check: a split returns str. They stay joined until they are
+    read."""
+    n, separator, id_bytes = header["n"], header["separator"], header["id_bytes"]
     runs = [header[column] for column in ("system_id", "docking_type", "observed_at")]
     if not (
         type(n) is int
-        and len(body) == 16 * n
         and all(_valid_runs(column, n) for column in runs)
-        and type(entity_ids) is list
-        and len(entity_ids) == n
+        and type(id_bytes) is int
+        and len(body) == 16 * n + id_bytes
+        and type(separator) is str
+        and len(separator) == 1
     ):
         raise ValueError("columns do not add up to n")
+    text = str(body[16 * n:], "utf-8")
+    # n ids hold n - 1 separators; no ids, no text.
+    if (text.count(separator) + 1 if n else len(text)) != n:
+        raise ValueError("the id text does not hold n ids")
+    entity_ids = _JoinedIds(separator, text) if n else []
     systems, kinds, observed_ats = runs
     kinds = [[TEXT_KIND[value], count] for value, count in kinds]
     lats, lons = array("d"), array("d")
     lats.frombytes(body[:8 * n])
-    lons.frombytes(body[8 * n:])
+    lons.frombytes(body[8 * n:16 * n])
     if not valid_observation_values(
-        _values(systems), entity_ids, lats, lons, _values(kinds), _values(observed_ats)
+        _values(systems), (), lats, lons, _values(kinds), _values(observed_ats)
     ):
         raise ValueError("a value the CSV reader would not return")
     return Observations(systems, entity_ids, lats, lons, kinds, observed_ats)

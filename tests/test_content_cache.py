@@ -149,8 +149,10 @@ def test_unwritable_location_writes_nothing(tmp_path):
 
 
 def test_snapshot_cache_file_keeps_its_layout(tmp_path):
-    """The snapshot cache's files are byte for byte those of its first
-    layout, so a file written before the frame was shared is still a hit."""
+    """A snapshot cache file is the shared frame around this layout, byte
+    for byte: the header holds n, the run-length columns, the ids' separator
+    (U+0000, which no id holds) and the id text's length in bytes; the body
+    the lat and lon columns, then the ids joined by the separator."""
     store = tmp_path / "store"
     snapshot_store.append_snapshot(
         [observation("sys", "e1", 45.5, -122.25, DockingType.FREE, 7),
@@ -164,12 +166,15 @@ def test_snapshot_cache_file_keeps_its_layout(tmp_path):
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
         [path.name, memo_name(snapshot)]
     )
+    assert path.name.startswith("snapshot-v3-")
     line = json.dumps({
         "key": path.name, "byteorder": sys.byteorder, "n": 3,
-        "system_id": [["sys", 2], ["dock", 1]], "entity_id": ["e1", "e,2", "s1"],
+        "system_id": [["sys", 2], ["dock", 1]], "separator": "\0", "id_bytes": 9,
         "docking_type": [["free", 2], ["docked", 1]], "observed_at": [[7, 2], [9, 1]],
     }, separators=(",", ":")).encode("ascii") + b"\n"
-    payload = line + array("d", [45.5, -45.0, 0.0, -122.25, 179.5, -0.0]).tobytes()
+    payload = (
+        line + array("d", [45.5, -45.0, 0.0, -122.25, 179.5, -0.0]).tobytes() + b"e1\0e,2\0s1"
+    )
     assert path.read_bytes() == payload + zlib.crc32(payload).to_bytes(4, "big")
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikeshare_equity.cli import _Fixed2, main, render_map_svg
+from bikeshare_equity.cli import _MARKER_BLOCK, _Fixed2, main, render_map_svg
 from bikeshare_equity.snapshot_store import DockingType, Observations, load_snapshot
 from helpers import build_synthetic_city, observation
 
@@ -151,6 +151,9 @@ def straddling_zero():
     return corners + [observation("sys", f"e{i}", 5.0, lon) for i, lon in enumerate(lons)]
 
 
+# Enough rows for two whole blocks of marker lines and one row more.
+PAST_TWO_BLOCKS = 2 * _MARKER_BLOCK + 1
+
 # (observations, width, height)
 SIZED_CASES = {
     # The scale goes negative: negative coordinates, and -0.00 where they round to zero.
@@ -158,9 +161,11 @@ SIZED_CASES = {
     "x through zero": (straddling_zero(), 60, 50),
     # Coordinates from 40 to about 2e7, so some take the per-value '%.2f' text,
     # over more than one block of marker lines.
-    "coordinates past 1e7": (sample(2500, 5), 20_000_000, 20_000_000),
+    "coordinates past 1e7": (sample(PAST_TWO_BLOCKS, 5), 20_000_000, 20_000_000),
     "coordinates far past 1e7": (sample(30, 6), 10**200, 10**200),
-    "one run per row": (alternating(2500, 7), 800, 500),
+    "one run per row": (alternating(PAST_TWO_BLOCKS, 7), 800, 500),
+    "exactly one block": (alternating(_MARKER_BLOCK, 13), 800, 500),
+    "one block and one row": (alternating(_MARKER_BLOCK + 1, 14), 800, 500),
     "all docked": (all_of(DockingType.DOCKED, 200, 8), 800, 500),
     "all free": (all_of(DockingType.FREE, 200, 9), 800, 500),
     # Python's min and max let a NaN decide only as the first value.
@@ -262,11 +267,13 @@ def test_column_formatter_matches_percent_on_any_finite_floats(values):
 
 
 def test_map_command_writes_the_reference_svg_on_a_cache_miss_and_a_hit(tmp_path, capsys):
-    """About 4k markers: several blocks of marker lines, and a document that
-    is written in several slices."""
-    city = build_synthetic_city(tmp_path / "city")
+    """About 8k markers: more than one block of marker lines, and a document
+    that is written in several slices."""
+    city = build_synthetic_city(tmp_path / "city", n_cols=30, n_rows=20)
     store = city["store"]
-    expected = ref_render_map_svg(list(load_snapshot(store, "latest"))).encode("utf-8")
+    observations = list(load_snapshot(store, "latest"))
+    assert len(observations) > _MARKER_BLOCK
+    expected = ref_render_map_svg(observations).encode("utf-8")
     assert len(expected) > 3 * 2**16
     assert not list(store.glob("cache/snapshot-*"))
     written = []
@@ -281,8 +288,9 @@ def test_map_command_writes_the_reference_svg_on_a_cache_miss_and_a_hit(tmp_path
 def test_render_map_svg_memory_is_bounded():
     """The markers are written a block of rows at a time, each block into one
     byte matrix with one keep-mask, compacted once. With the columns built
-    from a list of records, the peak stays under 3.5 MB (the per-marker
-    strings this replaced peaked at about 2.9 MB)."""
+    from a list of records, the peak stays under 3.5 MB: about 2.0 MB at
+    4,096 rows a block, as at 1,024 (2.7 MB with one block for all 10k
+    rows), against about 2.9 MB for the per-marker strings this replaced."""
     observations = sample(10_000, 1)
     render_map_svg(observations)  # imports and caches warmed outside the trace
     tracemalloc.start()

@@ -8,6 +8,7 @@ import random
 import sys
 import zlib
 from array import array
+from itertools import chain
 
 import pytest
 
@@ -76,6 +77,85 @@ def test_cached_records_equal_the_uncached_read(city, parses):
         for column in ("system_id", "docking_type", "observed_at"):
             same = getattr(a, column) == getattr(b, column)
             assert (getattr(a, column) is getattr(b, column)) == same, column
+
+
+def element_types(records):
+    return [tuple(map(type, record)) for record in records]
+
+
+def separator_of(store):
+    (cache_file,) = snapshot_caches(store)
+    blob = cache_file.read_bytes()
+    return json.loads(blob[:blob.index(b"\n")])["separator"]
+
+
+LATIN_1 = [chr(code) for code in range(0x100)]
+NUL = pytest.mark.skipif(sys.version_info < (3, 11), reason="csv before Python 3.11 reads no NUL")
+# Entity ids, and the separator their cache file takes: the first code point
+# that no id holds.
+ID_CASES = [
+    pytest.param(["", "e1", ""], "\0", id="an empty id"),
+    pytest.param(["a\0b", "\0", "\x01c", "\0\0"], "\x02", id="ids holding U+0000", marks=NUL),
+    pytest.param(LATIN_1 + ["".join(LATIN_1)], "\u0100", id="every code point to U+00FF", marks=NUL),
+    pytest.param(["\u0100é中\U0001f6b2"], "\0", id="one row"),
+    pytest.param([], "\0", id="zero rows"),
+]
+
+
+def snapshot_of(ids):
+    kinds = [DockingType.FREE, DockingType.DOCKED]
+    return [
+        observation("sys", entity_id, 45.0 + i / 64, -122.0 - i / 64, kinds[i % 2], 100 + i // 3)
+        for i, entity_id in enumerate(ids)
+    ]
+
+
+@pytest.mark.parametrize(("ids", "separator"), ID_CASES)
+def test_ids_round_trip_through_the_cache(tmp_path, parses, ids, separator):
+    """A miss and a hit return what the CSV parse returns, value by value
+    and type by type."""
+    store = tmp_path / "store"
+    append_snapshot(snapshot_of(ids), store)
+    fresh = list(load_snapshot(store))
+    missed = list(load_snapshot(store, cache_dir=store / "cache"))
+    hit = list(load_snapshot(store, cache_dir=store / "cache"))
+    assert parses == [1, 1]
+    assert fresh == snapshot_of(ids)
+    assert [obs.entity_id for obs in fresh] == ids
+    for got in (missed, hit):
+        assert got == fresh
+        assert element_types(got) == element_types(fresh)
+    assert separator_of(store) == separator
+
+
+def test_a_hit_keeps_the_ids_joined_until_they_are_read(tmp_path):
+    store = tmp_path / "store"
+    ids = ["e1", "", "e,3"]
+    append_snapshot(snapshot_of(ids), store)
+    load_snapshot(store, cache_dir=store / "cache")
+    hit = load_snapshot(store, cache_dir=store / "cache")
+    assert type(hit._entity_ids) is snapshot_store._JoinedIds
+    assert len(hit) == 3 and hit and list(hit.lons) == [-122.0, -122.0 - 1 / 64, -122.0 - 2 / 64]
+    assert type(hit._entity_ids) is snapshot_store._JoinedIds
+    assert hit.entity_ids == ids and hit.entity_ids is hit.entity_ids
+    assert [obs.entity_id for obs in hit] == ids
+
+
+@NUL
+def test_ids_using_every_code_point_are_read_but_never_hit(tmp_path, parses):
+    """No character is left to separate them, so the cache file written is a
+    miss: each cached read parses the CSV, and returns what the parse does."""
+    code_points = list(map(chr, chain(range(0xD800), range(0xE000, 0x110000))))
+    # Each id is within csv's default field size limit of 131,072 characters.
+    ids = ["".join(code_points[start:start + 100_000]) for start in range(0, len(code_points), 100_000)]
+    store = tmp_path / "store"
+    append_snapshot(snapshot_of(ids), store)
+    fresh = list(load_snapshot(store))
+    assert [obs.entity_id for obs in fresh] == ids
+    for _ in range(2):
+        assert list(load_snapshot(store, cache_dir=store / "cache")) == fresh
+    assert parses == [1, 1, 1]
+    assert separator_of(store) is None
 
 
 def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch, parses):
@@ -181,35 +261,56 @@ def test_failed_snapshot_read_writes_no_cache(tmp_path, capsys):
 
 
 def rewrite(path, edit):
-    """Rewrite a cache file with its header and coordinates changed by edit,
-    under a valid CRC."""
+    """Rewrite a cache file with its header, coordinates and id text changed
+    by edit, under a valid CRC. edit(header, values, text) edits in place the
+    header, the lat and lon columns as one list of floats, and the UTF-8 id
+    text after them as a bytearray."""
     blob = path.read_bytes()
     end = blob.index(b"\n")
     header = json.loads(blob[:end])
+    body = blob[end + 1:-4]
     coordinates = array("d")
-    coordinates.frombytes(blob[end + 1:-4])
+    coordinates.frombytes(body[:16 * header["n"]])
     values = coordinates.tolist()
-    edit(header, values)
-    payload = json.dumps(header).encode() + b"\n" + array("d", values).tobytes()
+    text = bytearray(body[16 * header["n"]:])
+    edit(header, values, text)
+    payload = json.dumps(header).encode() + b"\n" + array("d", values).tobytes() + text
     path.write_bytes(payload + zlib.crc32(payload).to_bytes(4, "big"))
 
 
 def set_header(name, value):
-    return lambda path: rewrite(path, lambda header, values: header.__setitem__(name, value))
+    return lambda path: rewrite(path, lambda header, values, text: header.__setitem__(name, value))
 
 
 def edit_header(edit):
-    return lambda path: rewrite(path, lambda header, values: edit(header))
+    return lambda path: rewrite(path, lambda header, values, text: edit(header))
 
 
 def set_coordinate(index, value):
-    return lambda path: rewrite(path, lambda header, values: values.__setitem__(index, value))
+    return lambda path: rewrite(path, lambda header, values, text: values.__setitem__(index, value))
+
+
+def edit_text(edit):
+    """Edit the id text and keep the header's id_bytes true to it, so that
+    only the text's own checks can find the fault."""
+    def edit_both(header, values, text):
+        edit(text)
+        header["id_bytes"] = len(text)
+    return lambda path: rewrite(path, edit_both)
+
+
+def double_separator(header, values, text):
+    """Separate the ids by two U+0000s: a split would still find them."""
+    header["separator"] = "\0\0"
+    text[:] = text.replace(b"\0", b"\0\0")
+    header["id_bytes"] = len(text)
 
 
 def flip_byte(at):
+    """Flip a bit of the byte at(data), the file's bytes."""
     def spoil(path):
         data = bytearray(path.read_bytes())
-        data[at(len(data))] ^= 0x01
+        data[at(data)] ^= 0x01
         path.write_bytes(bytes(data))
     return spoil
 
@@ -221,18 +322,28 @@ SPOILERS = {
     "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
     "empty": lambda p: p.write_bytes(b""),
     "random bytes": lambda p: p.write_bytes(random.Random(0).randbytes(p.stat().st_size)),
-    "flipped header byte": flip_byte(lambda size: 20),
-    "flipped coordinate byte": flip_byte(lambda size: size - 30),
-    "flipped crc byte": flip_byte(lambda size: size - 1),
+    "flipped header byte": flip_byte(lambda data: 20),
+    "flipped coordinate byte": flip_byte(lambda data: data.index(b"\n") + 30),
+    "flipped id text byte": flip_byte(lambda data: len(data) - 30),
+    "flipped crc byte": flip_byte(lambda data: len(data) - 1),
     "wrong key": edit_header(lambda h: h.__setitem__("key", h["key"][:-64] + "0" * 64)),
     "other version": edit_header(lambda h: h.__setitem__("key", h["key"].replace(VERSION, "snapshot-v0-"))),
     "other byte order": set_header("byteorder", OTHER_ORDER),
-    "not an object": lambda p: rewrite(p, lambda h, v: (h.clear(), v.clear())),
+    "not an object": lambda p: rewrite(p, lambda h, v, t: (h.clear(), v.clear(), t.clear())),
     "n off by one": edit_header(lambda h: h.__setitem__("n", h["n"] + 1)),
     "n not an int": edit_header(lambda h: h.__setitem__("n", float(h["n"]))),
-    "coordinate dropped": lambda p: rewrite(p, lambda h, v: v.pop()),
-    "entity id not a str": edit_header(lambda h: h["entity_id"].__setitem__(0, 7)),
-    "entity id missing": edit_header(lambda h: h["entity_id"].pop()),
+    "coordinate dropped": lambda p: rewrite(p, lambda h, v, t: v.pop()),
+    "separator of two characters": lambda p: rewrite(p, double_separator),
+    "separator not a str": set_header("separator", 0),
+    "separator missing": edit_header(lambda h: h.pop("separator")),
+    "id text not UTF-8": edit_text(lambda t: t.__setitem__(0, 0xFF)),
+    "id text cut inside a character": edit_text(lambda t: t.extend("é".encode()[:1])),
+    "a separator removed": edit_text(lambda t: t.remove(0)),
+    "id text cut short": edit_text(lambda t: t.__delitem__(slice(len(t) // 2, None))),
+    "no id text": edit_text(lambda t: t.clear()),
+    "id text shorter than id_bytes": lambda p: rewrite(p, lambda h, v, t: t.pop()),
+    "id_bytes off by one": edit_header(lambda h: h.__setitem__("id_bytes", h["id_bytes"] - 1)),
+    "id_bytes not an int": edit_header(lambda h: h.__setitem__("id_bytes", float(h["id_bytes"]))),
     "system id not a str": edit_header(lambda h: h["system_id"][0].__setitem__(0, None)),
     "run length short": edit_header(lambda h: h["system_id"][0].__setitem__(1, h["system_id"][0][1] - 1)),
     "run length zero": edit_header(lambda h: h["docking_type"].append(["free", 0])),
@@ -255,9 +366,19 @@ def test_an_unchanged_rewrite_is_still_a_hit(city, parses):
     expected = list(load_snapshot(store, cache_dir=store / "cache"))
     (cache_file,) = snapshot_caches(store)
     assert memos(store / "cache") == memos_of(*store.glob("snapshot_*.csv"))
-    rewrite(cache_file, lambda header, values: None)
+    rewrite(cache_file, lambda header, values, text: None)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == expected
     assert parses == [1]
+
+
+def test_a_zero_row_file_holding_an_id_is_a_miss(tmp_path, parses):
+    store = tmp_path / "store"
+    append_snapshot([], store)
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == []
+    (cache_file,) = snapshot_caches(store)
+    edit_text(lambda text: text.extend(b"e1"))(cache_file)
+    assert list(load_snapshot(store, cache_dir=store / "cache")) == []
+    assert parses == [1, 1]
 
 
 @pytest.mark.parametrize("spoil", sorted(SPOILERS))
@@ -317,7 +438,7 @@ def test_file_named_by_the_merged_reader_version_is_an_orphan(tmp_path, city, mo
         path.unlink()
     (snapshot,) = store.glob("snapshot_*.csv")
     data = snapshot.read_bytes()
-    # The layout is unchanged since version 1: only the name is not.
+    # Written in the current layout, under the old name.
     key = content_cache.content_key("snapshot-v1-r1", data)
     old = store / "cache" / key
     content_cache.write_entry(old, key, *snapshot_store._encode(snapshot_store._parse_csv(data)))
