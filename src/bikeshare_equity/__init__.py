@@ -31,7 +31,6 @@ from .gbfs_client import (
 from .geo import (
     TractIndex,
     TractPolygon,
-    assign_tract,
     assign_tracts,
     load_boundaries,
     point_in_polygon,

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,7 @@ from .join_aggregate import (
     summarize_systems,
 )
 from .poisson_glm import fit_poisson, render_report, report_to_csv, report_to_text
-from .snapshot_store import (
-    BikeObservation,
-    DockingType,
-    append_snapshot,
-    as_observations,
-    load_snapshot,
-)
+from .snapshot_store import DockingType, Observations, append_snapshot, load_snapshot
 
 DOCKED_MODES = ("stations", "available_bikes")
 # The store's subdirectory for cached parses of its snapshots and of the
@@ -377,9 +371,7 @@ def _marker_lines(is_docked: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
     return text[keep]
 
 
-def render_map_svg(
-    observations: Iterable[BikeObservation], width: int = 800, height: int = 500
-) -> str:
+def render_map_svg(observations: Observations, width: int = 800, height: int = 500) -> str:
     """Equirectangular scatter of observations as a standalone SVG document.
 
     Docked and free observations get distinct marker classes; a legend and a
@@ -387,7 +379,6 @@ def render_map_svg(
     The markers are formatted from the observations' columns, as whole
     columns; each coordinate reads as '%.2f' writes it.
     """
-    observations = as_observations(observations)
     kinds = observations.docking_type_runs
     lons = np.frombuffer(observations.lons)
     lats = np.frombuffer(observations.lats)

@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
@@ -45,6 +46,10 @@ FREE_BIKE_FEED = "free_bike_status"
 STATION_STATUS_FEED = "station_status"
 
 CATALOG_COLUMNS = ("system_id", "country_code", "name", "auto_discovery_url")
+
+# The longest entity id a harvest keeps: its snapshot field stays within csv's
+# default field size limit (131,072) even quoted, every character a doubled '"'.
+MAX_ENTITY_ID_LENGTH = (131_072 - 2) // 2
 
 
 @dataclass(frozen=True)
@@ -331,10 +336,10 @@ def _entity_rows(
     """Decode an entity feed; return ``(id, lat, lon, *flags)`` for every
     usable entry, and the tally of the others (dropped).
 
-    An entry is usable when it is an object with a truthy id and lat/lon that
-    _coerce_coordinate accepts and that lie within range. The entries are read,
-    never rewritten. A coordinate that is already a float, the common case, is
-    kept as it is.
+    An entry is usable when it is an object with a truthy id that a snapshot
+    can hold (_storable_id) and lat/lon that _coerce_coordinate accepts and
+    that lie within range. The entries are read, never rewritten. A
+    coordinate that is already a float, the common case, is kept as it is.
 
     Raises:
         ParseError: undecodable document (carries the byte offset).
@@ -367,7 +372,27 @@ def _entity_rows(
                         str(entity_id), lat, lon,
                         bool(entry.get(first_flag)), bool(entry.get(second_flag)),
                     ))
+    # A short document with no backslash (so no escape, so no NUL and no
+    # lone surrogate) clears every id, and so does one pass over the joined
+    # ids; only a feed that fails both is checked id by id.
+    if not (len(document) <= MAX_ENTITY_ID_LENGTH and b"\\" not in document):
+        ids = "".join(map(itemgetter(0), rows))
+        if not (ids.isascii() and "\0" not in ids and len(ids) <= MAX_ENTITY_ID_LENGTH):
+            rows = [row for row in rows if _storable_id(row[0])]
     return rows, len(entries) - len(rows)
+
+
+def _storable_id(entity_id: str) -> bool:
+    """Whether a snapshot can hold the id and every reader read it back: it
+    encodes as UTF-8 (no lone surrogate), holds no NUL (csv before Python
+    3.11 reads none) and is at most MAX_ENTITY_ID_LENGTH characters."""
+    if len(entity_id) > MAX_ENTITY_ID_LENGTH or "\0" in entity_id:
+        return False
+    try:
+        entity_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def parse_station_status(document: bytes, system_id: str) -> dict[str, int]:

@@ -69,7 +69,6 @@ import numpy as np
 
 from . import content_cache
 from .errors import GeometryError, ParseError, SchemaError
-from .snapshot_store import BikeObservation
 
 GEOID_LENGTH = 11
 COUNTY_PREFIX_LENGTH = 5
@@ -911,16 +910,15 @@ def assign_tracts(
 ) -> list[str | None]:
     """GEOID of the tract containing each point, or None where no tract does.
 
-    The batch form of assign_tract with the same answers: points on an edge
-    count inside, the lexicographically smallest GEOID wins on a boundary
-    shared by several tracts, and a point with a non-finite coordinate lies in
-    no tract. Each point whose answer-table entry is not -1 takes it; the
-    others are tested as columns, _POINT_CHUNK at a time, not polygon by
-    polygon: each point pairs with the polygons its tile lists whose
-    bounding box holds it, each pair expands to one row per ring, each row
-    is tested against the edges of the ring's band that holds the point's
-    latitude, a block of rows at a time, and each point keeps its container
-    with the smallest GEOID.
+    Points on an edge count inside, the lexicographically smallest GEOID wins
+    on a boundary shared by several tracts, and a point with a non-finite
+    coordinate lies in no tract. Each point whose answer-table entry is not
+    -1 takes it; the others are tested as columns, _POINT_CHUNK at a time,
+    not polygon by polygon: each point pairs with the polygons its tile
+    lists whose bounding box holds it, each pair expands to one row per
+    ring, each row is tested against the edges of the ring's band that holds
+    the point's latitude, a block of rows at a time, and each point keeps
+    its container with the smallest GEOID.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
@@ -929,11 +927,3 @@ def assign_tracts(
     table = index._geoid_table
     return [table[rank] for rank in assign_ranks(lats, lons, index).tolist()]
 
-
-def assign_tract(obs: BikeObservation, index: TractIndex) -> str | None:
-    """GEOID of the tract containing the observation, or None if no tract does.
-
-    When a point sits on a boundary shared by several tracts, the
-    lexicographically smallest GEOID wins.
-    """
-    return assign_tracts([obs.lat], [obs.lon], index)[0]

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import content_cache
 from .errors import EmptyFrameError, ParseError, ScalingError, SchemaError
 from .geo import COUNTY_PREFIX_LENGTH, TractIndex, assign_ranks
 from .poisson_glm import DesignMatrix
-from .snapshot_store import BikeObservation, DockingType, as_observations
+from .snapshot_store import DockingType, Observations
 
 PREDICTOR_NAMES = (
     "pct_college",
@@ -54,21 +54,6 @@ class DemographicsRow:
     pct_nonwhite: float
     pop_density: float
     job_density: float
-
-    def __post_init__(self):
-        for name in ("pct_college", "pct_poverty", "pct_nonwhite"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("pop_density", "job_density"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a non-negative number, got {value!r}")
-
-    def predictor(self, name: str) -> float:
-        if name not in PREDICTOR_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -158,35 +143,14 @@ class TractTable(Sequence):
         )
 
 
-def as_tract_table(records: Iterable) -> TractTable:
-    """records itself if it is a TractTable, else the columns of its records
-    (TractCounts, TractRecords or DemographicsRows, of one kind), read once."""
-    if isinstance(records, TractTable):
-        return records
-    records = list(records)
-    first = records[0] if records else None
-    predictors = operator.attrgetter(*PREDICTOR_NAMES)
-    return TractTable(
-        [record.tract_geoid for record in records],
-        None if isinstance(first, DemographicsRow) else np.array(
-            [(record.count_docked, record.count_free) for record in records], dtype=int
-        ).reshape(-1, 2),
-        None if isinstance(first, TractCount) else np.array(
-            [predictors(getattr(record, "demographics", record)) for record in records],
-            dtype=np.float64,
-        ).reshape(-1, len(PREDICTOR_NAMES)),
-    )
-
-
 def count_by_tract(
-    observations: Iterable[BikeObservation], index: TractIndex
+    observations: Observations, index: TractIndex
 ) -> tuple[TractTable, CountDiagnostics]:
     """Per-tract docked/free observation counts over every tract in the index.
 
     Tracts receiving no observations appear zero-filled; observations falling
     in no tract are dropped and tallied in the diagnostics.
     """
-    observations = as_observations(observations)
     kinds = observations.docking_type_runs
     is_free = np.repeat(
         np.array([kind is not DockingType.DOCKED for kind, _ in kinds], dtype=bool),
@@ -204,14 +168,13 @@ def count_by_tract(
     return TractTable(geoids, tally[:-1], None), CountDiagnostics(unassigned=int(tally[-1].sum()))
 
 
-def filter_zero_counties(records: Iterable) -> TractTable:
+def filter_zero_counties(table: TractTable) -> TractTable:
     """Keep tracts whose county has at least one tract with any bikes.
 
     Zero-count tracts inside an active county are retained; whole counties
-    with no bikes anywhere are dropped. Works on a table with counts (or
-    TractCount or TractRecord rows), and is idempotent.
+    with no bikes anywhere are dropped. Works on a table with counts, and is
+    idempotent.
     """
-    table = as_tract_table(records)
     busy = table.counts.sum(axis=1) > 0
     active = {geoid[:COUNTY_PREFIX_LENGTH] for geoid in compress(table.geoids, busy)}
     return table.take([
@@ -221,7 +184,7 @@ def filter_zero_counties(records: Iterable) -> TractTable:
 
 
 def join_demographics(
-    counts: Iterable[TractCount], demo_table: Iterable[DemographicsRow]
+    counts: TractTable, demo_table: TractTable
 ) -> tuple[TractTable, JoinDiagnostics]:
     """Inner-join counts with demographics on tract_geoid.
 
@@ -231,31 +194,29 @@ def join_demographics(
     Raises:
         SchemaError: duplicate tract_geoid in the demographics table.
     """
-    counts, demo = as_tract_table(counts), as_tract_table(demo_table)
     row_of: dict[str, int] = {}
-    for row, geoid in enumerate(demo.geoids):
+    for row, geoid in enumerate(demo_table.geoids):
         if row_of.setdefault(geoid, row) != row:
             raise SchemaError(f"duplicate tract_geoid in demographics: {geoid}")
     joined = counts.take(
         [position for position, geoid in enumerate(counts.geoids) if geoid in row_of]
     )
-    joined.predictors = demo.predictors[[row_of[geoid] for geoid in joined.geoids]]
+    joined.predictors = demo_table.predictors[[row_of[geoid] for geoid in joined.geoids]]
     return joined, JoinDiagnostics(unmatched=len(counts) - len(joined))
 
 
 def scale_predictors(
-    records: Iterable[TractRecord],
+    table: TractTable,
 ) -> tuple[TractTable, dict[str, tuple[float, float]]]:
-    """Min-max scale each predictor to [0, 1] over the given records.
+    """Min-max scale each predictor to [0, 1] over the table's tracts.
 
     Returns the rescaled table plus {predictor: (min, max)} metadata so any
     coefficient can later be unscaled. Run this after the zero-county filter so
     dropped tracts cannot leak into the scaling.
 
     Raises:
-        ScalingError: a predictor is constant over the records.
+        ScalingError: a predictor is constant over the tracts.
     """
-    table = as_tract_table(records)
     if not table:
         raise ScalingError("no records to scale")
     values = table.predictors
@@ -274,14 +235,13 @@ def scale_predictors(
     return TractTable(table.geoids, table.counts, (values - low) / (high - low)), bounds
 
 
-def build_model_frame(records: Iterable[TractRecord]) -> ModelFrame:
+def build_model_frame(table: TractTable) -> ModelFrame:
     """Long-format frame: per tract a free row (indicator 0) and a docked row
     (indicator 1), with the 12 fixed design columns including interactions.
 
     Raises:
-        EmptyFrameError: no records supplied.
+        EmptyFrameError: the table has no tracts.
     """
-    table = as_tract_table(records)
     if not table:
         raise EmptyFrameError("cannot build a model frame from zero tract records")
     # A stable sort: tracts with equal GEOIDs keep their order.
@@ -330,14 +290,13 @@ def _merged_runs(first: list, second: list):
             left -= taken
 
 
-def summarize_systems(observations: Iterable[BikeObservation]) -> list[SystemSummary]:
+def summarize_systems(observations: Observations) -> list[SystemSummary]:
     """Totals, system counts, and per-system quartiles for each docking type.
 
     Dockless (free) comes first, then docked; a docking type with no
     observations is omitted. The counts come from the docking_type and
     system_id runs of the observations' columns, merged run by run.
     """
-    observations = as_observations(observations)
     if not observations:
         raise ValueError("summarize_systems requires at least one observation")
     per_pair: Counter = Counter()
@@ -443,13 +402,9 @@ def _parse_text(text: str) -> TractTable:
     values = np.array(rows, dtype=np.float64).reshape(-1, len(PREDICTOR_NAMES))
     in_range = _rows_in_range(values)
     if not in_range.all():
-        # The first such line comes before any line that failed to parse;
-        # DemographicsRow checks the same ranges and names the first bad field.
+        # The first such line comes before any line that failed to parse.
         row = int(np.argmin(in_range))
-        try:
-            DemographicsRow(geoids[row], *rows[row])
-        except ValueError as exc:
-            raise SchemaError(f"demographics line {line_numbers[row]}: {exc}") from exc
+        raise SchemaError(f"demographics line {line_numbers[row]}: {_range_problem(rows[row])}")
     if error is not None:
         raise error
     return TractTable(geoids, None, values)
@@ -461,6 +416,16 @@ def _rows_in_range(values: np.ndarray) -> np.ndarray:
     fractions, densities = values[:, :3], values[:, 3:]
     return (((fractions >= 0.0) & (fractions <= 1.0)).all(axis=1)
             & (np.isfinite(densities) & (densities >= 0.0)).all(axis=1))
+
+
+def _range_problem(row: list[float]) -> str:
+    """What is wrong with the first field of a row that _rows_in_range fails,
+    found by _rows_in_range itself: each field alone in a row of zeros."""
+    probe = np.zeros((len(row), len(row)))
+    np.fill_diagonal(probe, row)
+    field = int(np.argmin(_rows_in_range(probe)))
+    rule = "must lie in [0, 1]" if field < 3 else "must be a non-negative number"
+    return f"{PREDICTOR_NAMES[field]} {rule}, got {row[field]!r}"
 
 
 def _encode_demographics(table: TractTable) -> tuple[dict, list[np.ndarray]]:

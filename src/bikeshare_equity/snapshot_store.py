@@ -2,11 +2,9 @@
 
 A harvest is kept as one snapshot: a CSV file with the header
 ``OBSERVATION_COLUMNS`` (system_id, entity_id, lat, lon, docking_type,
-observed_at) and one row per ``BikeObservation``. ``write_observations_csv``
-writes it and ``read_observations_csv`` reads it back as ``Observations``:
-the columns of the records, which the pipeline's stages read whole, and a
-sequence of BikeObservations built on access. ``valid_observation_values``
-is the rule for what a read can return.
+observed_at) and one row per observation. ``write_observations_csv`` writes
+an ``Observations`` (the columns) in it, and ``read_observations_csv`` reads
+one back. ``valid_observation_values`` is the rule for what a read can return.
 
 Each append writes one immutable CSV file (written under a temporary name,
 then hard-linked to its final name, so readers never see a partial snapshot
@@ -102,15 +100,6 @@ def _expand(runs: Iterable) -> Iterator:
     return chain.from_iterable(repeat(value, count) for value, count in runs)
 
 
-def _run_value(runs: Iterable, position: int):
-    """The value at a row position of [value, count] runs."""
-    for value, count in runs:
-        position -= count
-        if position < 0:
-            return value
-    raise IndexError("run-length column shorter than the observations")
-
-
 class _JoinedIds(NamedTuple):
     """One or more ids joined by a separator that occurs in none of them."""
 
@@ -118,7 +107,7 @@ class _JoinedIds(NamedTuple):
     text: str
 
 
-class Observations(Sequence):
+class Observations:
     """A snapshot's observations as columns, as a snapshot cache file holds
     them: the entity_ids, and the lats and lons as float64 arrays, one value
     per row, and ``[value, count]`` runs of equal consecutive system_id,
@@ -128,10 +117,8 @@ class Observations(Sequence):
     entity_ids as one joined text until they are first read, so a reader of
     the other columns (map, analyze) builds no id object.
 
-    It is a read-only sequence of BikeObservations: len, int indexing
-    (negative too) and iteration build each record on demand. An index
-    walks the runs, so reading every record is an iteration's job. The
-    pipeline's stages read the columns, and build no records.
+    The pipeline's stages read the columns. Iterating it builds one
+    BikeObservation per row, for callers that read rows one by one.
     """
 
     __slots__ = (
@@ -167,12 +154,6 @@ class Observations(Sequence):
             _run_lengths(docking_types), _run_lengths(observed_ats),
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[BikeObservation]) -> Observations:
-        """The columns of records, which are read once, taken with one zip
-        over the tuples."""
-        return cls.from_columns(*(tuple(zip(*records)) or ((),) * len(OBSERVATION_COLUMNS)))
-
     @property
     def entity_ids(self) -> Sequence[str]:
         ids = self._entity_ids
@@ -196,29 +177,6 @@ class Observations(Sequence):
         # Python-level __new__; the records are the same BikeObservations.
         return map(tuple.__new__, repeat(BikeObservation), zip(*self.columns()))
 
-    def __getitem__(self, index: int) -> BikeObservation:
-        position = operator.index(index)
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError("observation index out of range")
-        return tuple.__new__(BikeObservation, (
-            _run_value(self.system_id_runs, position),
-            self.entity_ids[position],
-            self.lats[position],
-            self.lons[position],
-            _run_value(self.docking_type_runs, position),
-            _run_value(self.observed_at_runs, position),
-        ))
-
-
-def as_observations(observations: Iterable[BikeObservation]) -> Observations:
-    """observations itself if it is an Observations, else the columns of its
-    records, read once (so a generator will do)."""
-    if isinstance(observations, Observations):
-        return observations
-    return Observations.from_records(observations)
-
 
 def _quote_field(text: str) -> str:
     if any(char in text for char in _QUOTED_CHARS):
@@ -227,30 +185,22 @@ def _quote_field(text: str) -> str:
 
 
 def _text_fields(column: Sequence[str]) -> Iterable[str]:
-    """A column of ids as CSV fields. One search over the joined column
+    """A column of str ids as CSV fields. One search over the joined column
     decides; only a column that holds a character needing quotes is quoted
     value by value."""
-    try:
-        joined = "".join(column)
-    except TypeError:  # None or a number, in records built by the caller
-        column = ["" if value is None else str(value) for value in column]
-        joined = "".join(column)
+    joined = "".join(column)
     if any(char in joined for char in _QUOTED_CHARS):
         return map(_quote_field, column)
     return column
 
 
-def write_observations_csv(observations: Iterable[BikeObservation], fh: TextIO) -> int:
-    """Write observations (an Observations, or any iterable of records, read
-    once) in the canonical CSV layout; returns the row count.
+def write_observations_csv(observations: Observations, fh: TextIO) -> int:
+    """Write observations in the canonical CSV layout; returns the row count.
 
-    Each column of the Observations is converted with one map() call and each
-    row is one str.join, so no Python code runs per row unless an id needs
-    quoting or is not a str (None is written as an empty field, anything else
-    as its str(), as csv.writer does). The rows go to fh in chunks of
-    _WRITE_CHUNK.
+    Each column is converted with one map() call and each row is one
+    str.join, so no Python code runs per row unless an id needs quoting. The
+    rows go to fh in chunks of _WRITE_CHUNK.
     """
-    observations = as_observations(observations)
     system_ids, entity_ids, lats, lons, kinds, observed_ats = observations.columns()
     rows = map(
         ",".join,
@@ -451,18 +401,21 @@ def _read_manifest(store: Path) -> list[_ManifestRow]:
 
 
 def append_snapshot(
-    observations: Iterable[BikeObservation],
+    observations: Observations,
     store_path: str | Path,
     clock: Callable[[], float] = time.time,
 ) -> SnapshotReceipt:
-    """Write observations (an Observations, or any iterable of records, read
-    once) as a new immutable snapshot and return its receipt.
+    """Write observations as a new immutable snapshot and return its receipt.
 
     Snapshot ids increase with each append; an id whose file already exists
     (taken by a concurrent append, or left by a crash before its manifest
     line) is skipped. The snapshot's observed_at is the newest observation
     timestamp, or the clock when there is none. A failed write leaves no
     partial file behind.
+
+    Raises:
+        StorageError: the store cannot be written, or an id cannot be
+            encoded as UTF-8 (a lone surrogate, say).
     """
     store = Path(store_path)
     try:
@@ -471,7 +424,6 @@ def append_snapshot(
         raise StorageError(f"cannot create store at {store}: {exc}") from exc
     existing = _read_manifest(store)
     snapshot_id = existing[-1].snapshot_id + 1 if existing else 1
-    observations = as_observations(observations)
     if observations:
         observed_at = max(_values(observations.observed_at_runs))
     else:
@@ -492,7 +444,7 @@ def append_snapshot(
                 break
             except FileExistsError:
                 snapshot_id += 1
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise StorageError(f"cannot write snapshot to {store}: {exc}") from exc
     finally:
         with contextlib.suppress(OSError):
@@ -622,9 +574,7 @@ def load_snapshot(
     cache_dir: str | Path | None = None,
 ) -> Observations:
     """Load observations for a selector: "latest", a snapshot id, or a
-    (start, end) inclusive observed_at range. The result is an
-    Observations: a sequence of BikeObservations built on access from the
-    columns it holds.
+    (start, end) inclusive observed_at range, as an Observations.
 
     A range spanning several snapshots is deduplicated by
     (system_id, entity_id, docking_type), keeping the newest observed_at; a

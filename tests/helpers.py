@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -11,7 +12,19 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bikeshare_equity.gbfs_client import SystemEntry
-from bikeshare_equity.snapshot_store import BikeObservation, DockingType, append_snapshot
+from bikeshare_equity.join_aggregate import (
+    PREDICTOR_NAMES,
+    DemographicsRow,
+    TractCount,
+    TractTable,
+)
+from bikeshare_equity.snapshot_store import (
+    OBSERVATION_COLUMNS,
+    BikeObservation,
+    DockingType,
+    Observations,
+    append_snapshot,
+)
 
 OBSERVED_AT = 1_700_000_000
 
@@ -112,6 +125,47 @@ def observation(
     observed_at: int = OBSERVED_AT,
 ) -> BikeObservation:
     return BikeObservation(system_id, entity_id, lat, lon, docking_type, observed_at)
+
+
+def observations_of(records) -> Observations:
+    """The columns of BikeObservation records, read once (so a generator
+    will do), taken with one zip over the tuples: the Observations that a
+    stage takes."""
+    return Observations.from_columns(*(tuple(zip(*records)) or ((),) * len(OBSERVATION_COLUMNS)))
+
+
+def tract_table_of(records) -> TractTable:
+    """The columns of tract records of one kind (TractCounts, TractRecords
+    or DemographicsRows), read once: the TractTable that a stage takes."""
+    records = list(records)
+    first = records[0] if records else None
+    predictors = operator.attrgetter(*PREDICTOR_NAMES)
+    return TractTable(
+        [record.tract_geoid for record in records],
+        None if isinstance(first, DemographicsRow) else np.array(
+            [(record.count_docked, record.count_free) for record in records], dtype=int
+        ).reshape(-1, 2),
+        None if isinstance(first, TractCount) else np.array(
+            [predictors(getattr(record, "demographics", record)) for record in records],
+            dtype=np.float64,
+        ).reshape(-1, len(PREDICTOR_NAMES)),
+    )
+
+
+def checked_demographics_row(geoid: str, *values: float) -> DemographicsRow:
+    """A DemographicsRow whose ranges are checked field by field, in order,
+    as the record type once checked itself: the reference for the
+    demographics reader's range errors."""
+    row = DemographicsRow(geoid, *values)
+    for name in ("pct_college", "pct_poverty", "pct_nonwhite"):
+        value = getattr(row, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    for name in ("pop_density", "job_density"):
+        value = getattr(row, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+    return row
 
 
 def memo_name(path) -> str:
@@ -359,7 +413,7 @@ def build_synthetic_city(
     demographics = root / "demographics.csv"
     demographics.write_text("\n".join(demo_lines) + "\n", encoding="utf-8")
     store = root / "store"
-    receipt = append_snapshot(observations, store, clock=lambda: observed_at)
+    receipt = append_snapshot(observations_of(observations), store, clock=lambda: observed_at)
     return {
         "store": store,
         "boundaries": boundaries,

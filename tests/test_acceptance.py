@@ -19,7 +19,7 @@ from bikeshare_equity.gbfs_client import (
     fetch_system_catalog,
     harvest,
 )
-from bikeshare_equity.geo import assign_tract, load_boundaries, point_in_polygon
+from bikeshare_equity.geo import assign_tracts, load_boundaries, point_in_polygon
 from bikeshare_equity.join_aggregate import (
     DemographicsRow,
     TractCount,
@@ -45,9 +45,11 @@ from helpers import (
     make_system,
     newton_poisson_fit,
     observation,
+    observations_of,
     quantile_oracle,
     random_poisson_instance,
     station_doc,
+    tract_table_of,
     winding_number_inside,
     write_catalog,
     write_feature_collection,
@@ -126,7 +128,7 @@ def test_criterion_3_synthetic_recovery():
                 DemographicsRow(geoid, *(float(v) for v in x)),
             )
         )
-    frame = build_model_frame(records)
+    frame = build_model_frame(tract_table_of(records))
     assert frame.design.values.shape == (2 * n_tracts, 12)
     fit = fit_poisson(frame.design, frame.response)
     assert fit.converged
@@ -187,8 +189,7 @@ def test_criterion_5_geocoding_oracle(tmp_path):
     for _ in range(1000):
         lon = float(rng.uniform(-1.0, 9.0))
         lat = float(rng.uniform(-1.0, 5.0))
-        obs = observation("sys", "probe", lat=lat, lon=lon)
-        fast = assign_tract(obs, index)
+        fast = assign_tracts([lat], [lon], index)[0]
         matches = [
             poly.tract_geoid for poly in index.polygons if point_in_polygon(lat, lon, poly)
         ]
@@ -241,7 +242,7 @@ def test_criterion_6_zero_county_filter_property():
             docked = int(rng.integers(0, 3)) if rng.random() < 0.4 else 0
             free = int(rng.integers(0, 3)) if rng.random() < 0.4 else 0
             rows.append(TractCount(f"{county}{t:06d}", docked, free))
-        kept = filter_zero_counties(rows)
+        kept = filter_zero_counties(tract_table_of(rows))
         active = {r.county_geoid for r in rows if r.count_docked + r.count_free > 0}
         assert list(kept) == [r for r in rows if r.county_geoid in active]
         assert list(filter_zero_counties(kept)) == list(kept)
@@ -264,7 +265,7 @@ def test_criterion_7_mass_conservation(tmp_path):
             )
             for i in range(int(rng.integers(0, 300)))
         ]
-        counts, diag = count_by_tract(observations, index)
+        counts, diag = count_by_tract(observations_of(observations), index)
         total = sum(c.count_docked + c.count_free for c in counts)
         assert total + diag.unassigned == len(observations)
     print("ACCEPTANCE 7 PASS - tract counts plus unassigned equal input size")
@@ -397,7 +398,7 @@ def test_criterion_10_quantile_oracle():
                 observation(system_id, f"{system_id}_{i}", 40.0, -100.0, DockingType.FREE)
                 for i in range(count)
             )
-        summary = summarize_systems(observations)[0]
+        summary = summarize_systems(observations_of(observations))[0]
         values = list(per_system.values())
         assert summary.total_bikes == sum(values)
         assert summary.n_systems == n_systems

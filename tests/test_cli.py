@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import operator
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bikeshare_equity import cli, gbfs_client
 from bikeshare_equity.cli import (
@@ -13,7 +18,7 @@ from bikeshare_equity.cli import (
     render_map_svg,
 )
 from bikeshare_equity.snapshot_store import DockingType, append_snapshot, load_snapshot
-from helpers import build_synthetic_city, make_system, observation, write_catalog
+from helpers import build_synthetic_city, make_system, observation, observations_of, write_catalog
 
 
 @pytest.fixture
@@ -146,6 +151,65 @@ def test_harvest_of_ids_holding_line_breaks_and_quotes_reads_back(tmp_path, caps
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert f"with {len(ids)} markers" in captured.out
+
+
+@pytest.mark.parametrize("bad_id", ["\ud800", "x" * 140_000, "b\x001"],
+                         ids=["a lone surrogate", "140,000 characters", "NUL"])
+def test_harvest_drops_an_id_no_snapshot_can_hold(tmp_path, capsys, bad_id):
+    bikes = [{"bike_id": bad_id, "lat": 40.0, "lon": -100.0},
+             {"bike_id": "ok", "lat": 40.1, "lon": -100.1}]
+    systems = [make_system(tmp_path / "odd", "odd_city", bikes=bikes),
+               make_system(tmp_path / "good", "good_city", stations=[
+                   {"station_id": "s1", "lat": 45.0, "lon": -122.0}])]
+    catalog = write_catalog(tmp_path / "catalog.csv", systems)
+    store = tmp_path / "store"
+    assert main(["harvest", "--catalog", str(catalog), "--store", str(store)]) == 0
+    captured = capsys.readouterr()
+    assert "snapshot 1: 2 observations from 2 systems" in captured.out
+    assert "warning: dropped 1 malformed entities" in captured.err
+    for _ in ("miss", "hit"):
+        loaded = load_snapshot(store, cache_dir=store / "cache")
+        assert [(o.system_id, o.entity_id) for o in loaded] == [
+            ("good_city", "s1"), ("odd_city", "ok")]
+        assert main(["map", "--store", str(store), "--out", str(tmp_path / "out")]) == 0
+        assert "with 2 markers" in capsys.readouterr().out
+
+
+ID_CHARS = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),  # lone surrogates
+    st.sampled_from(["\x00", "\r", "\n", '"', ",", "\ufeff"]),
+)
+BOUND = gbfs_client.MAX_ENTITY_ID_LENGTH
+IDS = st.one_of(
+    st.text(ID_CHARS, max_size=8),
+    st.builds(operator.mul, ID_CHARS, st.integers(BOUND - 1, BOUND + 1)),
+    st.builds(operator.mul, ID_CHARS, st.integers(1, 200_000)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ids=st.lists(IDS, min_size=1, max_size=5))
+def test_every_id_a_harvest_keeps_reads_back(ids):
+    """Ids drawn from all JSON strings: harvest exits 0, and the snapshot it
+    stores reads back exactly the ids that harvest() keeps, in order, on a
+    cache miss and a hit; map draws them all."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        system = make_system(root, "sys", bikes=[
+            {"bike_id": bike_id, "lat": 40.0, "lon": -100.0 + k / 10} for k, bike_id in enumerate(ids)
+        ])
+        kept = list(gbfs_client.harvest([system])[0].entity_ids)
+        assert kept == [bike_id for bike_id in ids if bike_id and len(bike_id) <= BOUND
+                        and "\x00" not in bike_id and not any(0xD800 <= ord(c) < 0xE000 for c in bike_id)]
+        store = root / "store"
+        catalog = write_catalog(root / "catalog.csv", [system])
+        assert main(["harvest", "--catalog", str(catalog), "--store", str(store)]) == 0
+        for _ in ("miss", "hit"):
+            assert load_snapshot(store, cache_dir=store / "cache").entity_ids == kept
+            assert main(["map", "--store", str(store), "--out", str(root / "out")]) == 0
+            svg = (root / "out" / "map.svg").read_text(encoding="utf-8")
+            assert svg.count('<circle class="marker ') == len(kept)
 
 
 def test_harvest_command_empty_catalog(tmp_path, capsys):
@@ -581,7 +645,7 @@ def test_map_command(tmp_path, capsys):
         observation("sys", "f2", 45.3, -122.3, DockingType.FREE),
         observation("sys", "f3", 45.4, -122.4, DockingType.FREE),
     ]
-    append_snapshot(observations, store)
+    append_snapshot(observations_of(observations), store)
     out_dir = tmp_path / "out"
     rc = main(["map", "--store", str(store), "--out", str(out_dir)])
     assert rc == 0, capsys.readouterr().err
@@ -593,7 +657,7 @@ def test_map_command(tmp_path, capsys):
 
 def test_map_command_empty_snapshot(tmp_path, capsys):
     store = tmp_path / "store"
-    append_snapshot([], store, clock=lambda: 5)
+    append_snapshot(observations_of([]), store, clock=lambda: 5)
     out_dir = tmp_path / "out"
     rc = main(["map", "--store", str(store), "--out", str(out_dir)])
     captured = capsys.readouterr()
@@ -609,7 +673,7 @@ def test_render_map_svg_has_legend_and_caption():
         observation("sys", "d", 45.0, -122.0, DockingType.DOCKED),
         observation("sys", "f", 45.2, -122.2, DockingType.FREE),
     ]
-    svg = render_map_svg(observations)
+    svg = render_map_svg(observations_of(observations))
     assert "docked (1)" in svg
     assert "free (1)" in svg
     assert "2 observations (1 docked, 1 free)" in svg

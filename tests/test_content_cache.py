@@ -28,7 +28,15 @@ from bikeshare_equity.content_cache import (
     write_entry,
 )
 from bikeshare_equity.snapshot_store import DockingType
-from helpers import build_synthetic_city, city_inputs, memo_name, memos, memos_of, observation
+from helpers import (
+    build_synthetic_city,
+    city_inputs,
+    memo_name,
+    memos,
+    memos_of,
+    observation,
+    observations_of,
+)
 from test_cli import analyze_argv
 
 KEY = "thing-v1-" + "ab" * 32
@@ -154,12 +162,11 @@ def test_snapshot_cache_file_keeps_its_layout(tmp_path):
     (U+0000, which no id holds) and the id text's length in bytes; the body
     the lat and lon columns, then the ids joined by the separator."""
     store = tmp_path / "store"
-    snapshot_store.append_snapshot(
-        [observation("sys", "e1", 45.5, -122.25, DockingType.FREE, 7),
-         observation("sys", "e,2", -45.0, 179.5, DockingType.FREE, 7),
-         observation("dock", "s1", 0.0, -0.0, DockingType.DOCKED, 9)],
-        store,
-    )
+    snapshot_store.append_snapshot(observations_of([
+        observation("sys", "e1", 45.5, -122.25, DockingType.FREE, 7),
+        observation("sys", "e,2", -45.0, 179.5, DockingType.FREE, 7),
+        observation("dock", "s1", 0.0, -0.0, DockingType.DOCKED, 9),
+    ]), store)
     snapshot_store.load_snapshot(store, cache_dir=tmp_path / "cache")
     (snapshot,) = store.glob("snapshot_*.csv")
     (path,) = [p for p in (tmp_path / "cache").iterdir() if p.name != memo_name(snapshot)]

@@ -28,7 +28,15 @@ from bikeshare_equity.join_aggregate import (
     DemographicsRow,
     read_demographics_csv,
 )
-from helpers import build_synthetic_city, city_inputs, memo_name, memos, memos_of, mutated
+from helpers import (
+    build_synthetic_city,
+    checked_demographics_row,
+    city_inputs,
+    memo_name,
+    memos,
+    memos_of,
+    mutated,
+)
 
 HEADER = ",".join(DEMOGRAPHICS_COLUMNS) + "\n"
 
@@ -43,12 +51,9 @@ def ref_read_demographics_csv(text):
     rows = []
     for line_number, row in enumerate(reader, start=2):
         try:
-            rows.append(
-                DemographicsRow(
-                    tract_geoid=row["tract_geoid"].strip(),
-                    **{name: float(row[name]) for name in PREDICTOR_NAMES},
-                )
-            )
+            rows.append(checked_demographics_row(
+                row["tract_geoid"].strip(), *[float(row[name]) for name in PREDICTOR_NAMES]
+            ))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"demographics line {line_number}: {exc}") from exc
     return rows
@@ -201,6 +206,26 @@ def test_malformed_demographics_fail_read_and_stage(tmp_path, capsys, content, e
 ROW = "53033000001,0.5,0.2,0.3,120.5,77.0\n"
 
 
+def range_case(field, text):
+    """A file whose third line holds text in one field, out of its range,
+    the error naming that field, and the case's id."""
+    values = ROW.strip().split(",")[1:]
+    values[field] = text
+    name = PREDICTOR_NAMES[field]
+    rule = "must lie in [0, 1]" if field < 3 else "must be a non-negative number"
+    return pytest.param(
+        HEADER + ROW + ",".join(["53033000002", *values]) + "\n" + ROW, SchemaError,
+        f"demographics line 3: {name} {rule}, got {float(text)!r}", id=f"{name} {text}",
+    )
+
+
+RANGE_CASES = [
+    range_case(field, text)
+    for field in range(len(PREDICTOR_NAMES))
+    for text in (("-0.5", "1.5", "nan") if field < 3 else ("-1.0", "nan"))
+]
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [
@@ -224,10 +249,12 @@ ROW = "53033000001,0.5,0.2,0.3,120.5,77.0\n"
          "demographics line 5: pct_nonwhite must lie in [0, 1], got 1.01"),
         (HEADER + '"53033\n000001",0.5,0.2,0.3,1.0,1.0\n\n53033000002,0.5,0.2\n', SchemaError,
          "demographics line 5: no pct_nonwhite, pop_density, job_density field"),
+        *RANGE_CASES,
     ],
     ids=["range before parse", "range before short row", "range before oversized field",
          "two unparseable fields", "two out-of-range fields", "unparseable before range on a line",
-         "after blank lines", "after a multi-line field", "short row after a multi-line field"],
+         "after blank lines", "after a multi-line field", "short row after a multi-line field",
+         *(case.id for case in RANGE_CASES)],
 )
 def test_the_first_bad_line_in_file_order_is_reported(tmp_path, text, error, message):
     """Fields are parsed as lines are read, but ranges are checked on whole

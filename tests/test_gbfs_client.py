@@ -9,6 +9,7 @@ import pytest
 from bikeshare_equity import gbfs_client
 from bikeshare_equity.errors import ParseError, SchemaError, TransportError
 from bikeshare_equity.gbfs_client import (
+    MAX_ENTITY_ID_LENGTH,
     SystemEntry,
     _BIKES,
     _STATIONS,
@@ -22,10 +23,12 @@ from bikeshare_equity.snapshot_store import (
     OBSERVATION_COLUMNS,
     BikeObservation,
     DockingType,
+    append_snapshot,
+    load_snapshot,
     read_observations_csv,
     write_observations_csv,
 )
-from helpers import bike_doc, make_system, station_doc, write_json
+from helpers import bike_doc, make_system, observations_of, station_doc, write_json
 
 import io
 
@@ -206,7 +209,7 @@ def doc_bytes(doc) -> bytes:
 
 def csv_text(observations) -> str:
     buffer = io.StringIO()
-    write_observations_csv(observations, buffer)
+    write_observations_csv(observations_of(observations), buffer)
     return buffer.getvalue()
 
 
@@ -417,6 +420,25 @@ def test_harvest_available_bikes_mode(tmp_path):
     observations, diag = harvest([entry], clock=lambda: 0, docked_mode="available_bikes")
     assert [o.entity_id for o in observations] == ["a#0", "a#1"]
     assert diag.failures == []
+
+
+def test_ids_at_the_length_bound_are_kept_and_one_past_it_dropped(tmp_path):
+    at_bound, past = "x" * MAX_ENTITY_ID_LENGTH, "x" * (MAX_ENTITY_ID_LENGTH + 1)
+    bikes = [{"bike_id": bike_id, "lat": 40.0, "lon": -100.0}
+             for bike_id in (past, at_bound, "vélo", at_bound[1:] + "é", at_bound + "é")]
+    rows, dropped = _entity_rows(doc_bytes(bike_doc(bikes)), "sys", _BIKES)
+    assert [row[0] for row in rows] == [at_bound, "vélo", at_bound[1:] + "é"]
+    assert dropped == 2
+    # The longest id reads back from a snapshot even when quoting doubles
+    # every character, and so does a per-bike suffix on it.
+    quotes = '"' * MAX_ENTITY_ID_LENGTH
+    entry = make_system(tmp_path, "sys", stations=[{"station_id": quotes, "lat": 1.0, "lon": 2.0}],
+                        status={quotes: 2})
+    for mode, ids in (("stations", [quotes]), ("available_bikes", [quotes + "#0", quotes + "#1"])):
+        observations, diag = harvest([entry], clock=lambda: 0, docked_mode=mode)
+        assert diag.dropped_entities == 0
+        receipt = append_snapshot(observations, tmp_path / mode)
+        assert load_snapshot(tmp_path / mode, receipt.snapshot_id).entity_ids == ids
 
 
 def test_harvest_available_bikes_mode_without_status_feed(tmp_path):

@@ -3,9 +3,12 @@ replaced, kept below as a reference: equal rows, equal dropped tallies and
 equal exceptions on a battery of conforming and deviant feeds and under a
 one-node mutation fuzz, for _entity_rows and for a whole harvest.
 
-The reference carries one intended change: an integer coordinate beyond the
+The reference carries two intended changes: an integer coordinate beyond the
 float range is unusable, so its entry is dropped and tallied (the old parser
-raised OverflowError, which failed the whole system). The reference snapshot
+raised OverflowError, which failed the whole system); and so is an entry
+whose id a snapshot cannot hold (ref_storable_id: the old parser kept it, and
+the harvest then stored no snapshot, or one that no reader could read back).
+The reference snapshot
 bytes quote an id holding a carriage return, as Python 3.13's csv.writer does
 (earlier versions left it bare, and the snapshot could not be read back)."""
 
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from bikeshare_equity.errors import ParseError, SchemaError, TransportError
 from bikeshare_equity.gbfs_client import (
     FREE_BIKE_FEED,
+    MAX_ENTITY_ID_LENGTH,
     STATION_FEED,
     FeedFailure,
     _BIKES,
@@ -39,7 +43,7 @@ from bikeshare_equity.snapshot_store import (
     Observations,
     write_observations_csv,
 )
-from helpers import OBSERVED_AT, bike_doc, make_system, station_doc
+from helpers import OBSERVED_AT, bike_doc, make_system, observations_of, station_doc
 
 # ---------------------------------------------------------------------------
 # Reference: the parsers as they were before the table-driven normalizer.
@@ -113,6 +117,18 @@ def ref_canonicalize_bike_payload(payload):
     return out
 
 
+def ref_storable_id(value):
+    """The second intended change, see the module docstring: the id's text
+    encodes as UTF-8, holds no NUL and is at most MAX_ENTITY_ID_LENGTH
+    characters long."""
+    text = str(value)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return "\x00" not in text and len(text) <= MAX_ENTITY_ID_LENGTH
+
+
 def ref_valid_lat(value):
     return isinstance(value, float) and -90.0 <= value <= 90.0
 
@@ -136,7 +152,8 @@ def ref_parse_station_information(document, system_id):
         station_id = entry.get("station_id")
         lat = entry.get("lat")
         lon = entry.get("lon")
-        if not station_id or not ref_valid_lat(lat) or not ref_valid_lon(lon):
+        if (not station_id or not ref_storable_id(station_id)
+                or not ref_valid_lat(lat) or not ref_valid_lon(lon)):
             diagnostics.dropped += 1
             continue
         stations.append(
@@ -165,7 +182,8 @@ def ref_parse_free_bike_status(document, system_id):
         bike_id = entry.get("bike_id")
         lat = entry.get("lat")
         lon = entry.get("lon")
-        if not bike_id or not ref_valid_lat(lat) or not ref_valid_lon(lon):
+        if (not bike_id or not ref_storable_id(bike_id)
+                or not ref_valid_lat(lat) or not ref_valid_lon(lon)):
             diagnostics.dropped += 1
             continue
         bikes.append(
@@ -285,7 +303,7 @@ def assert_harvest_agrees(root, station_raw, bike_raw):
     assert list(observations) == expected
     assert all(type(obs) is BikeObservation for obs in observations)
     for column, expected_column in zip(
-        observations.columns(), Observations.from_records(expected).columns(), strict=True
+        observations.columns(), observations_of(expected).columns(), strict=True
     ):
         column, expected_column = list(column), list(expected_column)
         assert column == expected_column
@@ -367,6 +385,16 @@ BATTERY = [
                       for station_id in ("s,1", 's"2', "s\n3", "s\r4", "s\r\n5", " s6 ")])),
      raw(bike_doc([{"bike_id": bike_id, "lat": 40.0, "lon": -100.0}
                    for bike_id in ("b\r1", '"b2"', "é,b3")]))),
+    ("ids no snapshot can hold",
+     raw(station_doc([{"station_id": station_id, "lat": 45.5, "lon": -122.6}
+                      for station_id in ("\ud800", "s\x001", "s" * (MAX_ENTITY_ID_LENGTH + 1),
+                                         "s" * MAX_ENTITY_ID_LENGTH, "s2")])),
+     raw(bike_doc([{"bike_id": bike_id, "lat": 40.0, "lon": -100.0}
+                   for bike_id in ("b1", "\udfff\ud800", "\x00", "é" * 140_000, "é")]))),
+    ("ids of one feed past the bound only together",
+     raw(station_doc([{"station_id": "s" * (MAX_ENTITY_ID_LENGTH // 2 + 1), "lat": 45.5,
+                       "lon": -122.6}] * 2)),
+     raw(bike_doc([{"bike_id": "b" * MAX_ENTITY_ID_LENGTH, "lat": 40.0, "lon": -100.0}]))),
 ]
 
 

@@ -17,7 +17,6 @@ from bikeshare_equity.geo import (
     BoundingBox,
     TractIndex,
     TractPolygon,
-    assign_tract,
     assign_tracts,
     load_boundaries,
     point_in_polygon,
@@ -28,6 +27,7 @@ from helpers import (
     five_tract_features,
     multi_city_features,
     observation,
+    observations_of,
     square_feature,
     winding_number_inside,
     write_feature_collection,
@@ -252,19 +252,17 @@ def test_edge_rule_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# assign_tract
+# assign_tracts, one point at a time
 # ---------------------------------------------------------------------------
 
 def test_assign_inside_tract(tmp_path):
     index = load_fixture(tmp_path, five_tract_features())
-    obs = observation("sys", "e", lat=0.5, lon=0.5)
-    assert assign_tract(obs, index) == "53033000100"
+    assert assign_tracts([0.5], [0.5], index) == ["53033000100"]
 
 
 def test_assign_in_gap_returns_none(tmp_path):
     index = load_fixture(tmp_path, five_tract_features())
-    obs = observation("sys", "e", lat=0.5, lon=1.5)  # gap between squares
-    assert assign_tract(obs, index) is None
+    assert assign_tracts([0.5], [1.5], index) == [None]  # gap between squares
 
 
 def test_assign_shared_boundary_prefers_smallest_geoid(tmp_path):
@@ -275,8 +273,7 @@ def test_assign_shared_boundary_prefers_smallest_geoid(tmp_path):
             square_feature("53033000101", 1.0, 0.0),  # shares the lon=1 edge
         ],
     )
-    obs = observation("sys", "e", lat=0.5, lon=1.0)
-    assert assign_tract(obs, index) == "53033000101"
+    assert assign_tracts([0.5], [1.0], index) == ["53033000101"]
 
 
 def test_grid_matches_exhaustive_scan(tmp_path):
@@ -286,8 +283,7 @@ def test_grid_matches_exhaustive_scan(tmp_path):
     for _ in range(1000):
         lon = float(rng.uniform(-1.0, 9.0))
         lat = float(rng.uniform(-1.0, 5.0))
-        obs = observation("sys", "e", lat=lat, lon=lon)
-        fast = assign_tract(obs, index)
+        fast = assign_tracts([lat], [lon], index)[0]
         matches = [
             poly.tract_geoid
             for poly in index.polygons
@@ -483,7 +479,6 @@ def test_batch_points_in_holed_tract_that_miss_the_hole(tmp_path):
     # Rows for a hole ring, but no point on or in the hole.
     index = load_fixture(tmp_path, [holed_square_feature()])
     assert assign_tracts([0.5], [0.5], index) == ["53033000800"]
-    assert assign_tract(observation("sys", "b", lat=0.5, lon=0.5), index) == "53033000800"
     probes = [(0.5, 0.5), (3.5, 0.5), (0.5, 3.5), (3.5, 3.5), (2.0, 0.25), (0.0, 2.0), (5.0, 5.0)]
     expected = ["53033000800"] * 6 + [None]
     assert assign_tracts([lat for _, lat in probes], [lon for lon, _ in probes], index) == expected
@@ -522,20 +517,6 @@ def test_batch_rejects_mismatched_lengths(tmp_path):
     index = load_fixture(tmp_path, five_tract_features())
     with pytest.raises(ValueError):
         assign_tracts([0.5, 0.5], [0.5], index)
-
-
-def test_count_by_tract_accepts_generator(tmp_path):
-    index = load_fixture(tmp_path, five_tract_features())
-    observations = [
-        observation("sys", f"e{i}", lat=0.5, lon=lon) for i, lon in enumerate([0.5, 1.5, 2.5, 2.0])
-    ]
-    from_list = count_by_tract(observations, index)
-    from_generator = count_by_tract((obs for obs in observations), index)
-    assert list(from_generator[0]) == list(from_list[0])
-    assert from_generator[1] == from_list[1]
-    counts, diagnostics = from_generator
-    assert diagnostics.unassigned == 1
-    assert {c.tract_geoid: c.count_free for c in counts}["53033000101"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1047,9 @@ def test_count_by_tract_memory_is_bounded(tmp_path):
     rng = np.random.default_rng(79)
     lons = rng.uniform(0.0, 19996 / 16384, 10000).tolist()
     lats = rng.uniform(0.0, 1.0 + 1 / 16384, 10000).tolist()
-    observations = [observation("sys", f"e{i}", lat, lon) for i, (lat, lon) in enumerate(zip(lats, lons))]
+    observations = observations_of(
+        observation("sys", f"e{i}", lat, lon) for i, (lat, lon) in enumerate(zip(lats, lons))
+    )
     tracemalloc.start()
     try:
         counts, diagnostics = count_by_tract(observations, index)

@@ -5,6 +5,7 @@ from bikeshare_equity.errors import EmptyFrameError, ScalingError, SchemaError
 from bikeshare_equity.snapshot_store import DockingType
 from bikeshare_equity.geo import load_boundaries
 from bikeshare_equity.join_aggregate import (
+    DEMOGRAPHICS_COLUMNS,
     DESIGN_COLUMNS,
     PREDICTOR_NAMES,
     DemographicsRow,
@@ -23,7 +24,9 @@ from bikeshare_equity.join_aggregate import (
 from helpers import (
     five_tract_features,
     observation,
+    observations_of,
     quantile_oracle,
+    tract_table_of,
     write_feature_collection,
 )
 
@@ -62,7 +65,7 @@ def test_count_by_tract_basic(five_tract_index):
         observation("sys", f"f{i}", lat=0.3, lon=0.4 + 0.05 * i, docking_type=DockingType.FREE)
         for i in range(2)
     ]
-    counts, diag = count_by_tract(inside_a, five_tract_index)
+    counts, diag = count_by_tract(observations_of(inside_a), five_tract_index)
     assert diag.unassigned == 0
     assert len(counts) == 5
     by_geoid = {c.tract_geoid: c for c in counts}
@@ -73,7 +76,7 @@ def test_count_by_tract_basic(five_tract_index):
 
 
 def test_count_by_tract_no_observations(five_tract_index):
-    counts, diag = count_by_tract([], five_tract_index)
+    counts, diag = count_by_tract(observations_of([]), five_tract_index)
     assert len(counts) == 5
     assert all(c.count_docked == 0 and c.count_free == 0 for c in counts)
     assert diag.unassigned == 0
@@ -81,7 +84,7 @@ def test_count_by_tract_no_observations(five_tract_index):
 
 def test_count_by_tract_unassigned_tallied(five_tract_index):
     ocean = observation("sys", "lost", lat=0.5, lon=1.5)
-    counts, diag = count_by_tract([ocean], five_tract_index)
+    counts, diag = count_by_tract(observations_of([ocean]), five_tract_index)
     assert diag.unassigned == 1
     assert all(c.count_docked == 0 and c.count_free == 0 for c in counts)
 
@@ -98,7 +101,7 @@ def test_count_mass_conservation(five_tract_index):
         )
         for i in range(250)
     ]
-    counts, diag = count_by_tract(observations, five_tract_index)
+    counts, diag = count_by_tract(observations_of(observations), five_tract_index)
     total = sum(c.count_docked + c.count_free for c in counts)
     assert total + diag.unassigned == len(observations)
 
@@ -114,18 +117,18 @@ def test_filter_zero_counties_rule():
         TractCount("10003000001", 0, 0),
         TractCount("10003000002", 0, 0),
     ]
-    kept = filter_zero_counties(rows)
+    kept = filter_zero_counties(tract_table_of(rows))
     assert [r.tract_geoid for r in kept] == ["10001000001", "10001000002"]
 
 
 def test_filter_zero_counties_all_zero():
     rows = [TractCount("10001000001", 0, 0), TractCount("10003000001", 0, 0)]
-    assert list(filter_zero_counties(rows)) == []
+    assert list(filter_zero_counties(tract_table_of(rows))) == []
 
 
 def test_filter_zero_counties_single_active_tract():
     rows = [TractCount("10001000001", 1, 0)]
-    assert list(filter_zero_counties(rows)) == rows
+    assert list(filter_zero_counties(tract_table_of(rows))) == rows
 
 
 def test_filter_zero_counties_idempotent_on_random_tables():
@@ -139,7 +142,7 @@ def test_filter_zero_counties_idempotent_on_random_tables():
             )
             for t in range(int(rng.integers(1, 30)))
         ]
-        once = filter_zero_counties(rows)
+        once = filter_zero_counties(tract_table_of(rows))
         twice = filter_zero_counties(once)
         assert list(once) == list(twice)
         active = {
@@ -159,7 +162,7 @@ def test_join_inner_with_diagnostics():
         TractCount("10001000003", 3, 3),
     ]
     demo = [demo_row("10001000001"), demo_row("10001000003"), demo_row("10001000099")]
-    records, diag = join_demographics(counts, demo)
+    records, diag = join_demographics(tract_table_of(counts), tract_table_of(demo))
     assert [r.tract_geoid for r in records] == ["10001000001", "10001000003"]
     assert diag.unmatched == 1
     assert records[0].county_geoid == "10001"
@@ -167,7 +170,9 @@ def test_join_inner_with_diagnostics():
 
 def test_join_perfect_match_no_diagnostics():
     counts = [TractCount("10001000001", 1, 0)]
-    records, diag = join_demographics(counts, [demo_row("10001000001")])
+    records, diag = join_demographics(
+        tract_table_of(counts), tract_table_of([demo_row("10001000001")])
+    )
     assert len(records) == 1 and diag.unmatched == 0
 
 
@@ -175,7 +180,7 @@ def test_join_duplicate_geoid_rejected():
     counts = [TractCount("10001000001", 1, 0)]
     demo = [demo_row("10001000001"), demo_row("10001000001")]
     with pytest.raises(SchemaError, match="10001000001"):
-        join_demographics(counts, demo)
+        join_demographics(tract_table_of(counts), tract_table_of(demo))
 
 
 def test_join_order_invariant_with_filter():
@@ -184,7 +189,7 @@ def test_join_order_invariant_with_filter():
         TractCount("10001000002", 2, 1),
         TractCount("10003000001", 0, 0),
     ]
-    demo = [demo_row(c.tract_geoid) for c in counts]
+    counts, demo = tract_table_of(counts), tract_table_of([demo_row(c.tract_geoid) for c in counts])
     filtered_first, _ = join_demographics(filter_zero_counties(counts), demo)
     joined_first, _ = join_demographics(counts, demo)
     assert list(filtered_first) == list(filter_zero_counties(joined_first))
@@ -207,7 +212,7 @@ def test_scale_min_max_basic():
     records[2] = record(
         "10001000003", 1, 0, DemographicsRow("10001000003", 1.0, 1.0, 1.0, 500.0, 100.0)
     )
-    scaled, bounds = scale_predictors(records)
+    scaled, bounds = scale_predictors(tract_table_of(records))
     assert [r.demographics.pop_density for r in scaled] == [0.0, 0.5, 1.0]
     assert bounds["pop_density"] == (100.0, 500.0)
 
@@ -230,9 +235,9 @@ def test_scale_attains_zero_and_one_for_every_predictor():
         )
         for t in range(17)
     ]
-    scaled, _ = scale_predictors(records)
+    scaled, _ = scale_predictors(tract_table_of(records))
     for name in PREDICTOR_NAMES:
-        values = [r.demographics.predictor(name) for r in scaled]
+        values = [getattr(r.demographics, name) for r in scaled]
         assert min(values) == 0.0
         assert max(values) == 1.0
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -244,7 +249,7 @@ def test_scale_identity_when_bounds_attained():
         record("10001000002", 1, 0, DemographicsRow("10001000002", 0.25, 0.5, 0.75, 0.5, 0.125)),
         record("10001000003", 1, 0, DemographicsRow("10001000003", 1.0, 1.0, 1.0, 1.0, 1.0)),
     ]
-    scaled, _ = scale_predictors(records)
+    scaled, _ = scale_predictors(tract_table_of(records))
     assert scaled[1].demographics == records[1].demographics
 
 
@@ -254,7 +259,7 @@ def test_scale_constant_predictor_rejected():
         record("10001000002", 1, 0, demo_row("10001000002", nonwhite=0.4)),
     ]
     with pytest.raises(ScalingError, match="pct_college"):
-        scale_predictors(records)
+        scale_predictors(tract_table_of(records))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,7 @@ def test_model_frame_single_tract():
         1,
         DemographicsRow("10001000001", 0.5, 0.0, 0.0, 0.0, 0.0),
     )
-    frame = build_model_frame([rec])
+    frame = build_model_frame(tract_table_of([rec]))
     assert frame.design.column_names == DESIGN_COLUMNS
     assert frame.design.values.shape == (2, 12)
     free_row, docked_row = frame.design.values
@@ -281,7 +286,7 @@ def test_model_frame_single_tract():
 
 def test_model_frame_two_rows_per_tract():
     records = [record(f"10001{t:06d}", t, t + 1) for t in range(7)]
-    frame = build_model_frame(records)
+    frame = build_model_frame(tract_table_of(records))
     assert frame.design.values.shape == (14, 12)
     assert len(frame.tract_geoids) == 14
 
@@ -302,7 +307,7 @@ def test_model_frame_interactions_elementwise():
         )
         for t in range(9)
     ]
-    frame = build_model_frame(records)
+    frame = build_model_frame(tract_table_of(records))
     values = frame.design.values
     indicator = values[:, 6]
     for k in range(5):
@@ -313,18 +318,18 @@ def test_model_frame_all_zero_predictors():
     rec = record(
         "10001000001", 2, 2, DemographicsRow("10001000001", 0.0, 0.0, 0.0, 0.0, 0.0)
     )
-    frame = build_model_frame([rec])
+    frame = build_model_frame(tract_table_of([rec]))
     assert (frame.design.values[:, 7:] == 0.0).all()
 
 
 def test_model_frame_empty_rejected():
     with pytest.raises(EmptyFrameError):
-        build_model_frame([])
+        build_model_frame(tract_table_of([]))
 
 
 def test_model_frame_csv_export():
     rec = record("10001000001", 3, 1)
-    frame = build_model_frame([rec])
+    frame = build_model_frame(tract_table_of([rec]))
     buffer = io.StringIO()
     write_model_frame_csv(frame, buffer)
     lines = buffer.getvalue().splitlines()
@@ -352,7 +357,7 @@ def test_summarize_interpolated_median():
     observations = make_fleet(
         {"a": 2, "b": 35, "c": 400, "d": 8}, DockingType.FREE
     )
-    summaries = summarize_systems(observations)
+    summaries = summarize_systems(observations_of(observations))
     assert len(summaries) == 1
     summary = summaries[0]
     assert summary.docking_type is DockingType.FREE
@@ -365,7 +370,7 @@ def test_summarize_interpolated_median():
 
 def test_summarize_single_system_degenerate_quantiles():
     observations = make_fleet({"solo": 7}, DockingType.DOCKED)
-    summary = summarize_systems(observations)[0]
+    summary = summarize_systems(observations_of(observations))[0]
     assert (summary.q25, summary.q50, summary.q75) == (7.0, 7.0, 7.0)
 
 
@@ -373,26 +378,13 @@ def test_summarize_orders_free_then_docked():
     observations = make_fleet({"d": 3}, DockingType.DOCKED) + make_fleet(
         {"f": 2}, DockingType.FREE
     )
-    summaries = summarize_systems(observations)
+    summaries = summarize_systems(observations_of(observations))
     assert [s.docking_type for s in summaries] == [DockingType.FREE, DockingType.DOCKED]
 
 
 def test_summarize_requires_observations():
     with pytest.raises(ValueError):
-        summarize_systems([])
-    with pytest.raises(ValueError):
-        summarize_systems(obs for obs in [])
-
-
-def test_summarize_reads_a_generator_once():
-    observations = make_fleet({"f": 1}, DockingType.FREE) + make_fleet(
-        {"d": 2}, DockingType.DOCKED
-    )
-    from_generator = summarize_systems(obs for obs in observations)
-    assert from_generator == summarize_systems(observations)
-    assert [(s.docking_type, s.total_bikes) for s in from_generator] == [
-        (DockingType.FREE, 1), (DockingType.DOCKED, 2)
-    ]
+        summarize_systems(observations_of([]))
 
 
 def test_summarize_counts_systems_split_across_runs():
@@ -404,7 +396,7 @@ def test_summarize_counts_systems_split_across_runs():
         + make_fleet({"a": 1, "c": 2}, DockingType.FREE)
         + make_fleet({"b": 5, "a": 1}, DockingType.DOCKED)
     )
-    free, docked = summarize_systems(rows)
+    free, docked = summarize_systems(observations_of(rows))
     # Free: a 2 + 1, b 3, c 2; docked: a 4 + 1, b 5.
     assert (free.total_bikes, free.n_systems, free.q25, free.q50) == (8, 3, 2.5, 3.0)
     assert (docked.total_bikes, docked.n_systems, docked.q25, docked.q75) == (10, 2, 5.0, 5.0)
@@ -452,7 +444,7 @@ def test_read_demographics_bad_fraction(tmp_path):
 
 
 def test_demographics_row_validation():
-    with pytest.raises(ValueError):
-        demo_row("10001000001", college=-0.1)
-    with pytest.raises(ValueError):
-        demo_row("10001000001", pop=-5.0)
+    header = ",".join(DEMOGRAPHICS_COLUMNS)
+    for row in ("10001000001,-0.1,0.2,0.3,100.0,50.0", "10001000001,0.5,0.2,0.3,-5.0,50.0"):
+        with pytest.raises(SchemaError, match="line 2"):
+            read_demographics_csv(io.StringIO(f"{header}\n{row}\n"))

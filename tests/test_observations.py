@@ -1,15 +1,27 @@
-"""snapshot_store.Observations: the columns every snapshot read returns, as a
-sequence of BikeObservations built on demand."""
+"""snapshot_store.Observations: the columns every snapshot read returns,
+iterated as BikeObservations built one by one.
 
-import pytest
+The record views stay for callers that read rows one by one: the benchmark's
+checks (``perfbench/checks.py``) iterate a loaded snapshot and a
+``count_by_tract`` table and read record attributes. The last test reads
+exactly those attributes, so a change that removes the views fails here
+before it breaks the benchmark.
+"""
 
+from bikeshare_equity.geo import load_boundaries
+from bikeshare_equity.join_aggregate import count_by_tract
 from bikeshare_equity.snapshot_store import (
     BikeObservation,
     DockingType,
-    Observations,
-    as_observations,
+    append_snapshot,
+    load_snapshot,
 )
-from helpers import observation
+from helpers import (
+    five_tract_features,
+    observation,
+    observations_of,
+    write_feature_collection,
+)
 
 DOCKED, FREE = DockingType.DOCKED, DockingType.FREE
 RECORDS = [
@@ -21,7 +33,7 @@ RECORDS = [
 
 
 def test_from_records_round_trips_through_runs():
-    observations = Observations.from_records(RECORDS)
+    observations = observations_of(RECORDS)
     assert list(observations) == RECORDS
     assert all(type(record) is BikeObservation for record in observations)
     assert observations.system_id_runs == [["a", 2], ["b", 1], ["a", 1]]
@@ -34,35 +46,39 @@ def test_from_records_round_trips_through_runs():
     assert list(observations) == RECORDS
 
 
-def test_len_bool_and_indexing():
-    observations = Observations.from_records(RECORDS)
+def test_len_bool_and_iteration():
+    observations = observations_of(RECORDS)
     assert len(observations) == 4 and observations
-    for index in range(-4, 4):
-        record = observations[index]
-        assert record == RECORDS[index] and type(record) is BikeObservation
-    for index in (4, -5, 100):
-        with pytest.raises(IndexError):
-            observations[index]
-    with pytest.raises(TypeError):
-        observations["0"]
-    # The sequence methods that rest on indexing and iteration.
-    assert observations.index(RECORDS[2]) == 2
+    assert list(observations) == RECORDS
+    # `in` rests on iteration.
     assert RECORDS[3] in observations
-    assert list(reversed(observations)) == RECORDS[::-1]
+    assert RECORDS[3]._replace(entity_id="e9") not in observations
 
 
 def test_no_observations():
-    empty = Observations.from_records([])
+    empty = observations_of([])
     assert len(empty) == 0 and not empty and list(empty) == []
     assert empty.system_id_runs == empty.docking_type_runs == empty.observed_at_runs == []
-    with pytest.raises(IndexError):
-        empty[0]
-    with pytest.raises(IndexError):
-        empty[-1]
 
 
-def test_as_observations_reads_any_iterable_of_records_once():
-    observations = Observations.from_records(RECORDS)
-    assert as_observations(observations) is observations
-    assert list(as_observations(RECORDS)) == RECORDS
-    assert list(as_observations(record for record in RECORDS)) == RECORDS
+def test_the_records_the_benchmark_reads(tmp_path):
+    """Iterate a loaded snapshot and a count_by_tract table, reading each
+    record's attributes as the benchmark's check_snapshot_rows and
+    check_counts do."""
+    append_snapshot(observations_of(RECORDS[:1] + [
+        observation("a", "in", 0.5, 0.5, DOCKED), observation("b", "out", 0.5, 1.5, FREE),
+    ]), tmp_path / "store")
+    observations = load_snapshot(tmp_path / "store", cache_dir=tmp_path / "cache")
+    assert [
+        (o.system_id, o.entity_id, o.docking_type.value, o.lon, o.lat) for o in observations
+    ] == [("a", "e0", "free", -122.0, 45.0), ("a", "in", "docked", 0.5, 0.5),
+          ("b", "out", "free", 1.5, 0.5)]
+    index = load_boundaries(
+        write_feature_collection(tmp_path / "five.geojson", five_tract_features())
+    )
+    counts, diagnostics = count_by_tract(observations, index)
+    assert {c.tract_geoid: [c.count_docked, c.count_free] for c in counts} == {
+        "53033000100": [1, 0], "53033000101": [0, 0], "53033000102": [0, 0],
+        "53033000103": [0, 0], "53033000200": [0, 0],
+    }
+    assert diagnostics.unassigned == 2

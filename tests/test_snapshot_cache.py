@@ -20,7 +20,7 @@ from bikeshare_equity.snapshot_store import (
     append_snapshot,
     load_snapshot,
 )
-from helpers import build_synthetic_city, city_inputs, memos, memos_of, observation
+from helpers import build_synthetic_city, city_inputs, memos, memos_of, observation, observations_of
 from test_cli import analyze_argv
 
 OUTPUTS = ("table1.csv", "table2.csv", "run_manifest.json")
@@ -115,7 +115,7 @@ def test_ids_round_trip_through_the_cache(tmp_path, parses, ids, separator):
     """A miss and a hit return what the CSV parse returns, value by value
     and type by type."""
     store = tmp_path / "store"
-    append_snapshot(snapshot_of(ids), store)
+    append_snapshot(observations_of(snapshot_of(ids)), store)
     fresh = list(load_snapshot(store))
     missed = list(load_snapshot(store, cache_dir=store / "cache"))
     hit = list(load_snapshot(store, cache_dir=store / "cache"))
@@ -131,7 +131,7 @@ def test_ids_round_trip_through_the_cache(tmp_path, parses, ids, separator):
 def test_a_hit_keeps_the_ids_joined_until_they_are_read(tmp_path):
     store = tmp_path / "store"
     ids = ["e1", "", "e,3"]
-    append_snapshot(snapshot_of(ids), store)
+    append_snapshot(observations_of(snapshot_of(ids)), store)
     load_snapshot(store, cache_dir=store / "cache")
     hit = load_snapshot(store, cache_dir=store / "cache")
     assert type(hit._entity_ids) is snapshot_store._JoinedIds
@@ -149,7 +149,7 @@ def test_ids_using_every_code_point_are_read_but_never_hit(tmp_path, parses):
     # Each id is within csv's default field size limit of 131,072 characters.
     ids = ["".join(code_points[start:start + 100_000]) for start in range(0, len(code_points), 100_000)]
     store = tmp_path / "store"
-    append_snapshot(snapshot_of(ids), store)
+    append_snapshot(observations_of(snapshot_of(ids)), store)
     fresh = list(load_snapshot(store))
     assert [obs.entity_id for obs in fresh] == ids
     for _ in range(2):
@@ -162,7 +162,7 @@ def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch,
     """A snapshot file edited after it was hashed (a miss) and before it was
     read is cached under its new bytes' key, never under the old bytes' key."""
     store = tmp_path / "store"
-    append_snapshot([observation("sys", "e1", 45.0, -122.0)], store)
+    append_snapshot(observations_of([observation("sys", "e1", 45.0, -122.0)]), store)
     (snapshot,) = store.glob("snapshot_*.csv")
     hash_file = content_cache.file_content_key
 
@@ -184,7 +184,7 @@ def test_miss_is_cached_under_the_key_of_the_bytes_parsed(tmp_path, monkeypatch,
 
 
 def test_library_default_writes_no_cache(tmp_path, monkeypatch):
-    append_snapshot([observation("sys", "e1", 45.0, -122.0)], tmp_path)
+    append_snapshot(observations_of([observation("sys", "e1", 45.0, -122.0)]), tmp_path)
     monkeypatch.setattr(content_cache, "write_entry", pytest.fail)
     load_snapshot(tmp_path)
     assert not (tmp_path / "cache").exists()
@@ -207,12 +207,11 @@ def test_two_map_and_analyze_runs_on_one_store_are_byte_identical(tmp_path, city
 def test_range_selector_over_cached_snapshots_equals_uncached_read(tmp_path, parses):
     store = tmp_path / "store"
     for t in range(4):
-        append_snapshot(
+        append_snapshot(observations_of(
             [observation("sys", f"e{i}", 40.0 + t, -100.0 - i, DockingType.FREE, 100 * t + i)
              for i in range(t, t + 5)]
-            + [observation("dock", "s1", 41.0, -101.0, DockingType.DOCKED, 100 * t)],
-            store,
-        )
+            + [observation("dock", "s1", 41.0, -101.0, DockingType.DOCKED, 100 * t)]
+        ), store)
     for selector in [(0, 10_000), (100, 250), "latest", 2]:
         fresh = list(load_snapshot(store, selector))
         parses.clear()
@@ -247,7 +246,7 @@ def test_edited_snapshot_after_a_cached_run_is_a_miss(tmp_path, city, capsys, co
 
 def test_failed_snapshot_read_writes_no_cache(tmp_path, capsys):
     store = tmp_path / "store"
-    append_snapshot([observation("sys", "e1", 45.0, -122.0)], store)
+    append_snapshot(observations_of([observation("sys", "e1", 45.0, -122.0)]), store)
     (snapshot,) = store.glob("snapshot_*.csv")
     snapshot.write_bytes(snapshot.read_bytes() + b"sys,e2,1.0,2.0,free,soon\n")
     assert main(["map", "--store", str(store), "--out", str(tmp_path / "out")]) == 1
@@ -373,7 +372,7 @@ def test_an_unchanged_rewrite_is_still_a_hit(city, parses):
 
 def test_a_zero_row_file_holding_an_id_is_a_miss(tmp_path, parses):
     store = tmp_path / "store"
-    append_snapshot([], store)
+    append_snapshot(observations_of([]), store)
     assert list(load_snapshot(store, cache_dir=store / "cache")) == []
     (cache_file,) = snapshot_caches(store)
     edit_text(lambda text: text.extend(b"e1"))(cache_file)

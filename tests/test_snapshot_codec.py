@@ -34,7 +34,7 @@ from bikeshare_equity.snapshot_store import (
     valid_observation_values,
     write_observations_csv,
 )
-from helpers import memo_name
+from helpers import memo_name, observations_of
 
 # ---------------------------------------------------------------------------
 # Reference: the reader as it was before positional column access.
@@ -211,7 +211,7 @@ def cached_reads_agree(store):
     uncached = load_outcome(store)
     reads = [load_outcome(store, cache_dir=cache)]
     if isinstance(uncached, list):
-        assert valid_observation_values(*Observations.from_records(uncached).columns())
+        assert valid_observation_values(*observations_of(uncached).columns())
         with mock.patch.object(snapshot_store, "read_observations_csv", no_parse):
             reads.append(load_outcome(store, cache_dir=cache))
         snapshot = store / "snapshot_000001.csv"
@@ -372,7 +372,7 @@ def check_writer(observations):
     """The written text reads back as the observations and, where csv.writer
     quotes as the writer does, equals csv.writer's text."""
     fh = RecordingFile()
-    assert write_observations_csv(observations, fh) == len(observations)
+    assert write_observations_csv(observations_of(observations), fh) == len(observations)
     text = fh.getvalue()
     ids = "".join(value for obs in observations for value in (obs.system_id, obs.entity_id))
     # csv before Python 3.11 can neither write nor read NUL.
@@ -422,15 +422,3 @@ def test_writer_splits_rows_into_bounded_writes(count):
     # The header, then the rows in as few writes as the chunk allows.
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     assert fh.lines_per_write == [1] + sizes
-
-
-def test_writer_writes_ids_that_are_not_str_as_csv_writer_does():
-    # A snapshot row short of its system_id reads back as None.
-    observations = [
-        BikeObservation(None, 7, 45.5, -122.6, DockingType.FREE, 1),
-        BikeObservation("s,1", None, 45.5, -122.6, DockingType.DOCKED, 2),
-    ]
-    fh = io.StringIO()
-    write_observations_csv(observations, fh)
-    assert fh.getvalue() == ref_csv_writer_text(observations)
-

@@ -5,7 +5,7 @@ import pytest
 
 from bikeshare_equity.errors import SnapshotNotFoundError, StorageError
 from bikeshare_equity.snapshot_store import DockingType, append_snapshot, load_snapshot
-from helpers import observation
+from helpers import observation, observations_of
 
 
 def sample_observations(n=5, observed_at=1000):
@@ -16,15 +16,19 @@ def sample_observations(n=5, observed_at=1000):
 
 
 def test_append_first_snapshot(tmp_path):
-    receipt = append_snapshot(sample_observations(5), tmp_path)
+    rows = sample_observations(5)
+    rows[1] = rows[1]._replace(observed_at=1002)  # the newest, though not the last
+    receipt = append_snapshot(observations_of(rows), tmp_path, clock=lambda: 7)
     assert receipt.snapshot_id == 1
     assert receipt.row_count == 5
     assert receipt.systems == ("sys",)
-    assert receipt.observed_at == 1000
+    assert receipt.observed_at == 1002
+    assert (tmp_path / "manifest.csv").read_text() == "1,1002,5,snapshot_000001.csv\n"
+    assert list(load_snapshot(tmp_path, 1)) == rows
 
 
 def test_append_empty_snapshot_creates_file(tmp_path):
-    receipt = append_snapshot([], tmp_path, clock=lambda: 77)
+    receipt = append_snapshot(observations_of([]), tmp_path, clock=lambda: 77)
     assert receipt.row_count == 0
     assert receipt.observed_at == 77
     assert (tmp_path / "snapshot_000001.csv").exists()
@@ -32,28 +36,28 @@ def test_append_empty_snapshot_creates_file(tmp_path):
 
 
 def test_snapshot_ids_monotonic(tmp_path):
-    first = append_snapshot(sample_observations(2), tmp_path)
-    second = append_snapshot(sample_observations(3), tmp_path)
+    first = append_snapshot(observations_of(sample_observations(2)), tmp_path)
+    second = append_snapshot(observations_of(sample_observations(3)), tmp_path)
     assert (first.snapshot_id, second.snapshot_id) == (1, 2)
 
 
 def test_load_latest(tmp_path):
-    append_snapshot(sample_observations(2, observed_at=100), tmp_path)
+    append_snapshot(observations_of(sample_observations(2, observed_at=100)), tmp_path)
     newer = sample_observations(3, observed_at=200)
-    append_snapshot(newer, tmp_path)
+    append_snapshot(observations_of(newer), tmp_path)
     assert list(load_snapshot(tmp_path, "latest")) == newer
 
 
 def test_load_by_id(tmp_path):
     older = sample_observations(2, observed_at=100)
-    append_snapshot(older, tmp_path)
-    append_snapshot(sample_observations(3, observed_at=200), tmp_path)
+    append_snapshot(observations_of(older), tmp_path)
+    append_snapshot(observations_of(sample_observations(3, observed_at=200)), tmp_path)
     assert list(load_snapshot(tmp_path, 1)) == older
 
 
 def test_load_missing_id(tmp_path):
-    append_snapshot(sample_observations(1), tmp_path)
-    append_snapshot(sample_observations(1), tmp_path)
+    append_snapshot(observations_of(sample_observations(1)), tmp_path)
+    append_snapshot(observations_of(sample_observations(1)), tmp_path)
     with pytest.raises(SnapshotNotFoundError):
         load_snapshot(tmp_path, 7)
 
@@ -67,8 +71,8 @@ def test_range_dedup_keeps_latest(tmp_path):
     early = observation("sys", "bike", 40.0, -100.0, DockingType.FREE, 100)
     late = observation("sys", "bike", 41.0, -101.0, DockingType.FREE, 200)
     other = observation("sys", "other", 42.0, -102.0, DockingType.FREE, 100)
-    append_snapshot([early, other], tmp_path)
-    append_snapshot([late], tmp_path)
+    append_snapshot(observations_of([early, other]), tmp_path)
+    append_snapshot(observations_of([late]), tmp_path)
     loaded = load_snapshot(tmp_path, (0, 300))
     by_id = {obs.entity_id: obs for obs in loaded}
     assert len(loaded) == 2
@@ -79,26 +83,26 @@ def test_range_dedup_keeps_latest(tmp_path):
 def test_range_dedup_distinguishes_docking_type(tmp_path):
     docked = observation("sys", "x", 40.0, -100.0, DockingType.DOCKED, 100)
     free = observation("sys", "x", 40.0, -100.0, DockingType.FREE, 100)
-    append_snapshot([docked], tmp_path)
-    append_snapshot([free], tmp_path)
+    append_snapshot(observations_of([docked]), tmp_path)
+    append_snapshot(observations_of([free]), tmp_path)
     assert len(load_snapshot(tmp_path, (0, 300))) == 2
 
 
 def test_range_with_no_match(tmp_path):
-    append_snapshot(sample_observations(1, observed_at=100), tmp_path)
+    append_snapshot(observations_of(sample_observations(1, observed_at=100)), tmp_path)
     with pytest.raises(SnapshotNotFoundError):
         load_snapshot(tmp_path, (500, 600))
 
 
 def test_bad_selector(tmp_path):
-    append_snapshot(sample_observations(1), tmp_path)
+    append_snapshot(observations_of(sample_observations(1)), tmp_path)
     with pytest.raises(ValueError):
         load_snapshot(tmp_path, "yesterday")
 
 
 def test_round_trip(tmp_path):
     rows = sample_observations(9, observed_at=123)
-    receipt = append_snapshot(rows, tmp_path)
+    receipt = append_snapshot(observations_of(rows), tmp_path)
     assert sorted(load_snapshot(tmp_path, receipt.snapshot_id), key=str) == sorted(
         rows, key=str
     )
@@ -113,8 +117,8 @@ def test_numpy_float_coordinates_round_trip(tmp_path):
         observation(obs.system_id, obs.entity_id, float(obs.lat), float(obs.lon))
         for obs in as_numpy
     ]
-    receipt = append_snapshot(as_numpy, tmp_path / "numpy")
-    append_snapshot(as_python, tmp_path / "python")
+    receipt = append_snapshot(observations_of(as_numpy), tmp_path / "numpy")
+    append_snapshot(observations_of(as_python), tmp_path / "python")
     loaded = load_snapshot(tmp_path / "numpy", receipt.snapshot_id)
     assert list(loaded) == as_python
     assert all(type(obs.lat) is float and type(obs.lon) is float for obs in loaded)
@@ -123,11 +127,11 @@ def test_numpy_float_coordinates_round_trip(tmp_path):
 
 
 def test_append_never_mutates_existing_files(tmp_path):
-    append_snapshot(sample_observations(4), tmp_path)
+    append_snapshot(observations_of(sample_observations(4)), tmp_path)
     first_file = tmp_path / "snapshot_000001.csv"
     checksum = hashlib.sha256(first_file.read_bytes()).hexdigest()
     for _ in range(3):
-        append_snapshot(sample_observations(2), tmp_path)
+        append_snapshot(observations_of(sample_observations(2)), tmp_path)
     assert hashlib.sha256(first_file.read_bytes()).hexdigest() == checksum
 
 
@@ -135,7 +139,7 @@ def test_unwritable_store_path(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("plain file")
     with pytest.raises(StorageError):
-        append_snapshot(sample_observations(1), blocker)
+        append_snapshot(observations_of(sample_observations(1)), blocker)
     assert not (tmp_path / "not_a_dir.tmp").exists()
 
 
@@ -167,7 +171,7 @@ def test_random_round_trip_and_dedup_property():
                         observed_at=rng.randint(0, 1000),
                     )
                 rows = list(per_key.values())
-                append_snapshot(rows, store)
+                append_snapshot(observations_of(rows), store)
                 # Mirror the store's rule: newest observed_at wins, later writes break ties.
                 for obs in rows:
                     key = (obs.system_id, obs.entity_id, obs.docking_type)
@@ -239,7 +243,7 @@ DEDUPE_CASES = {
 def test_range_dedupe_matches_record_reference(tmp_path, snapshots):
     store = tmp_path / "store"
     for t, records in enumerate(snapshots):
-        append_snapshot(records, store, clock=lambda: t)
+        append_snapshot(observations_of(records), store, clock=lambda: t)
     expected = ref_newest_per_key(snapshots)
     selector = (0, 10_000)
     # Uncached, then a cache miss, then a hit.
@@ -255,10 +259,10 @@ def test_append_skips_an_orphan_snapshot_file(tmp_path):
     """A crash between writing a snapshot file and its manifest line leaves a
     file the manifest does not name; the next append takes the next id and
     leaves the orphan's bytes alone."""
-    append_snapshot(sample_observations(2), tmp_path)
+    append_snapshot(observations_of(sample_observations(2)), tmp_path)
     orphan = tmp_path / "snapshot_000002.csv"
     orphan.write_text("orphaned bytes\n")
-    receipt = append_snapshot(sample_observations(3), tmp_path)
+    receipt = append_snapshot(observations_of(sample_observations(3)), tmp_path)
     assert receipt.snapshot_id == 3
     assert orphan.read_text() == "orphaned bytes\n"
     assert list(load_snapshot(tmp_path, 3)) == sample_observations(3)
@@ -271,9 +275,9 @@ def test_append_with_a_stale_manifest_view_takes_the_next_free_id(tmp_path, monk
     candidate id; the second to link its file moves on to the next id."""
     from bikeshare_equity import snapshot_store
 
-    first = append_snapshot(sample_observations(2), tmp_path)
+    first = append_snapshot(observations_of(sample_observations(2)), tmp_path)
     monkeypatch.setattr(snapshot_store, "_read_manifest", lambda store: [])
-    second = append_snapshot(sample_observations(4), tmp_path)
+    second = append_snapshot(observations_of(sample_observations(4)), tmp_path)
     monkeypatch.undo()
     assert (first.snapshot_id, second.snapshot_id) == (1, 2)
     assert list(load_snapshot(tmp_path, 1)) == sample_observations(2)
@@ -284,39 +288,36 @@ def test_append_with_a_stale_manifest_view_takes_the_next_free_id(tmp_path, monk
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):
-    not_a_record = sample_observations(2) + [object()]
+    # Each fails after the file is opened: an id that is not a str, a
+    # docking_type the writer has no text for, and an id that UTF-8 cannot
+    # encode, which is a StorageError.
+    not_a_str = sample_observations(2) + [observation("sys", 7, 40.0, -100.0)]
     with pytest.raises(TypeError):
-        append_snapshot(not_a_record, tmp_path)
+        append_snapshot(observations_of(not_a_str), tmp_path)
     assert list(tmp_path.iterdir()) == []
-    # A docking_type the writer has no text for fails after the file is opened.
     unknown_kind = sample_observations(2) + [observation("sys", "x", 40.0, -100.0, None)]
     with pytest.raises(KeyError):
-        append_snapshot(unknown_kind, tmp_path)
+        append_snapshot(observations_of(unknown_kind), tmp_path)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_append_reads_a_generator_once(tmp_path):
-    rows = sample_observations(3, observed_at=100)
-    rows[1] = rows[1]._replace(observed_at=102)
-    receipt = append_snapshot((obs for obs in rows), tmp_path, clock=lambda: 7)
-    assert (receipt.row_count, receipt.observed_at, receipt.systems) == (3, 102, ("sys",))
-    assert (tmp_path / "manifest.csv").read_text() == "1,102,3,snapshot_000001.csv\n"
-    assert list(load_snapshot(tmp_path, 1)) == rows
+    surrogate = sample_observations(2) + [observation("sys", "\ud800", 40.0, -100.0)]
+    with pytest.raises(StorageError, match="cannot write snapshot"):
+        append_snapshot(observations_of(surrogate), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 CONCURRENT_WRITER = """
 import sys, time
 from pathlib import Path
-from bikeshare_equity.snapshot_store import BikeObservation, DockingType, append_snapshot
+from bikeshare_equity.snapshot_store import DockingType, Observations, append_snapshot
 
 store, writer = Path(sys.argv[1]), sys.argv[2]
 while not (store / "go").exists():
     time.sleep(0.001)
 for n in range(15):
-    rows = [
-        BikeObservation(writer, f"e{n}_{i}", 45.0 + i / 1000, -122.0, DockingType.FREE, 1000 + n)
-        for i in range(40)
-    ]
+    rows = Observations.from_columns(
+        [writer] * 40, [f"e{n}_{i}" for i in range(40)], [45.0 + i / 1000 for i in range(40)],
+        [-122.0] * 40, [DockingType.FREE] * 40, [1000 + n] * 40,
+    )
     print(append_snapshot(rows, store).snapshot_id, n)
 """
 

@@ -25,7 +25,6 @@ from bikeshare_equity.join_aggregate import (
     TractCount,
     TractRecord,
     TractTable,
-    as_tract_table,
     build_model_frame,
     filter_zero_counties,
     join_demographics,
@@ -33,6 +32,7 @@ from bikeshare_equity.join_aggregate import (
     scale_predictors,
 )
 from bikeshare_equity.poisson_glm import DesignMatrix
+from helpers import checked_demographics_row, tract_table_of
 
 # ---------------------------------------------------------------------------
 # The record implementation, kept as the reference
@@ -73,7 +73,7 @@ def ref_scale_predictors(records):
         raise ScalingError("no records to scale")
     bounds = {}
     for name in PREDICTOR_NAMES:
-        values = [record.demographics.predictor(name) for record in records]
+        values = [getattr(record.demographics, name) for record in records]
         low, high = min(values), max(values)
         if low == high:
             raise ScalingError(
@@ -83,7 +83,7 @@ def ref_scale_predictors(records):
     scaled = []
     for record in records:
         rescaled = {
-            name: (record.demographics.predictor(name) - bounds[name][0])
+            name: (getattr(record.demographics, name) - bounds[name][0])
             / (bounds[name][1] - bounds[name][0])
             for name in PREDICTOR_NAMES
         }
@@ -99,7 +99,7 @@ def ref_build_model_frame(records):
         raise EmptyFrameError("cannot build a model frame from zero tract records")
     geoids, response, rows = [], [], []
     for record in sorted(records, key=lambda record: record.tract_geoid):
-        predictors = [record.demographics.predictor(name) for name in PREDICTOR_NAMES]
+        predictors = [getattr(record.demographics, name) for name in PREDICTOR_NAMES]
         for indicator, count in ((0.0, record.count_free), (1.0, record.count_docked)):
             rows.append(
                 [1.0, *predictors, indicator, *(value * indicator for value in predictors)]
@@ -136,7 +136,7 @@ def _ref_demographics_rows(lines):
             raise SchemaError(f"demographics line {lines.line_num}: no {', '.join(absent)} field")
         geoid, *predictors = (fields[index] for index in indices)
         try:
-            rows.append(DemographicsRow(geoid.strip(), *map(float, predictors)))
+            rows.append(checked_demographics_row(geoid.strip(), *map(float, predictors)))
         except ValueError as exc:
             raise SchemaError(f"demographics line {lines.line_num}: {exc}") from exc
     return rows
@@ -190,7 +190,7 @@ def random_tables(seed):
 def demographics_csv(rows):
     lines = [",".join(DEMOGRAPHICS_COLUMNS)]
     for row in rows:
-        lines.append(",".join([row.tract_geoid, *(repr(row.predictor(n)) for n in PREDICTOR_NAMES)]))
+        lines.append(",".join([row.tract_geoid, *(repr(getattr(row, n)) for n in PREDICTOR_NAMES)]))
     return "\n".join(lines) + "\n"
 
 
@@ -209,7 +209,7 @@ def assert_same_path(counts, demo_rows):
     assert repr(list(demo)) == repr(ref_demo) == repr(demo_rows)
 
     ref_retained = ref_filter_zero_counties(counts)
-    retained = filter_zero_counties(counts)
+    retained = filter_zero_counties(tract_table_of(counts))
     assert repr(list(retained)) == repr(ref_retained)
 
     ref_joined = outcome(ref_join_demographics, ref_retained, ref_demo)
@@ -285,8 +285,7 @@ def test_duplicate_demographics_geoid_raises_the_first_repeat():
                  ("10001000001", "10001000002", "10001000001", "10001000002")]
     expected = (SchemaError, "duplicate tract_geoid in demographics: 10001000001")
     assert outcome(ref_join_demographics, counts, demo_rows) == expected
-    assert outcome(join_demographics, counts, demo_rows) == expected
-    assert outcome(join_demographics, counts, as_tract_table(demo_rows)) == expected
+    assert outcome(join_demographics, tract_table_of(counts), tract_table_of(demo_rows)) == expected
     assert_same_path(counts, demo_rows)
 
 
@@ -296,7 +295,7 @@ def test_constant_predictor_names_it():
     records = [TractRecord(row.tract_geoid, "10001", 1, 0, row) for row in rows]
     expected = (ScalingError, "predictor pct_poverty is constant (0.5) over the retained tracts")
     assert outcome(ref_scale_predictors, records) == expected
-    assert outcome(scale_predictors, records) == expected
+    assert outcome(scale_predictors, tract_table_of(records)) == expected
 
 
 def test_missing_rows_on_either_side():
@@ -305,7 +304,7 @@ def test_missing_rows_on_either_side():
     demo_rows = [DemographicsRow("10001000001", 0.0, 0.0, 0.0, 0.0, 0.0),
                  DemographicsRow("10001000009", 0.5, 0.5, 0.5, 5.0, 5.0),
                  DemographicsRow("10001000003", 1.0, 1.0, 1.0, 10.0, 10.0)]
-    joined, diagnostics = join_demographics(counts, demo_rows)
+    joined, diagnostics = join_demographics(tract_table_of(counts), tract_table_of(demo_rows))
     assert [record.tract_geoid for record in joined] == ["10001000003", "10001000001"]
     assert diagnostics.unmatched == 1
     assert_same_path(counts, demo_rows)
@@ -314,9 +313,9 @@ def test_missing_rows_on_either_side():
 def test_whole_zero_counties_are_dropped():
     counts = [TractCount("20003000001", 0, 0), TractCount("10001000001", 0, 0),
               TractCount("10001000002", 0, 3), TractCount("20003000002", 0, 0)]
-    assert [count.tract_geoid for count in filter_zero_counties(counts)] == [
+    assert [count.tract_geoid for count in filter_zero_counties(tract_table_of(counts))] == [
         "10001000001", "10001000002"]
-    assert list(filter_zero_counties(counts[:1] + counts[3:])) == []
+    assert list(filter_zero_counties(tract_table_of(counts[:1] + counts[3:]))) == []
     assert_same_path(counts, [random_demographics(random.Random(t), c.tract_geoid)
                               for t, c in enumerate(counts)])
 
@@ -332,7 +331,9 @@ def test_signed_zeros_keep_the_first_bound_in_record_order(first, second):
         DemographicsRow(count.tract_geoid, value, 0.1 * t, 0.2 * t, value * 10, float(t))
         for t, (count, value) in enumerate(zip(counts, values))
     ]
-    _, bounds = scale_predictors(join_demographics(counts, demo_rows)[0])
+    _, bounds = scale_predictors(
+        join_demographics(tract_table_of(counts), tract_table_of(demo_rows))[0]
+    )
     assert repr(bounds["pct_college"][0]) == repr(first)
     assert repr(bounds["pop_density"][0]) == repr(first)
     assert_same_path(counts, demo_rows)
@@ -343,7 +344,7 @@ def test_input_records_in_non_geoid_order():
     rng = random.Random(4)
     records = [TractRecord(geoid, "10001", t, 5 - t, random_demographics(rng, geoid))
                for t, geoid in enumerate(geoids)]
-    frame = build_model_frame(records)
+    frame = build_model_frame(tract_table_of(records))
     ref_geoids, ref_response, ref_design = ref_build_model_frame(records)
     assert frame.tract_geoids == ref_geoids
     assert frame.response.tobytes() == ref_response.tobytes()
@@ -355,20 +356,20 @@ def test_input_records_in_non_geoid_order():
 def test_table_is_a_sequence_of_records_built_on_access():
     counts = [TractCount("10001000002", 3, 1), TractCount("10001000001", 0, 2)]
     rows = [DemographicsRow("10001000001", 0.5, 0.2, 0.3, 120.5, 77.0)]
-    table = as_tract_table(counts)
-    assert isinstance(table, TractTable) and as_tract_table(table) is table
+    table = tract_table_of(counts)
+    assert isinstance(table, TractTable)
     assert len(table) == 2 and table[-1] == counts[1] and list(table) == counts
     assert table.counts.shape == (2, 2) and table.predictors is None
     with pytest.raises(IndexError):
         table[2]
-    joined, _ = join_demographics(table, rows)
+    joined, _ = join_demographics(table, tract_table_of(rows))
     assert list(joined) == [TractRecord("10001000001", "10001", 0, 2, rows[0])]
     assert joined.predictors.dtype == np.float64 and joined.predictors.shape == (1, 5)
-    assert list(as_tract_table(rows)) == rows
-    assert list(as_tract_table(iter(list(joined)))) == list(joined)
-    empty = as_tract_table([])
+    assert list(tract_table_of(rows)) == rows
+    assert list(tract_table_of(iter(list(joined)))) == list(joined)
+    empty = tract_table_of([])
     assert len(empty) == 0 and list(filter_zero_counties(empty)) == []
     with pytest.raises(EmptyFrameError):
         build_model_frame(empty)
     with pytest.raises(ScalingError, match="no records to scale"):
-        scale_predictors(iter([]))
+        scale_predictors(empty)
