@@ -22,11 +22,12 @@ later load whose stat of the input matches all five takes the sha256 from
 the memo, as long as the hash began RACY_WINDOW_NS or more after the later
 of mtime and ctime (git's racy-git rule, Documentation/technical/racy-git.txt):
 an edit in the same timestamp tick as the one before it moves neither, but
-an edit that late moves them. Otherwise the input is hashed and the memo
-rewritten, so a memo first written inside the window is trusted on a later
-load. Setting a ctime back needs the system clock; an input on a network
-filesystem whose clock runs more than the window behind this machine's can
-be trusted too early.
+an edit that late moves them. Otherwise the input is hashed, and the memo
+is rewritten only when the hash began after the window: a memo written
+inside it could never be trusted, so the first load after the window writes
+the memo that later loads trust. Setting a ctime back needs the system
+clock; an input on a network filesystem whose clock runs more than the
+window behind this machine's can be trusted too early.
 """
 
 from __future__ import annotations
@@ -142,6 +143,12 @@ def _stat_fields(st: os.stat_result) -> dict:
             "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns}
 
 
+def _after_window(hashed_at: int, st: os.stat_result) -> bool:
+    """Whether a hash that began at hashed_at began RACY_WINDOW_NS or more
+    after the later of the file's mtime and ctime."""
+    return hashed_at >= max(st.st_mtime_ns, st.st_ctime_ns) + RACY_WINDOW_NS
+
+
 def _trusted_sha256(memo_path: Path, st: os.stat_result) -> str | None:
     """The sha256 in the memo at memo_path, if it was written for a file of
     exactly this stat and its hash began RACY_WINDOW_NS or more after the
@@ -154,7 +161,7 @@ def _trusted_sha256(memo_path: Path, st: os.stat_result) -> str | None:
     trusted = (
         memo == {**_stat_fields(st), "hashed_at_ns": hashed_at, "sha256": sha256}
         and type(hashed_at) is int
-        and hashed_at >= max(st.st_mtime_ns, st.st_ctime_ns) + RACY_WINDOW_NS
+        and _after_window(hashed_at, st)
         and type(sha256) is str
         and _SHA256.fullmatch(sha256)
     )
@@ -172,7 +179,8 @@ def load(
     encode(result) is written (write_entry) under the key of the bytes
     parsed, should the file have changed since it was hashed, then
     prune_older_versions runs. Once the result is known, the memo is
-    rewritten unless it was trusted and holds that key's sha256; a parse that
+    rewritten unless it was trusted and holds that key's sha256, or the hash
+    began inside the window (such a memo is never trusted); a parse that
     raises writes nothing. Each cached load logs one debug record: the
     prefix, the path, hit or miss, and whether the memo was trusted. An
     OSError reading the file propagates."""
@@ -197,7 +205,7 @@ def load(
         write_entry(cache_dir / key, key, header, body, align=align)
         prune_older_versions(cache_dir, prefix)
     sha256 = key[len(prefix) + 1:]
-    if sha256 != recorded:
+    if sha256 != recorded and _after_window(hashed_at, st):
         memo = json.dumps({**_stat_fields(st), "hashed_at_ns": hashed_at, "sha256": sha256})
         write_atomically(memo_path, lambda fh: fh.write(memo.encode("ascii")))
     logger.debug(

@@ -18,9 +18,9 @@ import logging
 import math
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -142,12 +142,15 @@ def fetch_document(source: str) -> bytes:
         raise TransportError(f"GET {source} failed: {last_error}")
     path = source[len("file://"):] if source.startswith("file://") else source
     try:
-        return Path(path).read_bytes()
+        # open() rather than Path.read_bytes(): a harvest reads a hundred
+        # feeds, and pathlib's parsing of each path costs as much as the read.
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise TransportError(f"cannot read {source}: {exc}") from exc
 
 
-def _load_json(raw: bytes) -> dict:
+def _load_json(raw: bytes, decode: Callable[[str], object] = json.loads) -> dict:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -155,7 +158,7 @@ def _load_json(raw: bytes) -> dict:
             f"document is not UTF-8 at byte {exc.start}", offset=exc.start
         ) from exc
     try:
-        doc = json.loads(text)
+        doc = decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at offset {exc.pos}: {exc.msg}", offset=exc.pos
@@ -329,23 +332,36 @@ class _EntityFeed:
 _STATIONS = _EntityFeed(STATION_FEED, "stations", "station_id")
 _BIKES = _EntityFeed(FREE_BIKE_FEED, "bikes", "bike_id", ("is_reserved", "is_disabled"))
 
+# Decodes a JSON number literal with a fraction or an exponent to its own
+# ASCII bytes, not a float, so that a harvest can store a coordinate's digits
+# as the feed wrote them. JSON decodes nothing else to bytes, so a string
+# "45.5" stays distinct from a literal 45.5.
+_LITERAL_DECODER = json.JSONDecoder(parse_float=str.encode)
+
 
 def _entity_rows(
     document: bytes, system_id: str, feed: _EntityFeed
 ) -> tuple[list[tuple], int]:
-    """Decode an entity feed; return ``(id, lat, lon, *flags)`` for every
-    usable entry, and the tally of the others (dropped).
+    """Decode an entity feed; return ``(id, lat, lon, lat_text, lon_text,
+    *flags)`` for every usable entry, and the tally of the others (dropped).
 
     An entry is usable when it is an object with a truthy id that a snapshot
     can hold (_storable_id) and lat/lon that _coerce_coordinate accepts and
-    that lie within range. The entries are read, never rewritten. A
-    coordinate that is already a float, the common case, is kept as it is.
+    that lie within range. The entries are read, never rewritten.
+
+    Number literals with a fraction or an exponent are decoded to their own
+    ASCII bytes (_LITERAL_DECODER). A coordinate literal, the common case, is
+    float() of its bytes, the double json would give, and its text is those
+    bytes. Any other coordinate (a JSON string, an integer) is
+    _coerce_coordinate's float, and its text is that float's repr. An id,
+    and any literal within it, and a flag literal are read as those floats
+    before the usual rules apply: str() for an id, bool() for a flag.
 
     Raises:
         ParseError: undecodable document (carries the byte offset).
         SchemaError: the entity list is missing.
     """
-    payload = _load_json(document)
+    payload = _load_json(document, _LITERAL_DECODER.decode)
     data = payload.get("data")
     entries = data.get(feed.list_key) if isinstance(data, dict) else None
     if not isinstance(entries, list):
@@ -356,21 +372,35 @@ def _entity_rows(
     for entry in entries:
         if not isinstance(entry, dict):
             continue
-        lat = entry.get("lat")
-        if type(lat) is not float:
-            lat = _coerce_coordinate(lat)
-        lon = entry.get("lon")
-        if type(lon) is not float:
-            lon = _coerce_coordinate(lon)
+        # A coordinate that _coerce_coordinate rejects gets the text b"None",
+        # which is never kept: its entry is dropped below.
+        lat_text = entry.get("lat")
+        if type(lat_text) is bytes:
+            lat = float(lat_text)
+        else:
+            lat = _coerce_coordinate(lat_text)
+            lat_text = repr(lat).encode()
+        lon_text = entry.get("lon")
+        if type(lon_text) is bytes:
+            lon = float(lon_text)
+        else:
+            lon = _coerce_coordinate(lon_text)
+            lon_text = repr(lon).encode()
         entity_id = entry.get(id_key)
+        if type(entity_id) is not str:
+            entity_id = _with_floats(entity_id)
         if entity_id and lat is not None and lon is not None:
             if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
                 if flags is None:
-                    rows.append((str(entity_id), lat, lon))
+                    rows.append((str(entity_id), lat, lon, lat_text, lon_text))
                 else:
+                    first, second = entry.get(first_flag), entry.get(second_flag)
+                    if type(first) is bytes:
+                        first = float(first)
+                    if type(second) is bytes:
+                        second = float(second)
                     rows.append((
-                        str(entity_id), lat, lon,
-                        bool(entry.get(first_flag)), bool(entry.get(second_flag)),
+                        str(entity_id), lat, lon, lat_text, lon_text, bool(first), bool(second),
                     ))
     # A short document with no backslash (so no escape, so no NUL and no
     # lone surrogate) clears every id, and so does one pass over the joined
@@ -380,6 +410,19 @@ def _entity_rows(
         if not (ids.isascii() and "\0" not in ids and len(ids) <= MAX_ENTITY_ID_LENGTH):
             rows = [row for row in rows if _storable_id(row[0])]
     return rows, len(entries) - len(rows)
+
+
+def _with_floats(value):
+    """value as json would decode it: every number literal that
+    _LITERAL_DECODER left as bytes, at any depth, is the float of its
+    bytes."""
+    if type(value) is bytes:
+        return float(value)
+    if type(value) is list:
+        return [_with_floats(item) for item in value]
+    if type(value) is dict:
+        return {key: _with_floats(item) for key, item in value.items()}
+    return value
 
 
 def _storable_id(entity_id: str) -> bool:
@@ -431,8 +474,8 @@ def _harvest_system(
 def _harvest_feeds(
     entry: SystemEntry, docked_mode: str
 ) -> tuple[list[tuple], list[tuple], list[FeedFailure], int]:
-    """The system's kept ``(id, lat, lon)`` rows, docked and then free, its
-    feed failures and its dropped tally."""
+    """The system's kept ``(id, lat, lon, lat_text, lon_text)`` rows, docked
+    and then free, its feed failures and its dropped tally."""
     system_id = entry.system_id
     failures: list[FeedFailure] = []
     docked: list[tuple] = []
@@ -473,8 +516,8 @@ def _harvest_feeds(
                 docked = rows
             else:
                 docked = [
-                    (f"{station_id}#{i}", lat, lon)
-                    for station_id, lat, lon in rows
+                    (f"{station_id}#{i}", lat, lon, lat_text, lon_text)
+                    for station_id, lat, lon, lat_text, lon_text in rows
                     for i in range(available.get(station_id, 0))
                 ]
         except (TransportError, SchemaError, ParseError) as exc:
@@ -487,11 +530,7 @@ def _harvest_feeds(
             )
             dropped += feed_dropped
             # Reserved or disabled bikes are not spatially accessible supply.
-            free = [
-                (bike_id, lat, lon)
-                for bike_id, lat, lon, reserved, disabled in rows
-                if not (reserved or disabled)
-            ]
+            free = [row[:5] for row in rows if not (row[5] or row[6])]
         except (TransportError, SchemaError, ParseError) as exc:
             failures.append(FeedFailure(system_id, FREE_BIKE_FEED, str(exc)))
 
@@ -540,20 +579,32 @@ def harvest(
         for system_id, future in futures.items():
             results[system_id] = future.result()
     rows: list[tuple] = []
-    system_ids: list[str] = []
-    kinds: list[DockingType] = []
+    system_id_runs: list[list] = []
+    kind_runs: list[list] = []
     diagnostics = HarvestDiagnostics()
     for entry in ordered:
         docked, free, failures, dropped = results[entry.system_id]
         rows += docked
         rows += free
-        system_ids += repeat(entry.system_id, len(docked) + len(free))
-        kinds += repeat(DockingType.DOCKED, len(docked))
-        kinds += repeat(DockingType.FREE, len(free))
+        if docked or free:
+            system_id_runs.append([entry.system_id, len(docked) + len(free)])
+        _add_run(kind_runs, DockingType.DOCKED, len(docked))
+        _add_run(kind_runs, DockingType.FREE, len(free))
         diagnostics.failures.extend(failures)
         diagnostics.dropped_entities += dropped
-    entity_ids, lats, lons = zip(*rows) if rows else ((), (), ())
-    observations = Observations.from_columns(
-        system_ids, entity_ids, lats, lons, kinds, repeat(observed_at, len(rows))
+    entity_ids, lats, lons, lat_texts, lon_texts = zip(*rows) if rows else ((),) * 5
+    observations = Observations(
+        system_id_runs, entity_ids, array("d", lats), array("d", lons), kind_runs,
+        [[observed_at, len(rows)]] if rows else [], coordinate_texts=(lat_texts, lon_texts),
     )
     return observations, diagnostics
+
+
+def _add_run(runs: list[list], value, count: int) -> None:
+    """Extend [value, count] runs by count more of value: the last run, if
+    it holds value, else a new one."""
+    if count:
+        if runs and runs[-1][0] is value:
+            runs[-1][1] += count
+        else:
+            runs.append([value, count])

@@ -129,7 +129,11 @@ def _cholesky(a: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
     n = a.shape[0]
     lower = np.zeros_like(a)
     for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        # lower[i, :j] @ lower[j, :j] for every i >= j, in one stacked matmul:
+        # numpy computes each (1, j) @ (j, 1) product with the same dot, so
+        # the factor keeps the bits of a row-by-row loop.
+        dots = np.matmul(lower[j:, None, :j], lower[j, :j, None])[:, 0, 0]
+        pivot = a[j, j] - dots[0]
         # Relative pivot floor: exact collinearity lands many orders below this.
         if pivot <= abs(a[j, j]) * 1e-10 or pivot <= 0.0:
             name = column_names[j] if j < len(column_names) else f"column {j}"
@@ -137,8 +141,7 @@ def _cholesky(a: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
                 f"design is rank deficient at pivot column {name!r}", column=name
             )
         lower[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            lower[i, j] = (a[i, j] - lower[i, :j] @ lower[j, :j]) / lower[j, j]
+        lower[j + 1:, j] = (a[j + 1:, j] - dots[1:]) / lower[j, j]
     return lower
 
 

@@ -83,6 +83,10 @@ TEXT_KIND = {kind.value: kind for kind in DockingType}
 # and raised a harvest's peak RSS by 1 MB on CPython 3.11/glibc; these raise
 # it by 0.1 MB.
 _WRITE_CHUNK = 1 << 10
+# The longest coordinate text a snapshot holds: a float's repr is never
+# longer than 24 characters, and a longer number text is written as that
+# repr, so no field nears csv's field size limit.
+_MAX_COORDINATE_TEXT = 32
 # A text field holding any of these is written quoted, each '"' doubled: csv's
 # QUOTE_MINIMAL as Python 3.13's csv.writer applies it with "\n" line ends.
 # (Earlier versions leave a lone "\r" bare, and no reader splits that back.)
@@ -117,12 +121,19 @@ class Observations:
     entity_ids as one joined text until they are first read, so a reader of
     the other columns (map, analyze) builds no id object.
 
+    A harvest's Observations also holds ``coordinate_texts``: the lat texts
+    and the lon texts, one per row, each the ASCII bytes of a number that
+    float() converts to exactly its value in lats or lons. The snapshot
+    writer stores these texts (the feed's own digits) instead of formatting
+    the floats; any other Observations holds None there.
+
     The pipeline's stages read the columns. Iterating it builds one
     BikeObservation per row, for callers that read rows one by one.
     """
 
     __slots__ = (
         "system_id_runs", "_entity_ids", "lats", "lons", "docking_type_runs", "observed_at_runs",
+        "coordinate_texts",
     )
 
     def __init__(
@@ -133,6 +144,8 @@ class Observations:
         lons: array,
         docking_type_runs: list,
         observed_at_runs: list,
+        *,
+        coordinate_texts: tuple[Sequence[bytes], Sequence[bytes]] | None = None,
     ):
         self.system_id_runs = system_id_runs
         self._entity_ids = entity_ids
@@ -140,6 +153,7 @@ class Observations:
         self.lons = lons
         self.docking_type_runs = docking_type_runs
         self.observed_at_runs = observed_at_runs
+        self.coordinate_texts = coordinate_texts
 
     @classmethod
     def from_columns(
@@ -197,20 +211,27 @@ def _text_fields(column: Sequence[str]) -> Iterable[str]:
 def write_observations_csv(observations: Observations, fh: TextIO) -> int:
     """Write observations in the canonical CSV layout; returns the row count.
 
-    Each column is converted with one map() call and each row is one
+    Each run's system_id, docking_type and observed_at is formatted once. A
+    lat or lon is its coordinate text when the observations hold one
+    (_coordinate_fields), else the repr of its float. Each row is one
     str.join, so no Python code runs per row unless an id needs quoting. The
     rows go to fh in chunks of _WRITE_CHUNK.
     """
-    system_ids, entity_ids, lats, lons, kinds, observed_ats = observations.columns()
+    texts = observations.coordinate_texts
+    if texts is None:
+        lat_fields, lon_fields = map(repr, observations.lats), map(repr, observations.lons)
+    else:
+        lat_fields = _coordinate_fields(texts[0], observations.lats)
+        lon_fields = _coordinate_fields(texts[1], observations.lons)
     rows = map(
         ",".join,
         zip(
-            _text_fields(list(system_ids)),
-            _text_fields(entity_ids),
-            map(repr, lats),
-            map(repr, lons),
-            map(KIND_TEXT.__getitem__, kinds),
-            map(str, observed_ats),
+            _expand([_quote_field(value), count] for value, count in observations.system_id_runs),
+            _text_fields(observations.entity_ids),
+            lat_fields,
+            lon_fields,
+            _expand([KIND_TEXT[kind], count] for kind, count in observations.docking_type_runs),
+            _expand([str(value), count] for value, count in observations.observed_at_runs),
         ),
     )
     fh.write(",".join(OBSERVATION_COLUMNS) + "\n")
@@ -218,6 +239,27 @@ def write_observations_csv(observations: Observations, fh: TextIO) -> int:
         chunk.append("")  # the last row's line end
         fh.write("\n".join(chunk))
     return len(observations)
+
+
+def _coordinate_fields(texts: Sequence[bytes], values: Sequence[float]) -> Iterator[str]:
+    """Coordinate texts as CSV fields, decoded _WRITE_CHUNK at a time, so
+    that the text of every row is never held twice. A text longer than
+    _MAX_COORDINATE_TEXT is written as the repr of its value instead."""
+    return chain.from_iterable(
+        _decoded_texts(texts[start:start + _WRITE_CHUNK], values[start:start + _WRITE_CHUNK])
+        for start in range(0, len(texts), _WRITE_CHUNK)
+    )
+
+
+def _decoded_texts(texts: Sequence[bytes], values: Sequence[float]) -> list[str]:
+    """One chunk of _coordinate_fields: texts, never empty, as str fields."""
+    if max(map(len, texts)) > _MAX_COORDINATE_TEXT:
+        texts = [
+            text if len(text) <= _MAX_COORDINATE_TEXT else repr(value).encode()
+            for text, value in zip(texts, values)
+        ]
+    # One decode and one split: a number's text holds no newline.
+    return b"\n".join(texts).decode("ascii").split("\n")
 
 
 def _csv_rows(fh: TextIO) -> Iterator[list[str]]:

@@ -180,8 +180,23 @@ def memos(cache_dir) -> list[str]:
 
 
 def memos_of(*inputs) -> list[str]:
-    """The memo names, sorted, that loading each of these files leaves."""
+    """The memo names, sorted, that loading each of these files can leave."""
     return sorted({memo_name(path) for path in inputs})
+
+
+def only_memos_of(cache_dir, *inputs) -> bool:
+    """Whether each finished stat memo in cache_dir is the memo of one of
+    these inputs. A load leaves at most one per input, and none for an input
+    that changed less than content_cache.RACY_WINDOW_NS before it, so which
+    of them are there depends on the clock."""
+    return set(memos(cache_dir)) <= set(memos_of(*inputs))
+
+
+def entries_besides_memos(cache_dir, *inputs) -> list[str]:
+    """The names in cache_dir, sorted, but for the stat memos of these
+    inputs, which may or may not be there (only_memos_of)."""
+    left_out = set(memos_of(*inputs))
+    return sorted(p.name for p in Path(cache_dir).iterdir() if p.name not in left_out)
 
 
 def city_inputs(city) -> tuple[Path, ...]:

@@ -6,7 +6,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bikeshare_equity import cli, gbfs_client
@@ -190,17 +190,22 @@ IDS = st.one_of(
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ids=st.lists(IDS, min_size=1, max_size=5))
+@example(ids=["\ud800\udc00"])  # kept, as U+10000
+@example(ids=["\udc00\ud800"])  # dropped: two lone surrogates
 def test_every_id_a_harvest_keeps_reads_back(ids):
     """Ids drawn from all JSON strings: harvest exits 0, and the snapshot it
     stores reads back exactly the ids that harvest() keeps, in order, on a
-    cache miss and a hit; map draws them all."""
+    cache miss and a hit; map draws them all. The feed carries each id as
+    json.dumps writes it, so a surrogate pair, written as two escapes, is
+    read as the one character they encode."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         system = make_system(root, "sys", bikes=[
             {"bike_id": bike_id, "lat": 40.0, "lon": -100.0 + k / 10} for k, bike_id in enumerate(ids)
         ])
         kept = list(gbfs_client.harvest([system])[0].entity_ids)
-        assert kept == [bike_id for bike_id in ids if bike_id and len(bike_id) <= BOUND
+        read = [json.loads(json.dumps(bike_id)) for bike_id in ids]
+        assert kept == [bike_id for bike_id in read if bike_id and len(bike_id) <= BOUND
                         and "\x00" not in bike_id and not any(0xD800 <= ord(c) < 0xE000 for c in bike_id)]
         store = root / "store"
         catalog = write_catalog(root / "catalog.csv", [system])

@@ -31,6 +31,7 @@ from bikeshare_equity.snapshot_store import DockingType
 from helpers import (
     build_synthetic_city,
     city_inputs,
+    entries_besides_memos,
     memo_name,
     memos,
     memos_of,
@@ -169,10 +170,8 @@ def test_snapshot_cache_file_keeps_its_layout(tmp_path):
     ]), store)
     snapshot_store.load_snapshot(store, cache_dir=tmp_path / "cache")
     (snapshot,) = store.glob("snapshot_*.csv")
-    (path,) = [p for p in (tmp_path / "cache").iterdir() if p.name != memo_name(snapshot)]
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
-        [path.name, memo_name(snapshot)]
-    )
+    (name,) = entries_besides_memos(tmp_path / "cache", snapshot)
+    path = tmp_path / "cache" / name
     assert path.name.startswith("snapshot-v3-")
     line = json.dumps({
         "key": path.name, "byteorder": sys.byteorder, "n": 3,
@@ -231,10 +230,9 @@ def test_load_without_a_cache_dir_parses_and_writes_nothing(tmp_path, words, mon
 def test_load_miss_writes_the_entry_and_a_hit_never_parses(tmp_path, words):
     cache = tmp_path / "cache"
     assert load_words(words, cache) == ["a", "b", "c"]
-    expected = sorted([content_key("words-v1", b"a,b,c"), memo_name(words)])
-    assert sorted(p.name for p in cache.iterdir()) == expected
+    assert entries_besides_memos(cache, words) == [content_key("words-v1", b"a,b,c")]
     assert load_words(words, cache, parse=pytest.fail) == ["a", "b", "c"]
-    assert sorted(p.name for p in cache.iterdir()) == expected
+    assert entries_besides_memos(cache, words) == [content_key("words-v1", b"a,b,c")]
 
 
 def test_load_parse_error_propagates_and_writes_nothing(tmp_path, words):
@@ -286,9 +284,7 @@ def test_load_miss_deletes_older_versions_only(tmp_path, words):
     (cache / "words-v1-dir").mkdir()  # not a file: left
     assert load_words_at(3, words, cache) == ["a", "b", "c"]
     current = content_key("words-v3", b"a,b,c")
-    assert sorted(p.name for p in cache.iterdir()) == sorted(
-        [*keep, "words-v1-dir", current, memo_name(words)]
-    )
+    assert entries_besides_memos(cache, words) == sorted([*keep, "words-v1-dir", current])
     # A hit writes nothing, so it deletes nothing either.
     (cache / old[0]).write_bytes(b"x")
     assert load_words_at(3, words, cache, parse=pytest.fail) == ["a", "b", "c"]
@@ -377,7 +373,7 @@ def edit_memo(path, edit):
     path.write_text(json.dumps(memo))
 
 
-def test_memo_holds_the_stat_and_the_sha256(tmp_path, words):
+def test_memo_holds_the_stat_and_the_sha256(tmp_path, words, no_window):
     cache = tmp_path / "cache"
     before = time.time_ns()
     load_words(words, cache)
@@ -394,30 +390,35 @@ def test_memo_holds_the_stat_and_the_sha256(tmp_path, words):
 
 @pytest.mark.parametrize("late, trusted", [(-1, False), (0, True)])
 def test_memo_is_trusted_from_the_window_on(tmp_path, words, hashes, monkeypatch, late, trusted):
-    """The memo is trusted once its hash began RACY_WINDOW_NS after the later
-    of the file's mtime and ctime, and not a nanosecond before."""
+    """A memo is written, and then trusted, once its hash began
+    RACY_WINDOW_NS after the later of the file's mtime and ctime, and not a
+    nanosecond before: a memo written sooner could never be trusted."""
     st = os.stat(words)
     clock = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS + late
     monkeypatch.setattr(content_cache.time, "time_ns", lambda: clock)
     load_words(words, tmp_path / "cache")
-    assert json.loads((tmp_path / "cache" / memo_name(words)).read_bytes())["hashed_at_ns"] == clock
+    memo = tmp_path / "cache" / memo_name(words)
+    assert memo.exists() == trusted
+    if trusted:
+        assert json.loads(memo.read_bytes())["hashed_at_ns"] == clock
     assert load_words(words, tmp_path / "cache", parse=pytest.fail) == ["a", "b", "c"]
     assert hashes == ([1] if trusted else [1, 1])
 
 
-def test_memo_written_inside_the_window_is_trusted_on_a_later_load(tmp_path, words, hashes,
-                                                                   monkeypatch):
-    """Each load inside the window hashes and rewrites the memo, so the first
-    load after it leaves a memo that the next one trusts."""
+def test_memo_is_first_written_by_a_load_after_the_window(tmp_path, words, hashes, monkeypatch):
+    """Each load inside the window hashes and writes no memo, which could
+    never be trusted; the first load after it writes one that the next load
+    trusts."""
     st = os.stat(words)
     window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
-    for clock, hashed in [(window - 2, [1]), (window - 1, [1, 1]), (window, [1, 1, 1]),
-                          (window + 1, [1, 1, 1])]:
+    memo = tmp_path / "cache" / memo_name(words)
+    for clock, hashed, written in [(window - 2, [1], False), (window - 1, [1, 1], False),
+                                   (window, [1, 1, 1], True), (window + 1, [1, 1, 1], True)]:
         monkeypatch.setattr(content_cache.time, "time_ns", lambda: clock)
         assert load_words(words, tmp_path / "cache") == ["a", "b", "c"]
         assert hashes == hashed
-    memo = json.loads((tmp_path / "cache" / memo_name(words)).read_bytes())
-    assert memo["hashed_at_ns"] == window
+        assert memo.exists() == written
+    assert json.loads(memo.read_bytes())["hashed_at_ns"] == window
 
 
 def test_same_size_edit_inside_the_window_is_rehashed(tmp_path, words, hashes):
@@ -426,32 +427,26 @@ def test_same_size_edit_inside_the_window_is_rehashed(tmp_path, words, hashes):
     words.write_bytes(b"x,y,z")
     assert load_words(words, cache) == load_words(words, None) == ["x", "y", "z"]
     assert hashes == [1, 1]
-    # An edit in the timestamp tick of the hash moves neither mtime nor
-    # ctime: the memo then matches the file's stat, as this one is made to,
-    # and only the window keeps its stale sha256 from being trusted.
-    words.write_bytes(b"a,b,c")
-    load_words(words, cache)
-    words.write_bytes(b"x,y,z")
+    # An edit in the timestamp tick of a hash moves neither mtime nor ctime:
+    # a memo of the old bytes then matches the file's stat, as this one is
+    # made to, and only the window keeps its stale sha256 from being trusted.
     st = os.stat(words)
     window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
 
-    def same_tick(hashed_at):
-        return lambda memo: memo.update(
-            mtime_ns=st.st_mtime_ns, ctime_ns=st.st_ctime_ns, hashed_at_ns=hashed_at
-        )
+    def write_stale_memo(hashed_at):
+        (cache / memo_name(words)).write_text(json.dumps({
+            "dev": st.st_dev, "ino": st.st_ino, "size": st.st_size,
+            "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns,
+            "hashed_at_ns": hashed_at, "sha256": hashlib.sha256(b"a,b,c").hexdigest(),
+        }))
 
     hashes.clear()
-    edit_memo(cache / memo_name(words), same_tick(window - 1))
+    write_stale_memo(window - 1)
     assert load_words(words, cache) == ["x", "y", "z"]
     assert hashes == [1]
     # The guarantee this weakens: a memo that matches and began after the
     # window is trusted, and the bytes it was written for are what loads.
-    words.write_bytes(b"a,b,c")
-    load_words(words, cache)
-    words.write_bytes(b"x,y,z")
-    st = os.stat(words)
-    window = max(st.st_mtime_ns, st.st_ctime_ns) + content_cache.RACY_WINDOW_NS
-    edit_memo(cache / memo_name(words), same_tick(window))
+    write_stale_memo(window)
     hashes.clear()
     assert load_words(words, cache) == ["a", "b", "c"]
     assert hashes == []

@@ -32,10 +32,9 @@ from helpers import (
     build_synthetic_city,
     checked_demographics_row,
     city_inputs,
-    memo_name,
-    memos,
-    memos_of,
+    entries_besides_memos,
     mutated,
+    only_memos_of,
 )
 
 HEADER = ",".join(DEMOGRAPHICS_COLUMNS) + "\n"
@@ -95,13 +94,14 @@ def cached_reads_agree(path, cache):
     if isinstance(uncached[0], type):
         assert not cache.exists()
     else:
-        with mock.patch.object(join_aggregate, "_parse_demographics", no_parse):
+        with mock.patch.object(join_aggregate, "_parse_demographics", no_parse), \
+                mock.patch.object(content_cache, "RACY_WINDOW_NS", 0):
+            # A hashed hit, which writes the memo that the next read trusts.
             reads.append(read_outcome(path, cache_dir=cache))
-            with mock.patch.object(content_cache, "RACY_WINDOW_NS", 0), \
-                    mock.patch.object(content_cache, "file_content_key", no_parse):
+            with mock.patch.object(content_cache, "file_content_key", no_parse):
                 reads.append(read_outcome(path, cache_dir=cache))
         key = content_key(PREFIX, path.read_bytes())
-        assert sorted(p.name for p in cache.iterdir()) == sorted([key, memo_name(path)])
+        assert entries_besides_memos(cache, path) == [key]
     assert all(read == uncached for read in reads)
     return uncached
 
@@ -281,7 +281,7 @@ def test_missing_demographics_file_fails_stage_read_demographics(tmp_path, capsy
         assert error is ParseError and message.startswith(f"cannot read demographics file {absent}: ")
     # The snapshot and boundaries loaded before the failed stage; no memo
     # names the demographics path.
-    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city)[:2])
+    assert only_memos_of(city["store"] / "cache", *city_inputs(city)[:2])
 
 
 def test_library_default_writes_no_cache(tmp_path, monkeypatch):
@@ -448,14 +448,14 @@ def test_bad_cache_file_is_a_silent_miss(tmp_path, city, monkeypatch, spoil):
     expected = analyze(city, tmp_path / "clean")
     (cache_file,) = demographics_caches(city)
     assert cache_file.name == content_key(PREFIX, city["demographics"].read_bytes())
-    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
+    assert only_memos_of(city["store"] / "cache", *city_inputs(city))
     SPOILERS[spoil](cache_file)
     parses = []
     parse = join_aggregate._parse_demographics
     monkeypatch.setattr(join_aggregate, "_parse_demographics", lambda d: parses.append(1) or parse(d))
     assert analyze(city, tmp_path / "spoiled") == expected
     assert parses == [1]
-    assert memos(city["store"] / "cache") == memos_of(*city_inputs(city))
+    assert only_memos_of(city["store"] / "cache", *city_inputs(city))
     if spoil == "a directory":
         # Nothing replaces a directory, and no temporary file is left.
         assert demographics_caches(city) == [cache_file] and cache_file.is_dir()

@@ -219,7 +219,7 @@ def test_parse_station_information_basic():
     )
     rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
     assert dropped == 0
-    assert rows == [("s1", 45.5, -122.6)]
+    assert rows == [("s1", 45.5, -122.6, b"45.5", b"-122.6")]
 
 
 def test_parse_station_missing_lon_dropped():
@@ -246,7 +246,8 @@ def test_parse_station_string_coordinates():
     payload = station_doc([{"station_id": "s", "lat": "45.5", "lon": "-122.6"}])
     rows, dropped = _entity_rows(doc_bytes(payload), "sys", _STATIONS)
     assert dropped == 0
-    assert rows[0][1:] == (45.5, -122.6)
+    # A string coordinate's text is the repr of its float.
+    assert rows[0][1:] == (45.5, -122.6, b"45.5", b"-122.6")
 
 
 def test_parse_station_schema_error():
@@ -269,7 +270,7 @@ def test_parse_free_bikes_reserved_flag():
     )
     rows, dropped = _entity_rows(doc_bytes(payload), "sys", _BIKES)
     assert dropped == 0
-    assert [is_reserved for _, _, _, is_reserved, _ in rows] == [True, False]
+    assert [is_reserved for *_, is_reserved, _ in rows] == [True, False]
 
 
 def test_parse_free_bikes_empty():
@@ -280,7 +281,7 @@ def test_parse_free_bikes_empty():
 def test_parse_free_bikes_missing_booleans_default_false():
     payload = bike_doc([{"bike_id": "b", "lat": 40.0, "lon": -100.0}])
     rows, _ = _entity_rows(doc_bytes(payload), "sys", _BIKES)
-    _, _, _, is_reserved, is_disabled = rows[0]
+    *_, is_reserved, is_disabled = rows[0]
     assert is_disabled is False
     assert is_reserved is False
 
@@ -305,11 +306,11 @@ def test_parse_deterministic_bytes():
     second = _entity_rows(payload, "sys", _STATIONS)[0]
     obs = [
         BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
-        for station_id, lat, lon in first
+        for station_id, lat, lon, *_ in first
     ]
     obs2 = [
         BikeObservation("sys", station_id, lat, lon, DockingType.DOCKED, 0)
-        for station_id, lat, lon in second
+        for station_id, lat, lon, *_ in second
     ]
     assert csv_text(obs) == csv_text(obs2)
 
@@ -548,7 +549,7 @@ def test_harvest_of_mixed_catalog_matches_a_serial_run(tmp_path, monkeypatch):
     for entry in sorted(entries, key=lambda e: e.system_id):
         docked, free, failures, dropped = gbfs_client._harvest_system(entry, "stations")
         expected_obs += [
-            BikeObservation(entry.system_id, *row, kind, 9)
+            BikeObservation(entry.system_id, *row[:3], kind, 9)
             for rows, kind in ((docked, DockingType.DOCKED), (free, DockingType.FREE))
             for row in rows
         ]

@@ -16,6 +16,8 @@ import copy
 import csv
 import io
 import json
+import math
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +43,8 @@ from bikeshare_equity.snapshot_store import (
     BikeObservation,
     DockingType,
     Observations,
+    append_snapshot,
+    load_snapshot,
     write_observations_csv,
 )
 from helpers import OBSERVED_AT, bike_doc, make_system, observations_of, station_doc
@@ -271,14 +275,26 @@ def ref_rows(ref_parse, raw):
     return [record[1:] for record in records], diagnostics.dropped
 
 
+def without_texts(parsed):
+    """_entity_rows' (rows, dropped) with the lat and lon texts taken out of
+    each row, once each text is checked: ASCII bytes that float() converts
+    to its coordinate, bit for bit."""
+    rows, dropped = parsed
+    for row in rows:
+        for value, text in zip(row[1:3], row[3:5], strict=True):
+            assert type(text) is bytes and text.isascii(), row
+            assert float(text).hex() == value.hex(), row
+    return [row[:3] + row[5:] for row in rows], dropped
+
+
 def assert_parsers_agree(station_raw, bike_raw):
     """_entity_rows gives the reference's (id, lat, lon) station rows and
-    (id, lat, lon, is_reserved, is_disabled) bike rows, dropped tallies and
-    exceptions."""
-    assert outcome(lambda: _entity_rows(station_raw, "sys", _STATIONS)) == outcome(
+    (id, lat, lon, is_reserved, is_disabled) bike rows, once their texts are
+    checked and taken out (without_texts), dropped tallies and exceptions."""
+    assert outcome(lambda: without_texts(_entity_rows(station_raw, "sys", _STATIONS))) == outcome(
         lambda: ref_rows(ref_parse_station_information, station_raw)
     )
-    assert outcome(lambda: _entity_rows(bike_raw, "sys", _BIKES)) == outcome(
+    assert outcome(lambda: without_texts(_entity_rows(bike_raw, "sys", _BIKES))) == outcome(
         lambda: ref_rows(ref_parse_free_bike_status, bike_raw)
     )
 
@@ -289,15 +305,20 @@ def observations_to_csv_bytes(observations):
     return buffer.getvalue().encode("utf-8")
 
 
+def harvest_documents(root, station_raw, bike_raw):
+    """harvest() of one file:// system, "sys", serving the two documents."""
+    entry = make_system(root, "sys", stations=[], bikes=[])
+    (root / "sys_station_information.json").write_bytes(station_raw)
+    (root / "sys_free_bike_status.json").write_bytes(bike_raw)
+    return harvest([entry], clock=lambda: OBSERVED_AT)
+
+
 def assert_harvest_agrees(root, station_raw, bike_raw):
     """harvest() over one file:// system serving the two documents gives the
     reference's observations, failures and dropped tally, and the same
     snapshot CSV bytes. Its result is an Observations whose six columns hold
     the values, of the same types, that the reference's records give."""
-    entry = make_system(root, "sys", stations=[], bikes=[])
-    (root / "sys_station_information.json").write_bytes(station_raw)
-    (root / "sys_free_bike_status.json").write_bytes(bike_raw)
-    observations, diagnostics = harvest([entry], clock=lambda: OBSERVED_AT)
+    observations, diagnostics = harvest_documents(root, station_raw, bike_raw)
     expected, failures, dropped = ref_system_harvest("sys", station_raw, bike_raw, OBSERVED_AT)
     assert type(observations) is Observations
     assert list(observations) == expected
@@ -391,6 +412,16 @@ BATTERY = [
                                          "s" * MAX_ENTITY_ID_LENGTH, "s2")])),
      raw(bike_doc([{"bike_id": bike_id, "lat": 40.0, "lon": -100.0}
                    for bike_id in ("b1", "\udfff\ud800", "\x00", "é" * 140_000, "é")]))),
+    # Read as json reads them: "1.5", "[1.5, {'k': 2.0}]", a falsy 0.0 id
+    # dropped, and flags 0.0 and -0.0 false, 1.50 true.
+    ("float literals as ids and flags",
+     b'{"data": {"stations": [{"station_id": 1.50, "lat": 45.5, "lon": -122.6},'
+     b' {"station_id": 0.0, "lat": 45.5, "lon": -122.6},'
+     b' {"station_id": [1.50, {"k": 2e0}], "lat": 45.5, "lon": -122.6}]}}',
+     b'{"data": {"bikes": [{"bike_id": "b1", "lat": 40.0, "lon": -100.0,'
+     b' "is_reserved": 0.0, "is_disabled": -0.0},'
+     b' {"bike_id": "b2", "lat": 40.0, "lon": -100.0, "is_reserved": 1.50},'
+     b' {"bike_id": 1.50, "lat": 40.0, "lon": -100.0, "is_disabled": 0.0}]}}'),
     ("ids of one feed past the bound only together",
      raw(station_doc([{"station_id": "s" * (MAX_ENTITY_ID_LENGTH // 2 + 1), "lat": 45.5,
                        "lon": -122.6}] * 2)),
@@ -440,6 +471,112 @@ def test_integer_over_the_digit_limit_fails_only_its_feed(tmp_path):
 def test_nesting_beyond_the_recursion_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="^invalid JSON: "):
         _load_json(b'{"data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}")
+
+
+def test_float_literal_ids_and_flags_read_as_json_reads_them(tmp_path):
+    _, station_raw, bike_raw = next(case for case in BATTERY if case[0].startswith("float"))
+    stations, _ = _entity_rows(station_raw, "sys", _STATIONS)
+    bikes, _ = _entity_rows(bike_raw, "sys", _BIKES)
+    assert [row[0] for row in stations] == ["1.5", "[1.5, {'k': 2.0}]"]
+    assert [(row[0], *row[5:]) for row in bikes] == [
+        ("b1", False, False), ("b2", True, False), ("1.5", False, False)]
+    observations, _ = harvest_documents(tmp_path, station_raw, bike_raw)
+    assert observations.entity_ids == ("1.5", "[1.5, {'k': 2.0}]", "b1", "1.5")
+
+
+# ---------------------------------------------------------------------------
+# Coordinate texts: a snapshot holds a coordinate literal as the feed wrote it
+# ---------------------------------------------------------------------------
+
+FORTY_DIGITS = "45." + "1234567890" * 3 + "12345678"
+# Each literal, and its text in the snapshot: the literal itself, or past 32
+# bytes the repr of its float.
+LITERAL_TEXTS = [
+    ("45.50", "45.50"),
+    ("4.55e1", "4.55e1"),
+    ("-0.0", "-0.0"),
+    ("1e-400", "1e-400"),
+    (FORTY_DIGITS, repr(float(FORTY_DIGITS))),
+]
+
+
+@pytest.mark.parametrize("literal, text", LITERAL_TEXTS, ids=[case[0][:8] for case in LITERAL_TEXTS])
+def test_a_coordinate_literal_is_stored_as_written_and_reads_back_exactly(
+    tmp_path, literal, text
+):
+    station_raw = ('{"data": {"stations": [{"station_id": "s", "lat": %s, "lon": %s}]}}'
+                   % (literal, literal)).encode()
+    bike_raw = ('{"data": {"bikes": [{"bike_id": "b", "lat": 1.5, "lon": %s}]}}'
+                % literal).encode()
+    assert_parsers_agree(station_raw, bike_raw)
+    observations, _ = harvest_documents(tmp_path, station_raw, bike_raw)
+    append_snapshot(observations, tmp_path / "store")
+    lines = (tmp_path / "store" / "snapshot_000001.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [
+        f"sys,s,{text},{text},docked,{OBSERVED_AT}",
+        f"sys,b,1.5,{text},free,{OBSERVED_AT}",
+    ]
+    value = json.loads(literal)
+    loaded = load_snapshot(tmp_path / "store")
+    assert [lat.hex() for lat in loaded.lats] == [value.hex(), (1.5).hex()]
+    assert [lon.hex() for lon in loaded.lons] == [value.hex(), value.hex()]
+
+
+def respelled(value, spell) -> str:
+    """value as JSON text, with each finite float written by spell(float)."""
+    if isinstance(value, float) and math.isfinite(value):
+        return spell(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(respelled(item, spell) for item in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            json.dumps(key) + ": " + respelled(item, spell) for key, item in value.items()
+        ) + "}"
+    return json.dumps(value)
+
+
+# Spellings of a float that json reads as that float: its repr, the repr
+# with trailing zeros, 17 significant digits in exponent form, and 40
+# decimals (past 32 bytes, so the snapshot holds the repr instead).
+SPELLINGS = [
+    repr,
+    lambda x: re.sub(r"^(-?\d+)(\.\d+)?", lambda m: m[1] + (m[2] or ".") + "00", repr(x)),
+    lambda x: f"{x:.16e}",
+    lambda x: f"{x:.40f}" if x == 0 or abs(x) > 1e-5 else repr(x),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), coordinates=st.lists(
+    st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=6))
+def test_any_spelling_of_a_coordinate_is_stored_as_written(data, coordinates):
+    """Every spelling of a coordinate gives the reference's rows, a snapshot
+    field that is the spelling (or the repr of its float past 32 bytes), and
+    the same double read back from the snapshot."""
+    def spell(value):
+        text = data.draw(st.sampled_from(SPELLINGS), label="spelling")(value)
+        spellings.append(text)
+        return text
+
+    spellings = []
+    bikes = [{"bike_id": f"b{i}", "lat": lat, "lon": lon}
+             for i, (lat, lon) in enumerate(coordinates)]
+    bike_raw = respelled(bike_doc(bikes), spell).encode()
+    station_raw = raw(station_doc([]))
+    assert_parsers_agree(station_raw, bike_raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        observations, _ = harvest_documents(Path(tmp), station_raw, bike_raw)
+        append_snapshot(observations, Path(tmp) / "store")
+        snapshot = (Path(tmp) / "store" / "snapshot_000001.csv").read_text(encoding="utf-8")
+        loaded = load_snapshot(Path(tmp) / "store")
+    fields = [line.split(",")[2:4] for line in snapshot.splitlines()[1:]]
+    texts = [text for pair in fields for text in pair]
+    values = [value for pair in coordinates for value in pair]
+    assert texts == [
+        text if len(text) <= 32 else repr(value) for text, value in zip(spellings, values)
+    ]
+    assert [value.hex() for value in loaded.lats] == [lat.hex() for lat, _ in coordinates]
+    assert [value.hex() for value in loaded.lons] == [lon.hex() for _, lon in coordinates]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from bikeshare_equity.errors import (
 )
 from bikeshare_equity.poisson_glm import (
     CoefficientRow,
+    _cholesky,
     DesignMatrix,
     deviance,
     exp_coefficients,
@@ -182,6 +183,30 @@ def test_covariance_is_the_inverse_of_the_information():
         reference = np.linalg.solve(information, np.eye(len(information)))
         atol = 1e-13 * np.abs(reference).max()
         np.testing.assert_allclose(fit.covariance, reference, rtol=0, atol=atol)
+
+
+def loop_cholesky(a):
+    """The lower Cholesky factor with one dot per entry: the row-by-row loop
+    whose bits _cholesky's stacked dots keep."""
+    n = a.shape[0]
+    lower = np.zeros_like(a)
+    for j in range(n):
+        lower[j, j] = math.sqrt(a[j, j] - lower[j, :j] @ lower[j, :j])
+        for i in range(j + 1, n):
+            lower[i, j] = (a[i, j] - lower[i, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def test_cholesky_factor_is_bit_identical_to_a_loop_of_dots():
+    rng = np.random.default_rng(2026)
+    for n in range(1, 17):
+        for _ in range(25):
+            # Columns scaled over six orders of magnitude, as a weighted
+            # design's X'WX can be.
+            m = rng.standard_normal((n + 3, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+            a = m.T @ m
+            factor = _cholesky(a, [f"x{i}" for i in range(n)])
+            np.testing.assert_array_equal(factor.view(np.uint64), loop_cholesky(a).view(np.uint64))
 
 
 def test_column_scaling_covariance():

@@ -34,7 +34,7 @@ from bikeshare_equity.snapshot_store import (
     valid_observation_values,
     write_observations_csv,
 )
-from helpers import memo_name, observations_of
+from helpers import entries_besides_memos, observations_of
 
 # ---------------------------------------------------------------------------
 # Reference: the reader as it was before positional column access.
@@ -216,7 +216,7 @@ def cached_reads_agree(store):
             reads.append(load_outcome(store, cache_dir=cache))
         snapshot = store / "snapshot_000001.csv"
         key = content_key(f"snapshot-v{snapshot_store._CACHE_VERSION}", snapshot.read_bytes())
-        assert sorted(p.name for p in cache.iterdir()) == sorted([key, memo_name(snapshot)])
+        assert entries_besides_memos(cache, snapshot) == [key]
     else:
         assert not cache.exists()
     for read in reads:
